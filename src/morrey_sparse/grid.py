@@ -100,10 +100,6 @@ class ScalarField:
         if self.data.dtype != np.float64:
             object.__setattr__(self, "data", np.ascontiguousarray(self.data, dtype=np.float64))
 
-    @classmethod
-    def zeros(cls, grid: Grid3) -> "ScalarField":
-        return cls(grid, np.zeros(grid.shape))
-
     def validate_finite(self) -> None:
         if not np.all(np.isfinite(self.data)):
             raise NonFiniteDataError("scalar field contains non-finite values")
@@ -125,16 +121,6 @@ class VectorField:
     @classmethod
     def zeros(cls, grid: Grid3) -> "VectorField":
         return cls(grid, np.zeros((3,) + grid.shape))
-
-    @classmethod
-    def from_components(cls, fx: ScalarField, fy: ScalarField, fz: ScalarField) -> "VectorField":
-        if not (fx.grid == fy.grid == fz.grid):
-            raise ValueError("components must share one grid")
-        return cls(fx.grid, np.stack([fx.data, fy.data, fz.data]))
-
-    @property
-    def components(self) -> tuple[ScalarField, ScalarField, ScalarField]:
-        return tuple(ScalarField(self.grid, c) for c in self.data)  # type: ignore[return-value]
 
     def magnitude(self) -> np.ndarray:
         return np.sqrt(np.einsum("cijk,cijk->ijk", self.data, self.data))
@@ -314,38 +300,47 @@ def ball_kernel(grid: Grid3, radius: float) -> BallKernel:
     return _ball_kernel_cached(grid.n, grid.box_len, float(radius))
 
 
+def real_spectrum(values: np.ndarray) -> np.ndarray:
+    """Real FFT over the last three axes (leading axes batch), the input of
+    :func:`ball_sum_from_spectrum`: one forward transform serves every radius."""
+    return _rfftn(values)
+
+
+def ball_sum_from_spectrum(grid: Grid3, values_hat: np.ndarray, radius: float) -> np.ndarray:
+    """:func:`sliding_ball_sum` of the values whose :func:`real_spectrum` is given."""
+    spec = _ball_spectrum_cached(grid.n, grid.box_len, float(radius))
+    return _irfftn(values_hat * spec, grid.n)
+
+
 def sliding_ball_sum(grid: Grid3, values: np.ndarray, radius: float) -> np.ndarray:
     """Periodic sum of ``values`` over the ball around every voxel (FFT path).
 
     The kernel is symmetric under the min-image convention, so correlation
     and convolution coincide.  Deterministic for fixed inputs.
     """
-    spec = _ball_spectrum_cached(grid.n, grid.box_len, float(radius))
-    out = _irfftn(_rfftn(values) * spec, grid.n)
-    return out
+    return ball_sum_from_spectrum(grid, _rfftn(values), radius)
 
 
-def sliding_ball_power(f: Field, p: float, r: float) -> np.ndarray:
-    """x -> integral of |f|^p over B_r(x), Riemann sum over ball voxels."""
-    grid = f.grid
+def ball_power_from_spectrum(grid: Grid3, power_hat: np.ndarray, r: float) -> np.ndarray:
+    """x -> integral of |f|^p over B_r(x), from the real spectrum of |f|^p."""
     if not grid.spacing < r < grid.box_len / 2.0:
         raise ValueError(f"radius {r} outside (spacing, box_len/2) = ({grid.spacing}, {grid.box_len / 2})")
-    sums = sliding_ball_sum(grid, magnitude_power(f, p), r)
+    sums = ball_sum_from_spectrum(grid, power_hat, r)
     np.maximum(sums, 0.0, out=sums)
     return sums * grid.voxel_volume
 
 
+def sliding_ball_power(f: Field, p: float, r: float) -> np.ndarray:
+    """x -> integral of |f|^p over B_r(x), Riemann sum over ball voxels."""
+    return ball_power_from_spectrum(f.grid, _rfftn(magnitude_power(f, p)), r)
+
+
 def sliding_ball_power_multi(f: Field, p: float, scales):
     """Yield (r, ball power integral field) per scale, one field FFT total."""
-    grid = f.grid
     spec = _rfftn(magnitude_power(f, p))
     for r in scales:
         r = float(r)
-        if not grid.spacing < r < grid.box_len / 2.0:
-            raise ValueError(f"radius {r} outside (spacing, box_len/2)")
-        out = _irfftn(spec * _ball_spectrum_cached(grid.n, grid.box_len, r), grid.n)
-        np.maximum(out, 0.0, out=out)
-        yield r, out * grid.voxel_volume
+        yield r, ball_power_from_spectrum(f.grid, spec, r)
 
 
 def sliding_ball_lp(f: Field, p: float, r: float) -> ScalarField:

@@ -29,6 +29,8 @@ from .grid import (
     Grid3,
     VectorField,
     ball_kernel,
+    ball_sum_from_spectrum,
+    real_spectrum,
     sliding_ball_sum,
     sup_norm,
 )
@@ -129,6 +131,23 @@ def superlevel_sets(f: VectorField, lam: float) -> dict[str, VoxelSet]:
     return out
 
 
+def superlevel_spectra(f: VectorField, lam: float) -> list[np.ndarray]:
+    """Real spectra of the six :func:`superlevel_sets` masks, in SET_LABELS
+    order, so one forward transform per set serves every scale."""
+    sets = superlevel_sets(f, lam)
+    return [real_spectrum(sets[label].mask.astype(np.float64)) for label in SET_LABELS]
+
+
+def _count_fraction(counts, voxel_count: int):
+    """Ball sums of a 0/1 mask as fractions of the ball.
+
+    The sums are integers; the FFT path carries rounding dust, so they are
+    rounded back and clipped to [0, voxel_count] before dividing.  Both steps
+    are monotone, so the fraction of a max is the max of the fractions.
+    """
+    return np.clip(np.rint(counts), 0.0, voxel_count) / voxel_count
+
+
 def sparse_3d(S: VoxelSet, center: tuple[int, int, int], r: float) -> float:
     """Voxel-counted density of S in the ball B_r(center), in [0, 1]."""
     kernel = ball_kernel(S.grid, r)
@@ -146,17 +165,24 @@ class SemiMixed(NamedTuple):
 def semi_mixed(S: VoxelSet, r: float, delta: float) -> SemiMixed:
     """Worst-case ball density over every center, via one mask convolution.
 
-    Counts are rounded back to integers (they are integers; the FFT path
-    carries rounding dust), so the result matches per-center brute force
-    exactly.
+    Counts are rounded back to integers (see :func:`_count_fraction`), so the
+    result matches per-center brute force exactly.
     """
     kernel = ball_kernel(S.grid, r)
-    counts = sliding_ball_sum(S.grid, S.mask.astype(np.float64), r)
-    counts = np.clip(np.rint(counts), 0.0, kernel.voxel_count)
-    flat = int(np.argmax(counts))
+    density = _count_fraction(sliding_ball_sum(S.grid, S.mask.astype(np.float64), r),
+                              kernel.voxel_count)
+    flat = int(np.argmax(density))
     witness = tuple(int(c) for c in np.unravel_index(flat, S.grid.shape))
-    max_density = float(counts.reshape(-1)[flat]) / kernel.voxel_count
+    max_density = float(density.reshape(-1)[flat])
     return SemiMixed(max_density <= delta, max_density, witness)
+
+
+def max_densities(grid: Grid3, spectra: list[np.ndarray], r: float) -> tuple[float, ...]:
+    """Per set, the ``max_density`` of :func:`semi_mixed` at scale r, from the
+    mask spectra of :func:`superlevel_spectra` (one inverse transform each)."""
+    voxel_count = ball_kernel(grid, r).voxel_count
+    return tuple(float(_count_fraction(ball_sum_from_spectrum(grid, hat, r).max(), voxel_count))
+                 for hat in spectra)
 
 
 def fibonacci_directions(count: int) -> np.ndarray:
@@ -217,11 +243,6 @@ def kappa(pair: PairLD) -> float:
 def _ramp_l2_moment(kap: float) -> float:
     """integral_0^1 q'(t)^2 (kappa + (1-kappa) t)^2 dt for q = 3t^2 - 2t^3."""
     return 1.2 * kap + (12.0 / 35.0) * (1.0 - kap) ** 2
-
-
-def bump_gradient_l2(kap: float, r: float) -> float:
-    """Exact L^2 norm of the smoothstep shell gradient (plateau kappa*r, outer r)."""
-    return math.sqrt(4.0 * math.pi * _ramp_l2_moment(kap) * r / (1.0 - kap))
 
 
 def bump_chain_constant(pair: PairLD) -> float:
@@ -412,9 +433,8 @@ def z_alpha_member(f: VectorField, alpha: float, pair: PairLD, c0: float,
         mask = sets[label].mask.astype(np.float64)
         for r in scales:
             kernel = ball_kernel(grid, float(r))
-            counts = np.clip(np.rint(sliding_ball_sum(grid, mask, float(r))), 0.0,
-                             kernel.voxel_count)
-            ok_any[si] |= counts / kernel.voxel_count <= pair.delta
+            counts = sliding_ball_sum(grid, mask, float(r))
+            ok_any[si] |= _count_fraction(counts, kernel.voxel_count) <= pair.delta
     ok_vox = np.take_along_axis(ok_any, dominant[None], axis=0)[0]
     failing = np.argwhere(~ok_vox)
     witnesses = [tuple(int(v) for v in row) for row in failing[:10]]

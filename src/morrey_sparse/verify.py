@@ -20,22 +20,34 @@ premise, with a wide measured margin.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass, field
 from itertools import product
 
+import numpy as np
+
 from .fields import random_solenoidal_field, vorticity_blob
-from .grid import Grid3, VectorField, biot_savart, curl, sliding_ball_lp, sup_norm
+from .grid import (
+    Grid3,
+    VectorField,
+    ball_power_from_spectrum,
+    biot_savart,
+    curl,
+    magnitude_power,
+    real_spectrum,
+    sup_norm,
+)
 from .morrey import MorreyParams, WeightSpec, gm_norm, log_scale_nodes
 from .sparseness import (
     PairLD,
-    SET_LABELS,
     admissible_pair,
     cstar,
     eps_const,
     kappa,
+    max_densities,
     ramp_fraction,
-    semi_mixed,
-    superlevel_sets,
+    superlevel_spectra,
 )
 
 #: relative guard band: a premise that holds by less than this margin is
@@ -62,34 +74,77 @@ class VerifyReport:
         return (not self.premise_holds) or self.conclusion_holds
 
 
-def _conclusion(base: VectorField, lam: float, delta: float, scale: float):
-    sets = superlevel_sets(base, lam)
-    densities = []
-    ok = True
-    for label in SET_LABELS:
-        res = semi_mixed(sets[label], scale, delta)
-        densities.append(res.max_density)
-        ok = ok and res.ok
-    return ok, tuple(densities)
+class _L2State:
+    """What :func:`check_lemma_l2` needs of one field, built once and shared
+    by consecutive calls on it: the vorticity and its sup norm, the spectrum
+    of |f|^2 with the premise value per scale, and the super-level mask
+    spectra of the last threshold.  A copy of the data detects in-place
+    edits."""
+
+    def __init__(self, f: VectorField):
+        self.field = weakref.ref(f)
+        self.grid = f.grid
+        self.data = f.data.copy()
+        self.omega = curl(f)
+        self.omega_sup = sup_norm(self.omega)
+        self.power_hat = real_spectrum(magnitude_power(f, 2.0))
+        self.lhs: dict[float, float] = {}
+        self.lam: float | None = None
+        self.spectra: list[np.ndarray] = []
+
+    def matches(self, f: VectorField) -> bool:
+        return (self.field() is f and self.grid == f.grid
+                and np.array_equal(self.data, f.data))
+
+    def premise_lhs(self, r: float) -> float:
+        """sup_x ||f||_{L^2(B_r(x))}, as ``sliding_ball_lp(f, 2, r)`` computes it."""
+        if r not in self.lhs:
+            power = ball_power_from_spectrum(self.grid, self.power_hat, r)
+            power **= 0.5
+            self.lhs[r] = float(power.max())
+        return self.lhs[r]
+
+    def mask_spectra(self, lam: float) -> list[np.ndarray]:
+        if lam != self.lam:
+            self.spectra = []  # free the old spectra before building new ones
+            self.spectra = superlevel_spectra(self.omega, lam)
+            self.lam = lam
+        return self.spectra
+
+
+#: one _L2State per thread, for the field it saw last
+_l2_memo = threading.local()
+
+
+def _l2_state(f: VectorField) -> _L2State:
+    state = getattr(_l2_memo, "state", None)
+    if state is not None and state.matches(f):
+        return state
+    state = _l2_memo.state = None  # free the old entry before building the new one
+    _l2_memo.state = state = _L2State(f)
+    return state
 
 
 def check_lemma_l2(f: VectorField, pair: PairLD, r: float, cal: float | None = None,
                    guard: float = GUARD_BAND) -> VerifyReport:
     """L^2 implication: sup_x ||f||_{L^2(B_r(x))} <= c* r^(5/2) ||curl f||_inf
     forces every super-level set of curl f to be (kappa r)-semi-mixed with
-    ratio delta."""
+    ratio delta.
+
+    Work that depends only on the field (or on the field and lambda) is kept
+    for the next call on the same field object, so loop field-major."""
     if not 0.0 < r <= 1.0:
         raise ValueError(f"scale must lie in (0, 1], got {r}")
-    omega = curl(f)
-    omega_sup = sup_norm(omega)
-    lhs = float(sliding_ball_lp(f, 2.0, r).data.max())
-    rhs = cstar(pair, cal) * r**2.5 * omega_sup
+    state = _l2_state(f)
+    lhs = state.premise_lhs(r)
+    rhs = cstar(pair, cal) * r**2.5 * state.omega_sup
     params = {"lambda": pair.lam, "delta": pair.delta, "r": r, "mode": "l2"}
-    if omega_sup == 0.0:
+    if state.omega_sup == 0.0:
         # curl-free field: nothing to threshold; report a degenerate pass
         return VerifyReport(lhs, rhs, lhs <= rhs, True, (0.0,) * 6, params,
                             degenerate=True)
-    conclusion, densities = _conclusion(omega, pair.lam, pair.delta, kappa(pair) * r)
+    densities = max_densities(f.grid, state.mask_spectra(pair.lam), kappa(pair) * r)
+    conclusion = all(d <= pair.delta for d in densities)
     holds = lhs <= rhs
     marginal = holds and lhs > (1.0 - guard) * rhs
     return VerifyReport(lhs, rhs, holds, conclusion, densities, params, marginal=marginal)
@@ -129,7 +184,8 @@ def check_lemma_gm(f: VectorField, pair: PairLD, p: float, theta: float, alpha: 
     if base_sup == 0.0:
         return VerifyReport(lhs, rhs, lhs <= rhs, True, (0.0,) * 6, params,
                             degenerate=True)
-    conclusion, densities = _conclusion(base, pair.lam, pair.delta, r)
+    densities = max_densities(f.grid, superlevel_spectra(base, pair.lam), r)
+    conclusion = all(d <= pair.delta for d in densities)
     holds = lhs <= rhs
     marginal = holds and lhs > (1.0 - guard) * rhs
     return VerifyReport(lhs, rhs, holds, conclusion, densities, params, marginal=marginal)
@@ -207,33 +263,56 @@ class SweepSummary:
 def sweep(config: SweepConfig, threads: int = 1) -> list[VerifyReport]:
     """Run the full Cartesian grid; reports are ordered by parameter index.
 
-    ``threads`` sizes the worker pool; ordering and values are independent of
-    the pool size (order-preserving map over a pre-built case list).
+    Each field is built once and checked over all of its cells back to back,
+    so :func:`check_lemma_l2` reuses its per-field work.  ``threads`` sizes
+    the worker pool, which takes whole fields; ordering and values are
+    independent of the pool size.
     """
     grid = Grid3(config.n, config.box_len)
-    pairs = [admissible_pair(d) for d in config.deltas]
-    jobs = []
-    for pair in pairs:
+    variants = [None] if config.lemma == "l2" else list(
+        product(config.thetas, config.alphas, config.modes))
+    # field key -> [(report index, pair, r, variant)], in report order
+    field_cells: dict[tuple, list] = {}
+    index = 0
+    for delta in config.deltas:
+        pair = admissible_pair(delta)
         for r in config.scales:
-            cases: list[VectorField] = [
-                random_solenoidal_field(grid, config.kmax, seed) for seed in config.seeds
-            ]
+            keys = [("seed", seed) for seed in config.seeds]
             if config.adversarial and kappa(pair) * r >= 4.0 * grid.spacing:
-                cases.append(counterexample_field(r, pair, grid))
-            for f in cases:
-                if config.lemma == "l2":
-                    jobs.append((check_lemma_l2, (f, pair, r)))
-                else:
-                    for theta, alpha, mode in product(config.thetas, config.alphas,
-                                                      config.modes):
-                        jobs.append((check_lemma_gm,
-                                     (f, pair, config.p, theta, alpha, config.rho, r, mode)))
-    if threads <= 1:
-        return [fn(*fargs) for fn, fargs in jobs]
-    from concurrent.futures import ThreadPoolExecutor
+                keys.append(("counterexample", pair, r))
+            for key in keys:
+                for variant in variants:
+                    field_cells.setdefault(key, []).append((index, pair, r, variant))
+                    index += 1
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda job: job[0](*job[1]), jobs))
+    def check_field(item) -> list[tuple[int, VerifyReport]]:
+        key, cells = item
+        if key[0] == "seed":
+            f = random_solenoidal_field(grid, config.kmax, key[1])
+        else:
+            f = counterexample_field(key[2], key[1], grid)
+        out = []
+        for i, pair, r, variant in cells:
+            if variant is None:
+                rep = check_lemma_l2(f, pair, r)
+            else:
+                theta, alpha, mode = variant
+                rep = check_lemma_gm(f, pair, config.p, theta, alpha, config.rho, r, mode)
+            out.append((i, rep))
+        return out
+
+    if threads <= 1:
+        done = [check_field(item) for item in field_cells.items()]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            done = list(pool.map(check_field, field_cells.items()))
+    reports: list[VerifyReport] = [None] * index  # type: ignore[list-item]
+    for out in done:
+        for i, rep in out:
+            reports[i] = rep
+    return reports
 
 
 def summarize(reports: list[VerifyReport]) -> SweepSummary:

@@ -3,11 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from morrey_sparse.grid import Grid3, VectorField, curl, divergence, sup_norm
-from morrey_sparse.sparseness import admissible_pair, kappa, semi_mixed, superlevel_sets
+from morrey_sparse import grid as grid_module
+from morrey_sparse.fields import vorticity_blob
+from morrey_sparse.grid import (
+    Grid3,
+    VectorField,
+    biot_savart,
+    curl,
+    divergence,
+    sliding_ball_lp,
+    sup_norm,
+)
+from morrey_sparse.sparseness import (
+    SET_LABELS,
+    admissible_pair,
+    cstar,
+    kappa,
+    semi_mixed,
+    superlevel_sets,
+)
 from morrey_sparse.verify import (
+    GUARD_BAND,
     ScaleTooSmallError,
     SweepConfig,
+    VerifyReport,
     check_lemma_gm,
     check_lemma_l2,
     counterexample_field,
@@ -18,6 +37,8 @@ from conftest import random_field, unit_x_field
 
 
 PAIR = admissible_pair(0.75)
+#: (pair, r) cells of one field, delta-major like the sweeps
+CELLS = [(admissible_pair(d), r) for d in (0.75, 0.85) for r in (0.4, 0.8)]
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +97,71 @@ def test_l2_nonvacuous_premise_blob():
     assert rep.premise_lhs <= 0.9 * rep.premise_rhs
     assert rep.conclusion_holds
     assert rep.verdict
+
+
+def _reference_l2(f, pair, r):
+    """check_lemma_l2 recomputed from the public kernels, one call at a time."""
+    omega = curl(f)
+    omega_sup = sup_norm(omega)
+    lhs = float(sliding_ball_lp(f, 2.0, r).data.max())
+    rhs = cstar(pair) * r**2.5 * omega_sup
+    params = {"lambda": pair.lam, "delta": pair.delta, "r": r, "mode": "l2"}
+    sets = superlevel_sets(omega, pair.lam)
+    res = [semi_mixed(sets[label], kappa(pair) * r, pair.delta) for label in SET_LABELS]
+    holds = lhs <= rhs
+    return VerifyReport(lhs, rhs, holds, all(x.ok for x in res),
+                        tuple(x.max_density for x in res), params,
+                        marginal=holds and lhs > (1.0 - GUARD_BAND) * rhs)
+
+
+@pytest.mark.parametrize("kind", ["blob", "random"])
+def test_l2_warm_calls_match_fresh_field(kind):
+    if kind == "blob":
+        grid = Grid3(32, math.pi)
+        f = biot_savart(vorticity_blob(grid, (16, 16, 16), sigma=0.15))
+    else:
+        grid = Grid3(32)
+        f = random_field(grid, seed=3, kmax=8)
+    warm = [check_lemma_l2(f, pair, r) for pair, r in CELLS]
+    fresh = [check_lemma_l2(VectorField(grid, f.data.copy()), pair, r) for pair, r in CELLS]
+    assert warm == fresh
+    assert warm == [_reference_l2(f, pair, r) for pair, r in CELLS]
+    if kind == "blob":
+        assert any(rep.premise_holds for rep in warm)
+
+
+def test_l2_in_place_edit_is_seen():
+    grid = Grid3(32)
+    f = random_field(grid, seed=4, kmax=8)
+    before = check_lemma_l2(f, PAIR, 0.5)
+    f.data[0] = np.roll(f.data[0], 5, axis=2)
+    after = check_lemma_l2(f, PAIR, 0.5)
+    assert after != before
+    assert after == check_lemma_l2(VectorField(grid, f.data.copy()), PAIR, 0.5)
+
+
+def test_l2_transforms_per_field(monkeypatch):
+    # field-only work once, mask spectra once per lambda, then one inverse
+    # transform per premise scale and per (set, cell)
+    grid = Grid3(32)
+    warm, f = random_field(grid, seed=5, kmax=8), random_field(grid, seed=6, kmax=8)
+    for pair, r in CELLS:  # fill the ball-spectrum cache
+        check_lemma_l2(warm, pair, r)
+    count = [0]
+
+    def counting(fn):
+        def wrapper(a, *args):
+            count[0] += math.prod(a.shape[:-3])  # a 3-vector call counts 3
+            return fn(a, *args)
+        return wrapper
+
+    monkeypatch.setattr(grid_module, "_rfftn", counting(grid_module._rfftn))
+    monkeypatch.setattr(grid_module, "_irfftn", counting(grid_module._irfftn))
+    for pair, r in CELLS:
+        check_lemma_l2(f, pair, r)
+    n_lam = len({pair.lam for pair, _ in CELLS})
+    n_r = len({r for _, r in CELLS})
+    assert count[0] <= 7 + n_r + 6 * n_lam + 6 * len(CELLS)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +262,17 @@ def test_sweep_deterministic_and_sound():
     s = summarize(reports1)
     assert s.total == 3
     assert s.violations == 0 and s.marginal_violations == 0
+
+
+def test_sweep_threads_match_serial():
+    cfg = SweepConfig(n=32, deltas=(0.75, 0.85), scales=(0.5, 0.85), seeds=(0, 1, 2),
+                      kmax=8, adversarial=True)
+    serial = sweep(cfg, threads=1)
+    assert sweep(cfg, threads=2) == serial
+    # parameter-index order: cell-major, then the fields of the cell
+    cells = [(rep.params["delta"], rep.params["r"]) for rep in serial]
+    assert cells == sorted(cells, key=lambda c: (cfg.deltas.index(c[0]), cfg.scales.index(c[1])))
+    assert len(serial) > 3 * len(cfg.deltas) * len(cfg.scales)
 
 
 def test_sweep_adversarial_passes():
