@@ -93,8 +93,7 @@ class _L2State:
         self.spectra: list[np.ndarray] = []
 
     def matches(self, f: VectorField) -> bool:
-        return (self.field() is f and self.grid == f.grid
-                and np.array_equal(self.data, f.data))
+        return self.field() is f and np.array_equal(self.data, f.data)
 
     def premise_lhs(self, r: float) -> float:
         """sup_x ||f||_{L^2(B_r(x))}, as ``sliding_ball_lp(f, 2, r)`` computes it."""
@@ -308,11 +307,9 @@ def sweep(config: SweepConfig, threads: int = 1) -> list[VerifyReport]:
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             done = list(pool.map(check_field, field_cells.items()))
-    reports: list[VerifyReport] = [None] * index  # type: ignore[list-item]
-    for out in done:
-        for i, rep in out:
-            reports[i] = rep
-    return reports
+    indexed = [item for out in done for item in out]
+    indexed.sort(key=lambda item: item[0])
+    return [rep for _, rep in indexed]
 
 
 def summarize(reports: list[VerifyReport]) -> SweepSummary:
