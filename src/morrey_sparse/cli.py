@@ -105,8 +105,7 @@ def _write_manifest(outdir: Path, command: str, params: dict, inputs: list,
         "outputs": sorted(str(p) for p in outputs),
         "wall_time_s": time.time() - t0,
     }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True,
-                                                     default=float) + "\n")
+    _write_json(outdir / "manifest.json", manifest)
 
 
 def _parse_theta(s: str) -> float:
@@ -203,14 +202,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if getattr(args, "config", None):
-        overrides = json.loads(Path(args.config).read_text())
-        for key, value in overrides.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                raise ValueError(f"unknown config key {key!r}")
-            setattr(args, attr, value)
+def _config_flags(parser: argparse.ArgumentParser, path: Path) -> list[str]:
+    """The entries of a --config file as command-line flags: a string or
+    number is the flag's value, a list its comma-joined value, ``true`` the
+    bare flag and ``false`` nothing.  An unreadable file is a usage error."""
+    try:
+        overrides = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        parser.error(f"--config {path}: {exc}")
+    if not isinstance(overrides, dict):
+        parser.error(f"--config {path} must hold a JSON object")
+    flags = []
+    for key, value in overrides.items():
+        if value is False:
+            continue
+        flags.append("--" + key.replace("_", "-"))
+        if isinstance(value, list):
+            flags.append(",".join(str(v) for v in value))
+        elif value is not True:
+            flags.append(str(value))
+    return flags
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv, with the --config entries placed before the command's own
+    flags: argparse converts and checks them like typed flags (a bad value or
+    key exits 2), and a flag given on the command line wins."""
+    args = parser.parse_args(argv)
+    if args.config:
+        args = parser.parse_args([argv[0], *_config_flags(parser, Path(args.config)), *argv[1:]])
+    return args
 
 
 def _resolve_threads(args: argparse.Namespace) -> int:
@@ -417,12 +438,12 @@ def vars_no_private(args) -> dict:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        _apply_config(args)
         args._threads = _resolve_threads(args)
         handler = {
             "norm": cmd_norm,

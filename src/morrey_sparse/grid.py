@@ -6,6 +6,11 @@ so a ball of radius <= 1 never sees itself through the periodic wrap.
 Differential operators are spectral (exact on band-limited fields); the
 sliding window L^p kernels are FFT convolutions of |f|^p with a voxelized
 ball indicator, checked against a transform-free brute force.
+
+Ball counts of 0/1 masks run in float32 on ``scipy.fft`` and are rounded
+back to integers.  The float32 error grows to about vc * 2^-22 for a ball of
+vc voxels (measured 4.9e-4 at n=64, r=1; 0.031 at vc = 131 059), far inside
+the 0.5 that rounding tolerates; balls above 2^17 voxels count in float64.
 """
 
 from __future__ import annotations
@@ -16,11 +21,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import fft
 
 TAU = 2.0 * math.pi
 
 #: volume of the 3D unit ball
 UNIT_BALL_VOLUME = 4.0 * math.pi / 3.0
+
+#: largest ball (in voxels) whose mask counts run in float32
+SINGLE_COUNT_VOXELS = 2**17
 
 
 class FieldFileError(ValueError):
@@ -287,9 +296,13 @@ def _ball_kernel_cached(n: int, box_len: float, radius: float) -> BallKernel:
 
 
 @lru_cache(maxsize=64)
-def _ball_spectrum_cached(n: int, box_len: float, radius: float) -> np.ndarray:
+def _ball_spectrum_cached(n: int, box_len: float, radius: float, dtype: type) -> np.ndarray:
+    """Ball indicator spectrum; for float32 mask counts, the float64 transform
+    rounded once to complex64 (the float64 one is not kept)."""
     kernel = _ball_kernel_cached(n, box_len, radius)
     spec = _rfftn(kernel.mask.astype(np.float64))
+    if dtype == np.float32:
+        spec = spec.astype(np.complex64)
     spec.setflags(write=False)
     return spec
 
@@ -300,39 +313,53 @@ def ball_kernel(grid: Grid3, radius: float) -> BallKernel:
     return _ball_kernel_cached(grid.n, grid.box_len, float(radius))
 
 
+def count_dtype(voxel_count: int) -> type:
+    """Precision of mask counts over a ball of ``voxel_count`` voxels."""
+    return np.float32 if voxel_count <= SINGLE_COUNT_VOXELS else np.float64
+
+
 def real_spectrum(values: np.ndarray) -> np.ndarray:
     """Real FFT over the last three axes (leading axes batch), the input of
-    :func:`ball_sum_from_spectrum`: one forward transform serves every radius."""
+    :func:`ball_power_from_spectrum`: one forward transform serves every radius."""
     return _rfftn(values)
 
 
-def ball_sum_from_spectrum(grid: Grid3, values_hat: np.ndarray, radius: float) -> np.ndarray:
-    """:func:`sliding_ball_sum` of the values whose :func:`real_spectrum` is given."""
-    spec = _ball_spectrum_cached(grid.n, grid.box_len, float(radius))
-    return _irfftn(values_hat * spec, grid.n)
+class MaskSpectra:
+    """A 0/1 voxel mask and its real spectrum per count precision, computed
+    on first use, so one forward transform serves every radius."""
+
+    def __init__(self, grid: Grid3, mask: np.ndarray):
+        self.grid = grid
+        self.mask = mask
+        self.hats: dict[type, np.ndarray] = {}
+
+    def hat(self, dtype: type) -> np.ndarray:
+        if dtype not in self.hats:
+            self.hats[dtype] = fft.rfftn(self.mask.astype(dtype), axes=(-3, -2, -1))
+        return self.hats[dtype]
 
 
-def sliding_ball_sum(grid: Grid3, values: np.ndarray, radius: float) -> np.ndarray:
-    """Periodic sum of ``values`` over the ball around every voxel (FFT path).
+def sliding_ball_sum(mask: MaskSpectra, radius: float) -> np.ndarray:
+    """Number of mask voxels in the ball around every voxel, as floats within
+    0.05 of the integer counts (precision by :func:`count_dtype`).
 
     The kernel is symmetric under the min-image convention, so correlation
     and convolution coincide.  Deterministic for fixed inputs.
     """
-    return ball_sum_from_spectrum(grid, _rfftn(values), radius)
+    grid = mask.grid
+    dtype = count_dtype(ball_kernel(grid, radius).voxel_count)
+    spec = _ball_spectrum_cached(grid.n, grid.box_len, float(radius), dtype)
+    return fft.irfftn(mask.hat(dtype) * spec, s=grid.shape, axes=(-3, -2, -1))
 
 
 def ball_power_from_spectrum(grid: Grid3, power_hat: np.ndarray, r: float) -> np.ndarray:
     """x -> integral of |f|^p over B_r(x), from the real spectrum of |f|^p."""
     if not grid.spacing < r < grid.box_len / 2.0:
         raise ValueError(f"radius {r} outside (spacing, box_len/2) = ({grid.spacing}, {grid.box_len / 2})")
-    sums = ball_sum_from_spectrum(grid, power_hat, r)
+    spec = _ball_spectrum_cached(grid.n, grid.box_len, float(r), np.float64)
+    sums = _irfftn(power_hat * spec, grid.n)
     np.maximum(sums, 0.0, out=sums)
     return sums * grid.voxel_volume
-
-
-def sliding_ball_power(f: Field, p: float, r: float) -> np.ndarray:
-    """x -> integral of |f|^p over B_r(x), Riemann sum over ball voxels."""
-    return ball_power_from_spectrum(f.grid, _rfftn(magnitude_power(f, p)), r)
 
 
 def sliding_ball_power_multi(f: Field, p: float, scales):
@@ -345,7 +372,7 @@ def sliding_ball_power_multi(f: Field, p: float, scales):
 
 def sliding_ball_lp(f: Field, p: float, r: float) -> ScalarField:
     """x -> ( integral_{B_r(x)} |f|^p dy )^(1/p) at every voxel center."""
-    power = sliding_ball_power(f, p, r)
+    power = ball_power_from_spectrum(f.grid, _rfftn(magnitude_power(f, p)), r)
     if p != 1.0:
         power **= 1.0 / p
     return ScalarField(f.grid, power)
@@ -398,7 +425,8 @@ def load_field(path) -> Field:
     Raises
     ------
     FieldHeaderError
-        missing/malformed header line or unsupported layout values
+        missing/malformed header line, unsupported layout values or an
+        invalid grid (odd or too small n, box side not above 2)
     FieldSizeError
         payload byte count disagrees with the declared shape
     NonFiniteDataError
@@ -421,11 +449,14 @@ def load_field(path) -> Field:
         n, ncomp = header["n"], header["ncomp"]
         if not (isinstance(n, int) and isinstance(ncomp, int) and ncomp in (1, 3)):
             raise FieldHeaderError("n must be int and ncomp must be 1 or 3")
+        try:
+            grid = Grid3(n, float(header["box_len"]))
+        except (TypeError, ValueError) as exc:
+            raise FieldHeaderError(f"header declares an invalid grid: {exc}") from exc
         payload = fh.read()
     expected = ncomp * n**3 * 8
     if len(payload) != expected:
         raise FieldSizeError(f"payload holds {len(payload)} bytes, header implies {expected}")
-    grid = Grid3(n, float(header["box_len"]))
     data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     if not np.all(np.isfinite(data)):
         raise NonFiniteDataError("payload contains non-finite values")

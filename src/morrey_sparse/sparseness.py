@@ -27,10 +27,9 @@ from scipy.ndimage import map_coordinates
 from .grid import (
     UNIT_BALL_VOLUME,
     Grid3,
+    MaskSpectra,
     VectorField,
     ball_kernel,
-    ball_sum_from_spectrum,
-    real_spectrum,
     sliding_ball_sum,
     sup_norm,
 )
@@ -131,11 +130,11 @@ def superlevel_sets(f: VectorField, lam: float) -> dict[str, VoxelSet]:
     return out
 
 
-def superlevel_spectra(f: VectorField, lam: float) -> list[np.ndarray]:
-    """Real spectra of the six :func:`superlevel_sets` masks, in SET_LABELS
-    order, so one forward transform per set serves every scale."""
+def superlevel_spectra(f: VectorField, lam: float) -> list[MaskSpectra]:
+    """The six :func:`superlevel_sets` masks, in SET_LABELS order, ready for
+    :func:`sliding_ball_sum`: one forward transform per set serves every scale."""
     sets = superlevel_sets(f, lam)
-    return [real_spectrum(sets[label].mask.astype(np.float64)) for label in SET_LABELS]
+    return [MaskSpectra(f.grid, sets[label].mask) for label in SET_LABELS]
 
 
 def _count_fraction(counts, voxel_count: int):
@@ -143,9 +142,10 @@ def _count_fraction(counts, voxel_count: int):
 
     The sums are integers; the FFT path carries rounding dust, so they are
     rounded back and clipped to [0, voxel_count] before dividing.  Both steps
-    are monotone, so the fraction of a max is the max of the fractions.
+    are monotone, so the fraction of a max is the max of the fractions.  The
+    division is in float64 whatever precision the counts came in.
     """
-    return np.clip(np.rint(counts), 0.0, voxel_count) / voxel_count
+    return np.clip(np.rint(counts), 0.0, voxel_count).astype(np.float64) / voxel_count
 
 
 def sparse_3d(S: VoxelSet, center: tuple[int, int, int], r: float) -> float:
@@ -169,7 +169,7 @@ def semi_mixed(S: VoxelSet, r: float, delta: float) -> SemiMixed:
     result matches per-center brute force exactly.
     """
     kernel = ball_kernel(S.grid, r)
-    density = _count_fraction(sliding_ball_sum(S.grid, S.mask.astype(np.float64), r),
+    density = _count_fraction(sliding_ball_sum(MaskSpectra(S.grid, S.mask), r),
                               kernel.voxel_count)
     flat = int(np.argmax(density))
     witness = tuple(int(c) for c in np.unravel_index(flat, S.grid.shape))
@@ -177,12 +177,12 @@ def semi_mixed(S: VoxelSet, r: float, delta: float) -> SemiMixed:
     return SemiMixed(max_density <= delta, max_density, witness)
 
 
-def max_densities(grid: Grid3, spectra: list[np.ndarray], r: float) -> tuple[float, ...]:
+def max_densities(spectra: list[MaskSpectra], r: float) -> tuple[float, ...]:
     """Per set, the ``max_density`` of :func:`semi_mixed` at scale r, from the
-    mask spectra of :func:`superlevel_spectra` (one inverse transform each)."""
-    voxel_count = ball_kernel(grid, r).voxel_count
-    return tuple(float(_count_fraction(ball_sum_from_spectrum(grid, hat, r).max(), voxel_count))
-                 for hat in spectra)
+    masks of :func:`superlevel_spectra` (one inverse transform each)."""
+    voxel_count = ball_kernel(spectra[0].grid, r).voxel_count
+    return tuple(float(_count_fraction(sliding_ball_sum(mask, r).max(), voxel_count))
+                 for mask in spectra)
 
 
 def fibonacci_directions(count: int) -> np.ndarray:
@@ -410,7 +410,6 @@ def z_alpha_member(f: VectorField, alpha: float, pair: PairLD, c0: float,
     sup = sup_norm(f)
     if sup == 0.0:
         raise ZeroFieldError("membership undefined for the zero field")
-    sets = superlevel_sets(f, pair.lam)
     base = sup ** (-alpha)
     cs = np.geomspace(1.0 / c0, c0, n_scales + 2)[1:-1]
     scales = base / cs
@@ -429,12 +428,11 @@ def z_alpha_member(f: VectorField, alpha: float, pair: PairLD, c0: float,
     dominant = parts.argmax(axis=0)
 
     ok_any = np.zeros((6,) + grid.shape, dtype=bool)
-    for si, label in enumerate(SET_LABELS):
-        mask = sets[label].mask.astype(np.float64)
+    for si, mask in enumerate(superlevel_spectra(f, pair.lam)):
         for r in scales:
-            kernel = ball_kernel(grid, float(r))
-            counts = sliding_ball_sum(grid, mask, float(r))
-            ok_any[si] |= _count_fraction(counts, kernel.voxel_count) <= pair.delta
+            r = float(r)
+            density = _count_fraction(sliding_ball_sum(mask, r), ball_kernel(grid, r).voxel_count)
+            ok_any[si] |= density <= pair.delta
     ok_vox = np.take_along_axis(ok_any, dominant[None], axis=0)[0]
     failing = np.argwhere(~ok_vox)
     witnesses = [tuple(int(v) for v in row) for row in failing[:10]]

@@ -30,6 +30,7 @@ import numpy as np
 from .fields import random_solenoidal_field, vorticity_blob
 from .grid import (
     Grid3,
+    MaskSpectra,
     VectorField,
     ball_power_from_spectrum,
     biot_savart,
@@ -90,7 +91,7 @@ class _L2State:
         self.power_hat = real_spectrum(magnitude_power(f, 2.0))
         self.lhs: dict[float, float] = {}
         self.lam: float | None = None
-        self.spectra: list[np.ndarray] = []
+        self.spectra: list[MaskSpectra] = []
 
     def matches(self, f: VectorField) -> bool:
         return self.field() is f and np.array_equal(self.data, f.data)
@@ -103,7 +104,7 @@ class _L2State:
             self.lhs[r] = float(power.max())
         return self.lhs[r]
 
-    def mask_spectra(self, lam: float) -> list[np.ndarray]:
+    def mask_spectra(self, lam: float) -> list[MaskSpectra]:
         if lam != self.lam:
             self.spectra = []  # free the old spectra before building new ones
             self.spectra = superlevel_spectra(self.omega, lam)
@@ -142,7 +143,7 @@ def check_lemma_l2(f: VectorField, pair: PairLD, r: float, cal: float | None = N
         # curl-free field: nothing to threshold; report a degenerate pass
         return VerifyReport(lhs, rhs, lhs <= rhs, True, (0.0,) * 6, params,
                             degenerate=True)
-    densities = max_densities(f.grid, state.mask_spectra(pair.lam), kappa(pair) * r)
+    densities = max_densities(state.mask_spectra(pair.lam), kappa(pair) * r)
     conclusion = all(d <= pair.delta for d in densities)
     holds = lhs <= rhs
     marginal = holds and lhs > (1.0 - guard) * rhs
@@ -183,7 +184,7 @@ def check_lemma_gm(f: VectorField, pair: PairLD, p: float, theta: float, alpha: 
     if base_sup == 0.0:
         return VerifyReport(lhs, rhs, lhs <= rhs, True, (0.0,) * 6, params,
                             degenerate=True)
-    densities = max_densities(f.grid, superlevel_spectra(base, pair.lam), r)
+    densities = max_densities(superlevel_spectra(base, pair.lam), r)
     conclusion = all(d <= pair.delta for d in densities)
     holds = lhs <= rhs
     marginal = holds and lhs > (1.0 - guard) * rhs

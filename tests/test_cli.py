@@ -152,3 +152,38 @@ def test_threads_flag_deterministic(tmp_path):
         outs.append(out)
     assert (outs[0] / "verify_reports.json").read_bytes() == \
         (outs[1] / "verify_reports.json").read_bytes()
+
+
+def test_bad_grid_header_is_input_error(tmp_path):
+    # a well-formed header that declares an invalid grid (odd n) is a bad
+    # input file, not a computation error
+    path = tmp_path / "odd.fld"
+    header = {"version": 1, "n": 7, "box_len": 6.0, "ncomp": 3, "dtype": "f64le",
+              "order": "zyx-c"}
+    path.write_bytes((json.dumps(header) + "\n").encode() + bytes(3 * 7**3 * 8))
+    assert main(["norm", "--field", str(path), "--out", str(tmp_path)]) == 3
+
+
+def test_config_values_use_flag_types(field_file, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta": "inf", "rho": 0.25}))
+    out = tmp_path / "out"
+    rc = main(["norm", "--field", str(field_file), "--config", str(cfg), "--out", str(out)])
+    assert rc == 0
+    report = json.loads((out / "norm_report.json").read_text())
+    assert report["params"]["theta"] == "inf" and report["params"]["rho"] == 0.25
+    for bad in ({"theta": "sideways"}, {"kind": "banana"}, {"banana": 1}):
+        cfg.write_text(json.dumps(bad))
+        assert main(["norm", "--field", str(field_file), "--config", str(cfg),
+                     "--out", str(out)]) == 2, bad
+
+
+def test_manifest_is_strict_json(field_file, tmp_path):
+    rc = main(["norm", "--field", str(field_file), "--theta", "inf", "--out", str(tmp_path)])
+    assert rc == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    manifest = json.loads((tmp_path / "manifest.json").read_text(), parse_constant=reject)
+    assert manifest["params"]["theta"] == "inf"

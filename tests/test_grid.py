@@ -3,17 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from morrey_sparse import grid as grid_module
 from morrey_sparse.grid import (
+    SINGLE_COUNT_VOXELS,
     UNIT_BALL_VOLUME,
     FieldHeaderError,
     FieldSizeError,
     Grid3,
+    MaskSpectra,
     NonFiniteDataError,
     ScalarField,
     VectorField,
     ball_kernel,
     ball_lp_bruteforce,
     biot_savart,
+    count_dtype,
     curl,
     divergence,
     gradient,
@@ -21,6 +25,7 @@ from morrey_sparse.grid import (
     load_field,
     save_field,
     sliding_ball_lp,
+    sliding_ball_sum,
     sup_norm,
 )
 from conftest import random_field, sine_y_field, unit_x_field
@@ -280,3 +285,59 @@ def test_radius_validation(grid16):
         sliding_ball_lp(f, 2.0, grid16.spacing / 2)
     with pytest.raises(ValueError):
         sliding_ball_lp(f, 2.0, grid16.box_len)
+
+
+def _count_masks(n: int) -> dict[str, np.ndarray]:
+    i, j, k = np.indices((n, n, n))
+    rng = np.random.default_rng(n)
+    masks = {"empty": np.zeros((n, n, n), dtype=bool), "full": np.ones((n, n, n), dtype=bool),
+             "checkerboard": (i + j + k) % 2 == 0, "half-space": i < n // 2}
+    for fill in (0.1, 0.5, 0.9):
+        masks[f"random {fill}"] = rng.random((n, n, n)) < fill
+    return masks
+
+
+def _largest_single_radius(grid: Grid3) -> float:
+    """Radius of the largest ball the grid admits whose counts run in float32."""
+    d2 = grid.min_image_axis() ** 2
+    dist2 = np.sort((d2[:, None, None] + d2[None, :, None] + d2[None, None, :]).ravel())
+    r_max = grid.box_len / 2.0 * (1.0 - 1e-9)
+    if dist2.size <= SINGLE_COUNT_VOXELS:
+        return r_max
+    first_out = dist2[SINGLE_COUNT_VOXELS]
+    last_in = dist2[dist2 < first_out].max()
+    return min(0.5 * (math.sqrt(last_in) + math.sqrt(first_out)), r_max)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_single_precision_mask_counts_exact(n):
+    # float32 counts stay far inside the 0.5 that rounding tolerates, at the
+    # largest scale of the checks (r = 1) and at the largest float32 ball
+    grid = Grid3(n)
+    for r in (1.0, _largest_single_radius(grid)):
+        kernel = ball_kernel(grid, r)
+        assert count_dtype(kernel.voxel_count) is np.float32
+        ball_hat = np.fft.rfftn(kernel.mask.astype(np.float64))
+        for name, mask in _count_masks(n).items():
+            exact = np.fft.irfftn(np.fft.rfftn(mask.astype(np.float64)) * ball_hat, s=grid.shape,
+                                  axes=(0, 1, 2))
+            assert np.abs(exact - np.rint(exact)).max() < 1e-6
+            counts = sliding_ball_sum(MaskSpectra(grid, mask), r)
+            assert counts.dtype == np.float32
+            assert np.abs(counts - np.rint(exact)).max() <= 0.05, (name, r)
+
+
+def test_count_precision_rule(grid16, monkeypatch):
+    assert count_dtype(SINGLE_COUNT_VOXELS) is np.float32
+    assert count_dtype(SINGLE_COUNT_VOXELS + 1) is np.float64
+    # the counting path follows the rule: lower the cut below a small ball
+    r = 0.9
+    vc = ball_kernel(grid16, r).voxel_count
+    mask = MaskSpectra(grid16, random_field(grid16, seed=4).data[0] > 0.0)
+    monkeypatch.setattr(grid_module, "SINGLE_COUNT_VOXELS", vc - 1)
+    wide = sliding_ball_sum(mask, r)
+    monkeypatch.setattr(grid_module, "SINGLE_COUNT_VOXELS", vc)
+    single = sliding_ball_sum(mask, r)
+    assert wide.dtype == np.float64 and single.dtype == np.float32
+    assert set(mask.hats) == {np.float32, np.float64}
+    assert np.array_equal(np.rint(wide), np.rint(single))

@@ -10,6 +10,7 @@ from morrey_sparse.morrey import MorreyParams, WeightSpec, gm_norm
 from morrey_sparse.predual import (
     HOLDER_CONSTANT,
     DualWeightDomainError,
+    calibrate_holder_constant,
     dual_weight,
     dual_weight_power_law,
     pairing_integral,
@@ -235,3 +236,11 @@ def test_holder_pairing_inequality_fresh_pairs():
         lhs = pairing_integral(f, gg)
         rhs = HOLDER_CONSTANT * predual_bound(f, 2.0, w).value * gm_norm(gg, params).value
         assert lhs <= rhs
+
+
+def test_holder_constant_provenance():
+    # the frozen constant is 1.25 x the calibration maximum; kernel drift that
+    # moves the calibration would silently invalidate it
+    calibrated = 1.3342035913447365
+    assert calibrate_holder_constant() == pytest.approx(calibrated, rel=1e-9)
+    assert HOLDER_CONSTANT == 1.25 * calibrated

@@ -351,6 +351,25 @@ def test_z_alpha_blob_pass_and_fail():
     assert len(wit_big) == 10  # truncated witness list
 
 
+def test_z_alpha_one_forward_transform_per_set(monkeypatch):
+    import scipy.fft
+
+    from morrey_sparse.fields import vorticity_blob
+
+    f = vorticity_blob(Grid3(32), (16, 16, 16), sigma=1.5, amplitude=1.0)
+    forward = [0]
+    rfftn = scipy.fft.rfftn
+
+    def counting(a, *args, **kwargs):
+        forward[0] += 1
+        return rfftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "rfftn", counting)
+    ok, witnesses = z_alpha_member(f, 0.5, admissible_pair(0.75), c0=1.2)
+    assert not ok and len(witnesses) == 10
+    assert forward[0] == len(SET_LABELS)  # one per mask, shared by all 9 scales
+
+
 def test_z_alpha_one_dimensional_consistency():
     # passing membership stays consistent with the 1D cube-root relation at
     # the passing scale, checked at the blob center
