@@ -227,9 +227,14 @@ def _config_flags(parser: argparse.ArgumentParser, path: Path) -> list[str]:
 def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Parse argv, with the --config entries placed before the command's own
     flags: argparse converts and checks them like typed flags (a bad value or
-    key exits 2), and a flag given on the command line wins."""
-    args = parser.parse_args(argv)
-    if args.config:
+    key exits 2), and a flag given on the command line wins.  The config path
+    is read in a pre-pass, so the file may also supply required flags."""
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    flags = _config_flags(parser, Path(path)) if path else []
+    args = parser.parse_args([*argv[:1], *flags, *argv[1:]])
+    if args.config != path:  # an abbreviated --config, seen only by the full parse
         args = parser.parse_args([argv[0], *_config_flags(parser, Path(args.config)), *argv[1:]])
     return args
 
@@ -271,6 +276,8 @@ def cmd_norm(args) -> int:
                           argmax_r=res.scale if res.scale is not None else "none")
         else:
             center = args.center or (0, 0, 0)
+            if not all(0 <= c < grid.n for c in center):
+                raise UsageError(f"center {center} outside [0, {grid.n}) per axis")
             fn = lm_norm if args.kind == "lm" else clm_norm
             report.update(norm=fn(f, params, center), center=list(center))
     out = _write_json(outdir / "norm_report.json", report)

@@ -5,7 +5,9 @@ lattice.  Scales of interest are capped at 1 and the box side must exceed 2,
 so a ball of radius <= 1 never sees itself through the periodic wrap.
 Differential operators are spectral (exact on band-limited fields); the
 sliding window L^p kernels are FFT convolutions of |f|^p with a voxelized
-ball indicator, checked against a transform-free brute force.
+ball indicator, checked against a transform-free brute force.  Ball spectra
+are cached by shell, the largest lattice squared distance <= r^2: radii with
+no lattice distance between them have one voxel ball and share one spectrum.
 
 Ball counts of 0/1 masks run in float32 on ``scipy.fft`` and are rounded
 back to integers.  The float32 error grows to about vc * 2^-22 for a ball of
@@ -280,27 +282,34 @@ class BallKernel:
         return abs(self.volume - exact) / exact
 
 
-def _ball_mask(grid: Grid3, radius: float) -> np.ndarray:
-    d = grid.min_image_axis()
-    d2 = d**2
-    dist2 = d2[:, None, None] + d2[None, :, None] + d2[None, None, :]
-    return dist2 <= radius * radius
+@lru_cache(maxsize=8)
+def _lattice_shells(n: int, box_len: float) -> np.ndarray:
+    shells = np.unique(Grid3(n, box_len).distance_sq_from((0, 0, 0)))
+    shells.setflags(write=False)
+    return shells
+
+
+def _shell(grid: Grid3, radius: float) -> float:
+    """Largest lattice squared distance <= radius^2: the ball of ``radius``
+    is exactly the voxels at squared distance <= this key."""
+    shells = _lattice_shells(grid.n, grid.box_len)
+    return float(shells[np.searchsorted(shells, radius * radius, side="right") - 1])
 
 
 @lru_cache(maxsize=64)
 def _ball_kernel_cached(n: int, box_len: float, radius: float) -> BallKernel:
     grid = Grid3(n, box_len)
-    mask = _ball_mask(grid, radius)
+    mask = grid.distance_sq_from((0, 0, 0)) <= radius * radius
     mask.setflags(write=False)
     return BallKernel(grid, radius, mask, int(mask.sum()))
 
 
 @lru_cache(maxsize=64)
-def _ball_spectrum_cached(n: int, box_len: float, radius: float, dtype: type) -> np.ndarray:
-    """Ball indicator spectrum; for float32 mask counts, the float64 transform
-    rounded once to complex64 (the float64 one is not kept)."""
-    kernel = _ball_kernel_cached(n, box_len, radius)
-    spec = _rfftn(kernel.mask.astype(np.float64))
+def _ball_spectrum_cached(n: int, box_len: float, shell: float, dtype: type) -> np.ndarray:
+    """Spectrum of the ball {squared distance <= shell}, a :func:`_shell` key;
+    for float32 mask counts, the float64 transform rounded once to complex64."""
+    mask = Grid3(n, box_len).distance_sq_from((0, 0, 0)) <= shell
+    spec = _rfftn(mask.astype(np.float64))
     if dtype == np.float32:
         spec = spec.astype(np.complex64)
     spec.setflags(write=False)
@@ -348,26 +357,36 @@ def sliding_ball_sum(mask: MaskSpectra, radius: float) -> np.ndarray:
     """
     grid = mask.grid
     dtype = count_dtype(ball_kernel(grid, radius).voxel_count)
-    spec = _ball_spectrum_cached(grid.n, grid.box_len, float(radius), dtype)
+    spec = _ball_spectrum_cached(grid.n, grid.box_len, _shell(grid, float(radius)), dtype)
     return fft.irfftn(mask.hat(dtype) * spec, s=grid.shape, axes=(-3, -2, -1))
+
+
+def _power_shell(grid: Grid3, r: float) -> float:
+    if not grid.spacing < r < grid.box_len / 2.0:
+        raise ValueError(f"radius {r} outside (spacing, box_len/2) = ({grid.spacing}, {grid.box_len / 2})")
+    return _shell(grid, r)
 
 
 def ball_power_from_spectrum(grid: Grid3, power_hat: np.ndarray, r: float) -> np.ndarray:
     """x -> integral of |f|^p over B_r(x), from the real spectrum of |f|^p."""
-    if not grid.spacing < r < grid.box_len / 2.0:
-        raise ValueError(f"radius {r} outside (spacing, box_len/2) = ({grid.spacing}, {grid.box_len / 2})")
-    spec = _ball_spectrum_cached(grid.n, grid.box_len, float(r), np.float64)
+    spec = _ball_spectrum_cached(grid.n, grid.box_len, _power_shell(grid, float(r)), np.float64)
     sums = _irfftn(power_hat * spec, grid.n)
     np.maximum(sums, 0.0, out=sums)
     return sums * grid.voxel_volume
 
 
 def sliding_ball_power_multi(f: Field, p: float, scales):
-    """Yield (r, ball power integral field) per scale, one field FFT total."""
+    """Yield (r, ball power integral field) per scale, one field FFT total;
+    consecutive scales with one voxel ball share one read-only array."""
     spec = _rfftn(magnitude_power(f, p))
+    last = power = None
     for r in scales:
         r = float(r)
-        yield r, ball_power_from_spectrum(f.grid, spec, r)
+        shell = _power_shell(f.grid, r)
+        if shell != last:
+            last, power = shell, ball_power_from_spectrum(f.grid, spec, r)
+            power.setflags(write=False)
+        yield r, power
 
 
 def sliding_ball_lp(f: Field, p: float, r: float) -> ScalarField:

@@ -36,9 +36,6 @@ class WeightSpec:
     rho: float = 0.0
     theta: float = math.inf
 
-    #: upper end of the weight support (fixed)
-    upper: float = 1.0
-
     def __post_init__(self) -> None:
         if self.nu < 0.0:
             raise ValueError(f"weight exponent must be >= 0, got nu={self.nu}")
@@ -46,8 +43,6 @@ class WeightSpec:
             raise ValueError(f"lower cutoff must lie in [0, 1), got rho={self.rho}")
         if not self.theta > 1.0:
             raise ValueError(f"theta must lie in (1, inf], got {self.theta}")
-        if self.upper != 1.0:
-            raise ValueError("weight support upper end is fixed at 1")
 
     @property
     def log_tail(self) -> bool:
@@ -84,10 +79,7 @@ class MorreyParams:
     def default(cls, grid: Grid3, weight: WeightSpec, p: float = 2.0, count: int = 32,
                 r_max: float = 1.0) -> "MorreyParams":
         """Log-spaced nodes on [max(rho, 2*spacing), r_max]."""
-        lo = max(weight.rho, 2.0 * grid.spacing)
-        if not lo < r_max:
-            raise ValueError(f"empty scale range [{lo}, {r_max}]")
-        return cls(p, weight, tuple(np.geomspace(lo, r_max, count)))
+        return cls(p, weight, log_scale_nodes(grid, weight.rho, r_max, count))
 
 
 def log_scale_nodes(grid: Grid3, rho: float, r_max: float = 1.0, count: int = 32) -> tuple[float, ...]:
@@ -127,10 +119,11 @@ def _trapezoid_logr_coeffs(scales: np.ndarray) -> np.ndarray:
 
 
 def _supported_scales(params: MorreyParams) -> np.ndarray:
-    w = params.weight
     sc = np.asarray(params.scales)
-    keep = (sc >= w.rho) & (sc <= w.upper)
-    return sc[keep]
+    sc = sc[(sc >= params.weight.rho) & (sc <= 1.0)]
+    if sc.size == 0:
+        raise ValueError("no scale nodes inside the weight support")
+    return sc
 
 
 def _combine_theta(weighted: np.ndarray, scales: np.ndarray, theta: float) -> np.ndarray:
@@ -172,8 +165,6 @@ def lm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> flo
     theta = inf: max over the nodes of w(r) ||f||_{L^p(B_r(center))}.
     """
     scales = _supported_scales(params)
-    if scales.size == 0:
-        raise ValueError("no scale nodes inside the weight support")
     vals = _ball_lp_profile(f, params.p, center, scales)
     weighted = params.weight.value(scales) * vals
     return float(_combine_theta(weighted, scales, params.weight.theta))
@@ -182,8 +173,6 @@ def lm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> flo
 def clm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> float:
     """Complementary local norm: L^p over the torus minus the ball."""
     scales = _supported_scales(params)
-    if scales.size == 0:
-        raise ValueError("no scale nodes inside the weight support")
     magp = magnitude_power(f, params.p)
     total = float(magp.sum()) * f.grid.voxel_volume
     ball = _ball_lp_profile(f, params.p, center, scales) ** params.p
@@ -198,25 +187,25 @@ def gm_norm(f: Field, params: MorreyParams) -> GmNorm:
     One sliding ball pass per scale node; never n^3 independent local norms.
     """
     scales = _supported_scales(params)
-    if scales.size == 0:
-        raise ValueError("no scale nodes inside the weight support")
     grid = f.grid
     wvals = params.weight.value(scales)
     theta = params.weight.theta
     p = params.p
 
     if math.isinf(theta):
-        best = None
-        best_scale_idx = None
+        best = np.full(grid.shape, -np.inf)
+        best_scale_idx = np.zeros(grid.shape, dtype=np.int32)
+        kept = w_kept = None
         for i, (r, power) in enumerate(sliding_ball_power_multi(f, p, scales)):
+            # a scale in the same voxel ball as the last one kept, at no
+            # larger weight, cannot strictly beat it; ties keep the first
+            if power is kept and wvals[i] <= w_kept:
+                continue
+            kept, w_kept = power, wvals[i]
             layer = wvals[i] * power ** (1.0 / p)
-            if best is None:
-                best = layer
-                best_scale_idx = np.zeros(grid.shape, dtype=np.int32)
-            else:
-                replace = layer > best
-                best = np.where(replace, layer, best)
-                best_scale_idx[replace] = i
+            replace = layer > best
+            best = np.where(replace, layer, best)
+            best_scale_idx[replace] = i
         flat = int(np.argmax(best))
         center = np.unravel_index(flat, grid.shape)
         return GmNorm(float(best.reshape(-1)[flat]), tuple(int(c) for c in center),
@@ -242,10 +231,7 @@ def classical_morrey(f: Field, p: float, alpha: float, r_min: float, r_max: floa
     if not 0.0 < r_min < r_max <= 1.0:
         raise ValueError(f"need 0 < r_min < r_max <= 1, got [{r_min}, {r_max}]")
     if scales is None:
-        lo = max(r_min, 2.0 * grid.spacing)
-        if not lo < r_max:
-            raise ValueError(f"scale range [{lo}, {r_max}] empty after the grid floor")
-        scales = np.geomspace(lo, r_max, count)
+        scales = np.asarray(log_scale_nodes(grid, r_min, r_max, count))
     else:
         scales = np.asarray(sorted(float(s) for s in scales))
         if scales.size == 0 or scales[0] < r_min - 1e-12 or scales[-1] > r_max + 1e-12:

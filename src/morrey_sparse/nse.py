@@ -77,9 +77,6 @@ class Trajectory:
     snapshots: list[tuple[float, VectorField]]
     config: SolverConfig | None = None
 
-    def snapshot_times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.snapshots])
-
     def series_at(self, t: float, column: str) -> float:
         ts = self.series["t"]
         idx = int(np.argmin(np.abs(ts - t)))

@@ -33,6 +33,7 @@ from .grid import (
     sliding_ball_sum,
     sup_norm,
 )
+from .predual import _conjugate
 
 SET_LABELS = ("S_1+", "S_1-", "S_2+", "S_2-", "S_3+", "S_3-")
 
@@ -271,12 +272,6 @@ def cstar(pair: PairLD, cal: float | None = None) -> float:
         cal = bump_chain_constant(pair)
     x = pair.delta * (1.0 + pair.lam)
     return cal * UNIT_BALL_VOLUME * (x - 1.0) / 2.0 / math.sqrt(1.0 - kap)
-
-
-def _conjugate(p: float) -> float:
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    return math.inf if p == 1.0 else p / (p - 1.0)
 
 
 @lru_cache(maxsize=256)

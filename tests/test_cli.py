@@ -187,3 +187,30 @@ def test_manifest_is_strict_json(field_file, tmp_path):
 
     manifest = json.loads((tmp_path / "manifest.json").read_text(), parse_constant=reject)
     assert manifest["params"]["theta"] == "inf"
+
+
+def test_norm_center_out_of_range(field_file, tmp_path):
+    # the field is n=16: an index outside [0, 16) is rejected, not wrapped
+    for center in ("16,0,0", "0,99,0", "-1,0,0"):
+        assert main(["norm", "--field", str(field_file), "--kind", "lm",
+                     f"--center={center}", "--out", str(tmp_path)]) == 2, center
+    assert main(["norm", "--field", str(field_file), "--kind", "lm",
+                 "--center", "15,15,15", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "norm_report.json").read_text())
+    assert report["center"] == [15, 15, 15]
+
+
+def test_config_supplies_required_flags(field_file, traj_dir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"field": str(field_file), "kind": "lm"}))
+    assert main(["norm", "--config", str(cfg), "--out", str(tmp_path / "n")]) == 0
+    assert json.loads((tmp_path / "n" / "norm_report.json").read_text())["kind"] == "lm"
+    cfg.write_text(json.dumps({"traj": str(traj_dir), "alpha": 0.5, "beta": 0.5,
+                               "nu_w": 0.5, "eps0": 0.5}))
+    assert main(["criterion", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+    assert json.loads((tmp_path / "c" / "criterion_report.json").read_text())["reports"]
+    # an abbreviated --config still applies once the required flags are given
+    cfg.write_text(json.dumps({"kind": "classical"}))
+    assert main(["norm", "--field", str(field_file), "--conf", str(cfg),
+                 "--out", str(tmp_path / "a")]) == 0
+    assert json.loads((tmp_path / "a" / "norm_report.json").read_text())["kind"] == "classical"

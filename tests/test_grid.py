@@ -341,3 +341,49 @@ def test_count_precision_rule(grid16, monkeypatch):
     assert wide.dtype == np.float64 and single.dtype == np.float32
     assert set(mask.hats) == {np.float32, np.float64}
     assert np.array_equal(np.rint(wide), np.rint(single))
+
+
+def _lattice_dist2(grid: Grid3) -> np.ndarray:
+    """Squared min-image distance from voxel 0, built independently of grid."""
+    m = np.minimum(np.indices(grid.shape), grid.n - np.indices(grid.shape)) * grid.spacing
+    return m[0] ** 2 + m[1] ** 2 + m[2] ** 2
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_shell_key_gives_the_radius_ball(n):
+    # the cache key is a lattice squared distance, and the ball it cuts is
+    # the ball of the radius, also for radii on and next to a lattice distance
+    grid = Grid3(n)
+    dist2 = _lattice_dist2(grid)
+    assert np.array_equal(grid.distance_sq_from((0, 0, 0)), dist2)
+    shells = np.unique(dist2)
+    radii = list(np.random.default_rng(n).uniform(grid.spacing, 1.5, 30))
+    for d2 in shells[1:10]:
+        r = math.sqrt(d2)
+        radii += [r, np.nextafter(r, 0.0), np.nextafter(r, 2.0)]
+    for r in map(float, radii):
+        key = grid_module._shell(grid, r)
+        assert key in shells and key <= r * r
+        ball = dist2 <= r * r
+        assert np.array_equal(dist2 <= key, ball)
+        assert np.array_equal(ball_kernel(grid, r).mask, ball)
+        spec = grid_module._ball_spectrum_cached(n, grid.box_len, key, np.float64)
+        assert np.array_equal(spec, np.fft.rfftn(ball.astype(np.float64)))
+
+
+def test_one_spectrum_per_shell(grid32):
+    # squared distances are sums of three squares times h^2: 9 and 10 are shells
+    ra, rb, rc = (grid32.spacing * math.sqrt(k) for k in (9.25, 9.75, 10.25))
+    cache = grid_module._ball_spectrum_cached
+    cache.cache_clear()
+    f = random_field(grid32, seed=5)
+    out = list(grid_module.sliding_ball_power_multi(f, 2.0, [ra, rb, rc]))
+    assert cache.cache_info().misses == 2
+    (_, pa), (_, pb), (_, pc) = out
+    assert pa is pb and pb is not pc and not pa.flags.writeable
+    power_hat = np.fft.rfftn(f.magnitude() ** 2)
+    assert np.array_equal(pb, grid_module.ball_power_from_spectrum(grid32, power_hat, rb))
+    # float32 mask counts share the shell key too
+    mask = MaskSpectra(grid32, f.data[0] > 0.0)
+    assert np.array_equal(sliding_ball_sum(mask, ra), sliding_ball_sum(mask, rb))
+    assert cache.cache_info().misses == 3

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from morrey_sparse.grid import UNIT_BALL_VOLUME, Grid3, VectorField, ball_kernel
+from morrey_sparse import grid as grid_module
+from morrey_sparse import morrey as morrey_module
+from morrey_sparse.grid import UNIT_BALL_VOLUME, Grid3, VectorField, ball_kernel, magnitude_power
 from morrey_sparse.morrey import (
+    GmNorm,
     MorreyParams,
     WeightSpec,
     classical_morrey,
@@ -268,3 +271,52 @@ def test_empty_scales_error(grid16):
     params = MorreyParams(2.0, w, (0.1, 0.2))  # all nodes below the support
     with pytest.raises(ValueError):
         lm_norm(unit_x_field(grid16), params, (0, 0, 0))
+
+
+def _per_scale_power(f, p, scales):
+    """Reference for sliding_ball_power_multi: every radius builds its own
+    ball and spectrum, one inverse transform per scale, fresh arrays."""
+    power_hat = np.fft.rfftn(magnitude_power(f, p))
+    for r in scales:
+        ball_hat = np.fft.rfftn(ball_kernel(f.grid, float(r)).mask.astype(np.float64))
+        sums = np.fft.irfftn(power_hat * ball_hat, s=f.grid.shape, axes=(0, 1, 2))
+        np.maximum(sums, 0.0, out=sums)
+        yield float(r), sums * f.grid.voxel_volume
+
+
+def _gm_sup_reference(f, params):
+    """Sup-form gm_norm that evaluates every scale: no shared ball, no skip."""
+    scales = np.asarray(params.scales)
+    wvals = params.weight.value(scales)
+    best = np.full(f.grid.shape, -np.inf)
+    arg = np.zeros(f.grid.shape, dtype=int)
+    for i, (r, power) in enumerate(_per_scale_power(f, params.p, scales)):
+        layer = wvals[i] * power ** (1.0 / params.p)
+        arg[layer > best] = i
+        best = np.maximum(best, layer)
+    flat = int(np.argmax(best))
+    center = tuple(int(c) for c in np.unravel_index(flat, f.grid.shape))
+    return GmNorm(float(best.reshape(-1)[flat]), center, float(scales[arg.reshape(-1)[flat]]))
+
+
+@pytest.mark.parametrize("theta", [math.inf, 2.0])
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
+def test_shared_shells_match_per_scale_reference(grid32, monkeypatch, theta, nu):
+    # 64 nodes on [2h, 1] fall in far fewer lattice shells; norms and
+    # witnesses equal a reference that never shares a ball between scales
+    # (the blob puts the sup-form witness scale inside the range)
+    from morrey_sparse.fields import vorticity_blob
+
+    scales = np.geomspace(2.0 * grid32.spacing, 1.0, 64)
+    assert len({grid_module._shell(grid32, float(r)) for r in scales}) < 20
+    params = MorreyParams(2.0, WeightSpec(nu=nu, rho=0.0, theta=theta), tuple(scales))
+    f = vorticity_blob(grid32, (6, 20, 28), sigma=0.7)
+    shared = gm_norm(f, params)
+    if math.isinf(theta):
+        assert shared == _gm_sup_reference(f, params)
+    shared_cm = [classical_morrey(f, p, a, scales[0], 1.0, scales=scales)
+                 for p, a in ((2.0, 1.0), (1.0, -0.5))]
+    monkeypatch.setattr(morrey_module, "sliding_ball_power_multi", _per_scale_power)
+    assert shared == gm_norm(f, params)
+    assert shared_cm == [classical_morrey(f, p, a, scales[0], 1.0, scales=scales)
+                         for p, a in ((2.0, 1.0), (1.0, -0.5))]

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from morrey_sparse import grid as grid_module
+from morrey_sparse import nse as nse_module
 from morrey_sparse.grid import Grid3, divergence, sup_norm
 from morrey_sparse.morrey import MorreyParams, WeightSpec, classical_morrey, gm_norm, log_scale_nodes
 from morrey_sparse.nse import (
@@ -213,6 +215,23 @@ def test_criterion_cross_module_consistency(tg_traj):
     cm = classical_morrey(u_star, 2.0, 1.0, rho_w, 1.0, scales=scales)
     assert gm.value**2 == pytest.approx(cm.value, rel=1e-9)
     assert gm.value == pytest.approx(rep.lhs, rel=1e-12)
+
+
+def test_criterion_ball_spectra_once_per_shell(tg_traj, monkeypatch):
+    # the scale nodes move with eta(s) at every snapshot; the ball spectra
+    # they need are one per lattice shell, not one per node
+    radii = []
+
+    def spy(f, params):
+        radii.extend(params.scales)
+        return gm_norm(f, params)
+
+    monkeypatch.setattr(nse_module, "gm_norm", spy)
+    cache = grid_module._ball_spectrum_cached
+    cache.cache_clear()
+    evaluate_criterion(tg_traj, 0.0, CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5))
+    shells = {grid_module._shell(tg_traj.grid, r) for r in radii}
+    assert cache.cache_info().misses <= len(shells) < len(set(radii)) / 4
 
 
 def test_criterion_scheduling_error(tg_traj):
