@@ -29,6 +29,7 @@ from .nse import (
     criterion_exponent,
     detect_escape_times,
     dissipation_scale,
+    evaluate_criteria,
     evaluate_criterion,
     simulate,
 )

@@ -30,8 +30,9 @@ from .nse import (
     CriterionSpec,
     SchedulingError,
     SolverConfig,
+    TimeRangeError,
     detect_escape_times,
-    evaluate_criterion,
+    evaluate_criteria,
     load_trajectory,
     save_trajectory,
     simulate,
@@ -395,7 +396,7 @@ def cmd_criterion(args) -> int:
             print("no escape times detected (decaying flow); use --at")
     else:
         times = [float(traj.series["t"][0])]
-    evaluated = [(t, evaluate_criterion(traj, t, spec)) for t in times]
+    evaluated = list(zip(times, evaluate_criteria(traj, times, spec)))
     reports = [{
         "t_ref": t, "s_star": rep.s_star, "lhs": rep.lhs, "rhs": rep.rhs,
         "exponent": rep.exponent, "satisfied": rep.satisfied,
@@ -466,7 +467,7 @@ def main(argv=None) -> int:
     except SchedulingError as exc:
         print(f"scheduling error: {exc}", file=sys.stderr)
         return EXIT_SCHEDULING
-    except (UsageError, InadmissiblePairError, argparse.ArgumentTypeError) as exc:
+    except (UsageError, InadmissiblePairError, TimeRangeError, argparse.ArgumentTypeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -47,6 +47,10 @@ class SchedulingError(RuntimeError):
     """Criterion window holds too few snapshots for the inf."""
 
 
+class TimeRangeError(ValueError):
+    """Criterion reference time outside the trajectory's time range."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     n: int
@@ -430,47 +434,46 @@ class CriterionReport:
     rows: tuple[tuple, ...]  # (t, eta, lhs, rhs, satisfied) per snapshot in the window
 
 
-def _window(spec: CriterionSpec, t: float, u_sup_t: float, omega_sup_t: float):
-    if spec.window_mode == "vorticity":
-        scale = spec.c0 * omega_sup_t
-        return (t + 1.0 / (4.0 * scale), t + 1.0 / scale)
-    scale = (spec.c0 * u_sup_t) ** 2
-    return (t + 1.0 / (4.0 * scale), t + 1.0 / scale)
-
-
 def evaluate_criterion(traj: Trajectory, t_escape: float, spec: CriterionSpec) -> CriterionReport:
-    """Evaluate the restricted criterion over the window opened at ``t_escape``.
+    """The report of the window opened at ``t_escape``; see :func:`evaluate_criteria`."""
+    return evaluate_criteria(traj, [t_escape], spec)[0]
 
-    Builds the window from the reference norms at t_escape, takes the min over
-    window snapshots of the weighted global norm of the measured field (with
-    the weight cutoff at the dynamic dissipation scale), and compares against
-    eps0 times the reference norm to the criterion exponent.
-    """
+
+def evaluate_criteria(traj: Trajectory, times, spec: CriterionSpec) -> list[CriterionReport]:
+    """Evaluate the restricted criterion over the window opened at each time.
+
+    A window's report takes the min over its snapshots of the weighted global
+    norm of the measured field (weight cutoff at the dynamic dissipation
+    scale) against eps0 times the reference norm to the criterion exponent.
+    Every time and window is checked before any norm is computed, and each
+    snapshot's row is computed once, shared by the windows that hold it."""
     ts = traj.series["t"]
-    if not (ts[0] - 1e-12 <= t_escape <= ts[-1] + 1e-12):
-        raise ValueError(f"t_escape {t_escape} outside the trajectory range")
-    u_sup_t = traj.series_at(t_escape, "u_sup")
-    omega_sup_t = traj.series_at(t_escape, "omega_sup")
-    w_lo, w_hi = _window(spec, t_escape, u_sup_t, omega_sup_t)
-    snaps = [(t, f) for t, f in traj.snapshots if w_lo - 1e-12 <= t <= w_hi + 1e-12]
-    if len(snaps) < 3:
-        raise SchedulingError(
-            f"{len(snaps)} snapshots in window [{w_lo:.4f}, {w_hi:.4f}]; need >= 3 "
-            "(raise the snapshot cadence)")
+    windows = []
+    for t_ref in times:
+        if not (ts[0] - 1e-12 <= t_ref <= ts[-1] + 1e-12):
+            raise TimeRangeError(f"time {t_ref} outside the trajectory range [{ts[0]}, {ts[-1]}]")
+        scale = (spec.c0 * traj.series_at(t_ref, "omega_sup") if spec.window_mode == "vorticity"
+                 else (spec.c0 * traj.series_at(t_ref, "u_sup")) ** 2)
+        w_lo, w_hi = t_ref + 1.0 / (4.0 * scale), t_ref + 1.0 / scale
+        idx = [i for i, (t, _) in enumerate(traj.snapshots)
+               if w_lo - 1e-12 <= t <= w_hi + 1e-12]
+        if len(idx) < 3:
+            raise SchedulingError(
+                f"{len(idx)} snapshots in window [{w_lo:.4f}, {w_hi:.4f}]; need >= 3 "
+                "(raise the snapshot cadence)")
+        windows.append(((w_lo, w_hi), idx))
     exponent = math.nan if spec.mixed else criterion_exponent(spec)
-    best = None
-    rows = []
-    for t, u_s in snaps:
+    rows = {}  # snapshot index -> (ratio, row, gm, eta)
+    for i in sorted({i for _, idx in windows for i in idx}):
+        t, u_s = traj.snapshots[i]
         u_sup_s = traj.series_at(t, "u_sup")
         omega_sup_s = traj.series_at(t, "omega_sup")
         ref = {"u": u_sup_s, "omega": omega_sup_s}[spec.reference]
         if spec.beta2 is None:
             eta = dissipation_scale(ref, spec.beta, spec.c, traj.grid)
-        else:
-            raw = spec.c * u_sup_s ** (-spec.beta) * omega_sup_s ** (-spec.beta2)
-            lo = 2.0 * traj.grid.spacing
-            val = min(max(raw, lo), 1.0)
-            eta = DissipationScale(val, val != raw)
+        else:  # c u^-beta w^-beta2 is the omega cutoff with c u^-beta for c
+            eta = dissipation_scale(omega_sup_s, spec.beta2, spec.c * u_sup_s ** (-spec.beta),
+                                    traj.grid)
         measured = u_s if spec.field_mode == "u" else curl(u_s)
         # a cutoff at exactly 1 collapses the scale window; keep half a voxel
         # of support so the quantity stays defined (the report still carries
@@ -484,22 +487,17 @@ def evaluate_criterion(traj: Trajectory, t_escape: float, spec: CriterionSpec) -
         else:
             rhs = spec.eps0 * ref**exponent
         ratio = 0.0 if gm.value == 0.0 else (math.inf if rhs == 0.0 else gm.value / rhs)
-        rows.append((t, eta.value, gm.value, rhs, ratio <= 1.0))
-        if best is None or ratio < best[0]:
-            best = (ratio, t, gm, rhs, eta)
-    ratio, s_star, gm, rhs, eta = best
-    return CriterionReport(
-        s_star=s_star,
-        lhs=gm.value,
-        rhs=rhs,
-        exponent=exponent,
-        satisfied=ratio <= 1.0,
-        scale_window=(eta.value, 1.0),
-        witness=(gm.center, gm.scale),
-        eta_clipped=eta.clipped,
-        window=(w_lo, w_hi),
-        rows=tuple(rows),
-    )
+        rows[i] = (ratio, (t, eta.value, gm.value, rhs, ratio <= 1.0), gm, eta)
+    reports = []
+    for window, idx in windows:
+        # min keeps the first minimum ratio in window order
+        ratio, (s_star, _, _, rhs, _), gm, eta = min((rows[i] for i in idx),
+                                                     key=lambda row: row[0])
+        reports.append(CriterionReport(
+            s_star=s_star, lhs=gm.value, rhs=rhs, exponent=exponent, satisfied=ratio <= 1.0,
+            scale_window=(eta.value, 1.0), witness=(gm.center, gm.scale),
+            eta_clipped=eta.clipped, window=window, rows=tuple(rows[i][1] for i in idx)))
+    return reports
 
 
 # ---------------------------------------------------------------------------

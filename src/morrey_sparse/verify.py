@@ -76,11 +76,11 @@ class VerifyReport:
 
 
 class _L2State:
-    """What :func:`check_lemma_l2` needs of one field, built once and shared
+    """What the implication checks need of one field, built once and shared
     by consecutive calls on it: the vorticity and its sup norm, the spectrum
-    of |f|^2 with the premise value per scale, and the super-level mask
-    spectra of the last threshold.  A copy of the data detects in-place
-    edits."""
+    of |f|^2 (on first use) with the premise value per scale, and the
+    super-level mask spectra of the last threshold.  A copy of the data
+    detects in-place edits."""
 
     def __init__(self, f: VectorField):
         self.field = weakref.ref(f)
@@ -88,7 +88,7 @@ class _L2State:
         self.data = f.data.copy()
         self.omega = curl(f)
         self.omega_sup = sup_norm(self.omega)
-        self.power_hat = real_spectrum(magnitude_power(f, 2.0))
+        self.power_hat = None
         self.lhs: dict[float, float] = {}
         self.lam: float | None = None
         self.spectra: list[MaskSpectra] = []
@@ -99,6 +99,8 @@ class _L2State:
     def premise_lhs(self, r: float) -> float:
         """sup_x ||f||_{L^2(B_r(x))}, as ``sliding_ball_lp(f, 2, r)`` computes it."""
         if r not in self.lhs:
+            if self.power_hat is None:
+                self.power_hat = real_spectrum(magnitude_power(self.field(), 2.0))
             power = ball_power_from_spectrum(self.grid, self.power_hat, r)
             power **= 0.5
             self.lhs[r] = float(power.max())
@@ -170,21 +172,22 @@ def check_lemma_gm(f: VectorField, pair: PairLD, p: float, theta: float, alpha: 
     pprime = math.inf if p == 1.0 else p / (p - 1.0)
     if math.isinf(pprime):
         raise ValueError("p must exceed 1")
-    base = curl(f) if mode == "curl" else f
-    base_sup = sup_norm(base)
+    state = _l2_state(f) if mode == "curl" else None
+    base_sup = state.omega_sup if state else sup_norm(f)
     weight = WeightSpec(nu=alpha, rho=rho, theta=theta)
     params_obj = MorreyParams(p, weight, log_scale_nodes(f.grid, rho, 1.0, scale_count))
     lhs = gm_norm(f, params_obj).value
     e_exp = -alpha if math.isinf(theta) else (1.0 - alpha * theta) / theta
     shell_exp = (4.0 - 3.0 / pprime) if mode == "curl" else (3.0 - 3.0 / pprime)
     eps = eps_const(pair, p, theta, alpha, cal=cal, rho=rho)
-    rhs = eps * max(r, rho) ** e_exp * r**shell_exp * base_sup
+    rhs = float(eps * max(r, rho) ** e_exp * r**shell_exp * base_sup)
     params = {"lambda": pair.lam, "delta": pair.delta, "r": r, "p": p,
               "theta": theta, "alpha": alpha, "rho": rho, "mode": mode}
     if base_sup == 0.0:
         return VerifyReport(lhs, rhs, lhs <= rhs, True, (0.0,) * 6, params,
                             degenerate=True)
-    densities = max_densities(superlevel_spectra(base, pair.lam), r)
+    spectra = state.mask_spectra(pair.lam) if state else superlevel_spectra(f, pair.lam)
+    densities = max_densities(spectra, r)
     conclusion = all(d <= pair.delta for d in densities)
     holds = lhs <= rhs
     marginal = holds and lhs > (1.0 - guard) * rhs

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from morrey_sparse import cli as cli_module
+from morrey_sparse import nse as nse_module
 from morrey_sparse.cli import dumps_17g, main
 from morrey_sparse.grid import Grid3, save_field
 from morrey_sparse.fields import random_solenoidal_field
@@ -117,6 +119,41 @@ def test_criterion_scheduling_exit(traj_dir, tmp_path):
     assert rc == 4
 
 
+CRITERION = ["criterion", "--alpha", "0.5", "--beta", "0.5", "--nu-w", "0.5"]
+CRITERION_FILES = ("criterion_report.json", "criterion.csv", "series_with_criterion.csv")
+
+
+def test_criterion_overlapping_times_match_per_time_reports(traj_dir, tmp_path, monkeypatch):
+    # windows of 7, 6 and 5 snapshots share their rows; the files equal those
+    # written from one evaluate_criterion call per reference time
+    argv = CRITERION + ["--traj", str(traj_dir), "--at", "0.0,0.02,0.04"]
+    assert main(argv + ["--out", str(tmp_path / "shared")]) == 0
+    monkeypatch.setattr(cli_module, "evaluate_criteria", lambda traj, times, spec: [
+        nse_module.evaluate_criterion(traj, t, spec) for t in times])
+    assert main(argv + ["--out", str(tmp_path / "per_time")]) == 0
+    for name in CRITERION_FILES:
+        assert (tmp_path / "shared" / name).read_bytes() == \
+            (tmp_path / "per_time" / name).read_bytes()
+    report = json.loads((tmp_path / "shared" / "criterion_report.json").read_text())
+    assert [r["t_ref"] for r in report["reports"]] == [0.0, 0.02, 0.04]
+
+
+def test_criterion_sparse_window_exits_before_norm_work(traj_dir, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(nse_module, "gm_norm", lambda *args: calls.append(args))
+    rc = main(CRITERION + ["--traj", str(traj_dir), "--at", "0.0,0.19",
+                           "--out", str(tmp_path / "c")])
+    assert rc == 4
+    assert calls == []
+
+
+def test_criterion_time_outside_run_is_usage_error(traj_dir, tmp_path, capsys):
+    rc = main(CRITERION + ["--traj", str(traj_dir), "--at", "0.0,0.5",
+                           "--out", str(tmp_path / "c")])
+    assert rc == 2
+    assert "outside the trajectory range" in capsys.readouterr().err
+
+
 def test_reports_byte_identical(traj_dir, tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -214,3 +251,19 @@ def test_config_supplies_required_flags(field_file, traj_dir, tmp_path):
     assert main(["norm", "--field", str(field_file), "--conf", str(cfg),
                  "--out", str(tmp_path / "a")]) == 0
     assert json.loads((tmp_path / "a" / "norm_report.json").read_text())["kind"] == "classical"
+
+
+def test_verify_gm_finite_theta_report(tmp_path):
+    out = tmp_path / "ver"
+    rc = main(["verify", "--lemma", "gm", "--n", "16", "--deltas", "0.75", "--scales", "0.8",
+               "--seeds", "2", "--kmax", "4", "--thetas", "2", "--alphas", "0.75",
+               "--out", str(out)])
+    assert rc == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads((out / "verify_reports.json").read_text(), parse_constant=reject)
+    assert report["summary"]["total"] == 2
+    assert {r["params"]["theta"] for r in report["reports"]} == {2}
+    assert all(isinstance(r["premise_holds"], bool) for r in report["reports"])

@@ -12,9 +12,11 @@ from morrey_sparse.nse import (
     CriterionSpec,
     SchedulingError,
     SolverConfig,
+    TimeRangeError,
     criterion_exponent,
     detect_escape_times,
     dissipation_scale,
+    evaluate_criteria,
     evaluate_criterion,
     initial_condition,
     load_trajectory,
@@ -246,6 +248,58 @@ def test_criterion_mixed_variant(tg_traj):
     rep = evaluate_criterion(tg_traj, 0.0, spec)
     assert math.isnan(rep.exponent)  # mixed thresholds carry explicit gammas
     assert rep.rhs > 0.0
+
+
+#: overlapping windows on tg_traj: 8 snapshots each, 9 distinct
+OVERLAPPING = (0.0, 0.01, 0.02)
+SPECS = {
+    "theta_inf": CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5),
+    "theta_3": CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, theta=3.0),
+    "omega": CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, field_mode="omega"),
+    "mixed": CriterionSpec(alpha=0.5, beta=0.25, nu_w=0.5, eps0=5.0,
+                           beta2=0.25, gamma1=0.5, gamma2=0.5),
+}
+
+
+def _count_gm_calls(monkeypatch) -> list:
+    calls = []
+
+    def spy(f, params):
+        calls.append(f)
+        return gm_norm(f, params)
+
+    monkeypatch.setattr(nse_module, "gm_norm", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_criteria_match_per_time_reports(tg_traj, name):
+    spec = SPECS[name]
+    shared = evaluate_criteria(tg_traj, OVERLAPPING, spec)
+    assert shared == [evaluate_criterion(tg_traj, t, spec) for t in OVERLAPPING]
+    windows = [{row[0] for row in rep.rows} for rep in shared]
+    assert windows[0] & windows[1] & windows[2]  # the windows do overlap
+
+
+def test_criteria_one_norm_per_window_snapshot(tg_traj, monkeypatch):
+    calls = _count_gm_calls(monkeypatch)
+    reports = evaluate_criteria(tg_traj, OVERLAPPING, SPECS["theta_inf"])
+    in_windows = {row[0] for rep in reports for row in rep.rows}
+    assert len(calls) == len(in_windows) < sum(len(rep.rows) for rep in reports)
+    # u mode measures the snapshot itself: each one once, in snapshot order
+    snaps = [f for t, f in tg_traj.snapshots if t in in_windows]
+    assert len(snaps) == len(calls) and all(a is b for a, b in zip(calls, snaps))
+
+
+def test_criteria_check_every_window_first(tg_traj, monkeypatch):
+    calls = _count_gm_calls(monkeypatch)
+    spec = SPECS["theta_inf"]
+    with pytest.raises(SchedulingError):
+        evaluate_criteria(tg_traj, [0.0, 0.01, 0.25], spec)  # last window too sparse
+    with pytest.raises(TimeRangeError):
+        evaluate_criteria(tg_traj, [0.0, 0.5], spec)  # past the run end
+    assert calls == []
+    assert evaluate_criteria(tg_traj, [], spec) == []
 
 
 def test_spec_validation():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from morrey_sparse.fields import vorticity_blob
+from morrey_sparse import verify as verify_module
+from morrey_sparse.fields import random_solenoidal_field, vorticity_blob
 from morrey_sparse.grid import (
     Grid3,
     VectorField,
@@ -295,3 +296,33 @@ def test_sweep_gm_mode():
     reports = sweep(cfg)
     assert len(reports) == 2 * 2 * 2
     assert summarize(reports).violations == 0
+
+
+def test_sweep_gm_shares_field_work_with_fresh_reference(monkeypatch):
+    # curl mode takes the vorticity and mask spectra from the per-field state;
+    # every report equals one computed alone on a fresh copy of its field
+    cfg = SweepConfig(lemma="gm", n=16, deltas=(0.75, 0.85), scales=(0.5, 0.8),
+                      seeds=(0, 1), kmax=4, thetas=(math.inf, 2.0), alphas=(1.0,),
+                      rho=0.45, modes=("curl", "identity"))
+    grid = Grid3(cfg.n)
+    curls = [0]
+
+    def counting_curl(f):
+        curls[0] += 1
+        return curl(f)
+
+    monkeypatch.setattr(verify_module, "curl", counting_curl)
+    reports = sweep(cfg)
+    assert curls[0] == len(cfg.seeds)  # one vorticity per field for 16 curl-mode cells
+    fields = {seed: random_solenoidal_field(grid, cfg.kmax, seed) for seed in cfg.seeds}
+    reference = []
+    for delta in cfg.deltas:
+        for r in cfg.scales:
+            for seed in cfg.seeds:
+                for theta in cfg.thetas:
+                    for mode in cfg.modes:
+                        fresh = VectorField(grid, fields[seed].data.copy())
+                        reference.append(check_lemma_gm(fresh, admissible_pair(delta), cfg.p,
+                                                        theta, 1.0, cfg.rho, r, mode))
+    assert reports == reference
+    assert len(reports) == 32
