@@ -6,8 +6,8 @@ is serialized with 17 significant digits (lossless float round trip); rerun
 with identical arguments and seeds reproduces byte-identical reports (the
 manifest is the one exception: it carries the wall time).
 
-Exit codes: 0 success, 1 computation error, 2 usage, 3 bad input file,
-4 scheduling (criterion window too sparse).
+Exit codes: 0 success, 1 computation error (a solver instability included),
+2 usage, 3 bad input file, 4 scheduling (criterion window too sparse).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .grid import FieldFileError, load_field
@@ -30,6 +31,7 @@ from .nse import (
     CriterionSpec,
     SchedulingError,
     SolverConfig,
+    SolverInstabilityError,
     TimeRangeError,
     detect_escape_times,
     evaluate_criteria,
@@ -105,6 +107,7 @@ def _write_manifest(outdir: Path, command: str, params: dict, inputs: list,
         "input_hashes": {str(p): _sha256(Path(p)) for p in inputs if Path(p).is_file()},
         "outputs": sorted(str(p) for p in outputs),
         "wall_time_s": time.time() - t0,
+        "numpy": np.__version__, "scipy": scipy.__version__, "fft": "scipy.fft",
     }
     _write_json(outdir / "manifest.json", manifest)
 
@@ -369,6 +372,8 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     t0 = time.time()
     outdir = Path(args.out)
+    if not math.isfinite(args.amplitude):
+        raise UsageError(f"amplitude must be finite, got {args.amplitude}")
     cfg = SolverConfig(n=args.n, dt=args.dt, t_end=args.t_end, ic=args.ic,
                        ic_params={"amplitude": args.amplitude, "kmax": args.kmax},
                        snapshot_every=args.snapshot_every, seed=args.seed)
@@ -470,7 +475,7 @@ def main(argv=None) -> int:
     except (UsageError, InadmissiblePairError, TimeRangeError, argparse.ArgumentTypeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, SolverInstabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .grid import Grid3, ScalarField, VectorField, leray_project, rfft_wavenumbers
+from .grid import Grid3, ScalarField, VectorField, _irfftn, _rfftn, leray_project, rfft_wavenumbers
 
 
 def smoothstep(t):
@@ -31,12 +31,12 @@ def random_solenoidal_field(grid: Grid3, kmax: int, seed: int, amplitude: float 
     """
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((3,) + grid.shape)
-    fh = np.fft.rfftn(noise, axes=(-3, -2, -1))
+    fh = _rfftn(noise)
     kx, ky, kz, k2 = rfft_wavenumbers(grid)
     k0 = 2.0 * math.pi / grid.box_len
     fh *= k2 <= (kmax * k0) ** 2 * (1.0 + 1e-12)
     fh[:, 0, 0, 0] = 0.0
-    f = leray_project(VectorField(grid, np.fft.irfftn(fh, s=grid.shape, axes=(-3, -2, -1))))
+    f = leray_project(VectorField(grid, _irfftn(fh, grid.n)))
     sup = f.magnitude().max()
     if sup == 0.0:
         raise ValueError("degenerate random field (all masked modes vanished)")
@@ -91,14 +91,14 @@ def vorticity_blob(grid: Grid3, center: tuple[int, int, int], sigma: float,
     a = np.asarray(axis, dtype=np.float64)
     a /= math.sqrt(float(a @ a))
     chi = periodized_gaussian(grid, center, sigma)
-    ch = np.fft.rfftn(chi)
+    ch = _rfftn(chi)
     kx, ky, kz, k2 = rfft_wavenumbers(grid)
     adotk = a[0] * kx + a[1] * ky + a[2] * kz
     wh = np.empty((3,) + ch.shape, dtype=ch.dtype)
     wh[0] = (k2 * a[0] - adotk * kx) * ch
     wh[1] = (k2 * a[1] - adotk * ky) * ch
     wh[2] = (k2 * a[2] - adotk * kz) * ch
-    w = np.fft.irfftn(wh, s=grid.shape, axes=(-3, -2, -1))
+    w = _irfftn(wh, grid.n)
     sup = np.sqrt(np.einsum("cijk,cijk->ijk", w, w)).max()
     return VectorField(grid, w * (amplitude / sup))
 

@@ -9,8 +9,11 @@ ball indicator, checked against a transform-free brute force.  Ball spectra
 are cached by shell, the largest lattice squared distance <= r^2: radii with
 no lattice distance between them have one voxel ball and share one spectrum.
 
-Ball counts of 0/1 masks run in float32 on ``scipy.fft`` and are rounded
-back to integers.  The float32 error grows to about vc * 2^-22 for a ball of
+Every 3-D transform of the package runs on ``scipy.fft`` through
+:func:`_rfftn`/:func:`_irfftn`, and the spectral-space operators
+(:func:`curl_hat`, :func:`project_hat`) are shared by the field operators and
+the solver.  Ball counts of 0/1 masks run in float32 and are rounded back to
+integers.  The float32 error grows to about vc * 2^-22 for a ball of
 vc voxels (measured 4.9e-4 at n=64, r=1; 0.031 at vc = 131 059), far inside
 the 0.5 that rounding tolerates; balls above 2^17 voxels count in float64.
 """
@@ -165,49 +168,64 @@ def sup_norm(f: Field) -> float:
 
 
 @lru_cache(maxsize=8)
-def _wavenumbers(n: int, box_len: float):
-    """Broadcastable rfft wavenumber arrays (kx, ky, kz) and |k|^2.
+def _frequencies(n: int):
+    """Broadcastable signed integer frequencies (ix, iy, iz) of the rfft layout,
+    Nyquist entries kept (read-only); wavenumbers are these times 2 pi / L."""
+    full, half = fft.fftfreq(n, d=1.0 / n), fft.rfftfreq(n, d=1.0 / n)
+    for arr in (full, half):
+        arr.setflags(write=False)
+    return full.reshape(n, 1, 1), full.reshape(1, n, 1), half.reshape(1, 1, -1)
+
+
+@lru_cache(maxsize=8)
+def rfft_wavenumbers(grid: Grid3):
+    """Broadcastable wavenumber arrays (kx, ky, kz) and |k|^2 for the grid's
+    real FFT layout (read-only).
 
     The Nyquist entries are zeroed: the self-aliased Nyquist plane breaks the
     evenness of quadratic multipliers (projection, curl compositions), and
     band-limited fields carry no content there anyway.
     """
-    k0 = TAU / box_len
-    k_full = np.fft.fftfreq(n, d=1.0 / n) * k0
-    k_full[n // 2] = 0.0
-    k_half = np.fft.rfftfreq(n, d=1.0 / n) * k0
-    k_half[-1] = 0.0
-    kx = k_full.reshape(n, 1, 1)
-    ky = k_full.reshape(1, n, 1)
-    kz = k_half.reshape(1, 1, k_half.size)
+    n, k0 = grid.n, TAU / grid.box_len
+    kx, ky, kz = (i * k0 for i in _frequencies(n))
+    kx[n // 2] = ky[:, n // 2] = kz[..., -1] = 0.0
     k2 = kx**2 + ky**2 + kz**2
     for arr in (kx, ky, kz, k2):
         arr.setflags(write=False)
     return kx, ky, kz, k2
 
 
-def rfft_wavenumbers(grid: Grid3):
-    """(kx, ky, kz, |k|^2) for the grid's real FFT layout (read-only views)."""
-    return _wavenumbers(grid.n, grid.box_len)
-
-
 def _rfftn(data: np.ndarray) -> np.ndarray:
-    return np.fft.rfftn(data, axes=(-3, -2, -1))
+    return fft.rfftn(data, axes=(-3, -2, -1))
 
 
 def _irfftn(hat: np.ndarray, n: int) -> np.ndarray:
-    return np.fft.irfftn(hat, s=(n, n, n), axes=(-3, -2, -1))
+    return fft.irfftn(hat, s=(n, n, n), axes=(-3, -2, -1))
 
 
-def curl(f: VectorField) -> VectorField:
-    """Spectral curl; exact for band-limited fields, divergence-free output."""
-    kx, ky, kz, _ = rfft_wavenumbers(f.grid)
-    fh = _rfftn(f.data)
+def curl_hat(fh: np.ndarray, grid: Grid3) -> np.ndarray:
+    """Spectrum of the curl, i k x fh, of a vector spectrum (a new array)."""
+    kx, ky, kz, _ = rfft_wavenumbers(grid)
     ch = np.empty_like(fh)
     ch[0] = 1j * (ky * fh[2] - kz * fh[1])
     ch[1] = 1j * (kz * fh[0] - kx * fh[2])
     ch[2] = 1j * (kx * fh[1] - ky * fh[0])
-    return VectorField(f.grid, _irfftn(ch, f.grid.n))
+    return ch
+
+
+def project_hat(fh: np.ndarray, grid: Grid3) -> np.ndarray:
+    """Leray projection of a vector spectrum (a new array; k = 0 untouched)."""
+    kx, ky, kz, k2 = rfft_wavenumbers(grid)
+    kdotf = (kx * fh[0] + ky * fh[1] + kz * fh[2]) / np.where(k2 == 0.0, 1.0, k2)
+    out = np.empty_like(fh)
+    for c, k in enumerate((kx, ky, kz)):
+        out[c] = fh[c] - k * kdotf
+    return out
+
+
+def curl(f: VectorField) -> VectorField:
+    """Spectral curl; exact for band-limited fields, divergence-free output."""
+    return VectorField(f.grid, _irfftn(curl_hat(_rfftn(f.data), f.grid), f.grid.n))
 
 
 def divergence(f: VectorField) -> ScalarField:
@@ -226,14 +244,7 @@ def gradient(s: ScalarField) -> VectorField:
 
 def leray_project(f: VectorField) -> VectorField:
     """Project onto divergence-free fields (mean flow untouched)."""
-    kx, ky, kz, k2 = rfft_wavenumbers(f.grid)
-    fh = _rfftn(f.data)
-    k2safe = np.where(k2 == 0.0, 1.0, k2)
-    kdotf = (kx * fh[0] + ky * fh[1] + kz * fh[2]) / k2safe
-    fh[0] -= kx * kdotf
-    fh[1] -= ky * kdotf
-    fh[2] -= kz * kdotf
-    return VectorField(f.grid, _irfftn(fh, f.grid.n))
+    return VectorField(f.grid, _irfftn(project_hat(_rfftn(f.data), f.grid), f.grid.n))
 
 
 def biot_savart(omega: VectorField) -> VectorField:
@@ -242,13 +253,9 @@ def biot_savart(omega: VectorField) -> VectorField:
     u_hat = i k x omega_hat / |k|^2, zero at k = 0.  curl(biot_savart(w)) == w
     for mean-zero solenoidal w.
     """
-    kx, ky, kz, k2 = rfft_wavenumbers(omega.grid)
-    oh = _rfftn(omega.data)
-    k2safe = np.where(k2 == 0.0, 1.0, k2)
-    uh = np.empty_like(oh)
-    uh[0] = 1j * (ky * oh[2] - kz * oh[1]) / k2safe
-    uh[1] = 1j * (kz * oh[0] - kx * oh[2]) / k2safe
-    uh[2] = 1j * (kx * oh[1] - ky * oh[0]) / k2safe
+    k2 = rfft_wavenumbers(omega.grid)[3]
+    uh = curl_hat(_rfftn(omega.data), omega.grid)
+    uh /= np.where(k2 == 0.0, 1.0, k2)
     uh[:, 0, 0, 0] = 0.0
     return VectorField(omega.grid, _irfftn(uh, omega.grid.n))
 
@@ -344,7 +351,7 @@ class MaskSpectra:
 
     def hat(self, dtype: type) -> np.ndarray:
         if dtype not in self.hats:
-            self.hats[dtype] = fft.rfftn(self.mask.astype(dtype), axes=(-3, -2, -1))
+            self.hats[dtype] = _rfftn(self.mask.astype(dtype))
         return self.hats[dtype]
 
 
@@ -358,7 +365,7 @@ def sliding_ball_sum(mask: MaskSpectra, radius: float) -> np.ndarray:
     grid = mask.grid
     dtype = count_dtype(ball_kernel(grid, radius).voxel_count)
     spec = _ball_spectrum_cached(grid.n, grid.box_len, _shell(grid, float(radius)), dtype)
-    return fft.irfftn(mask.hat(dtype) * spec, s=grid.shape, axes=(-3, -2, -1))
+    return _irfftn(mask.hat(dtype) * spec, grid.n)
 
 
 def _power_shell(grid: Grid3, r: float) -> float:

@@ -57,6 +57,12 @@ class WeightSpec:
         return out if out.ndim else float(out)
 
 
+def decay_exponent(nu: float, theta: float) -> float:
+    """K = nu (theta = inf) or (nu theta - 1)/theta: the scale exponent of the
+    weight s^(-nu) in L^theta; the implication thresholds use E = -K."""
+    return nu if math.isinf(theta) else (nu * theta - 1.0) / theta
+
+
 @dataclass(frozen=True)
 class MorreyParams:
     """Lebesgue exponent, scale weight, and quadrature nodes for one norm."""

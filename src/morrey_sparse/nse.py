@@ -22,15 +22,21 @@ import numpy as np
 
 from .fields import random_solenoidal_field
 from .grid import (
+    TAU,
     Grid3,
     VectorField,
+    _frequencies,
+    _irfftn,
+    _rfftn,
     curl,
+    curl_hat,
     load_field,
-    rfft_wavenumbers,
+    project_hat,
     save_field,
     sup_norm,
 )
-from .morrey import MorreyParams, WeightSpec, gm_norm, log_scale_nodes
+from .morrey import MorreyParams, WeightSpec, decay_exponent, gm_norm, log_scale_nodes
+from .sparseness import shell_exponent
 
 VISCOSITY = 1.0
 
@@ -124,53 +130,39 @@ def initial_condition(name: str, grid: Grid3, params: dict | None = None,
     raise ValueError(f"unknown initial condition {name!r}")
 
 
-def _dealias_mask(grid: Grid3) -> np.ndarray:
-    # built from raw integer frequencies (the derivative arrays zero Nyquist,
-    # which must NOT sneak through the 2/3 cut)
-    n = grid.n
-    ix = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    iz = np.abs(np.fft.rfftfreq(n, d=1.0 / n))
-    cut = n / 3.0
-    return ((ix < cut)[:, None, None] & (ix < cut)[None, :, None]
-            & (iz < cut)[None, None, :])
-
-
 def simulate(config: SolverConfig) -> Trajectory:
     """Integrate the incompressible momentum equation from the configured flow.
 
     Integrating-factor RK4 in spectral space; convective term dealiased by the
     2/3 rule and Leray-projected each evaluation.  Snapshots are stored every
     ``snapshot_every`` steps (plus t = 0 and the final time); the norm series
-    is recorded at every step.
+    is recorded at every step.  A step costs 36 transforms: the physical u and
+    omega that record a state also feed the next step's first stage.
     """
     grid = Grid3(config.n, config.box_len)
     u0 = initial_condition(config.ic, grid, config.ic_params, config.seed)
-    u0_sup = sup_norm(u0)
-    cfl = 0.5 * grid.spacing / max(1.0, u0_sup)
+    cfl = 0.5 * grid.spacing / max(1.0, sup_norm(u0))
     if config.dt > cfl:
         raise ValueError(f"dt={config.dt} violates the step bound {cfl:.3e}")
 
-    kx, ky, kz, k2 = rfft_wavenumbers(grid)
-    dealias = _dealias_mask(grid)
-    uh = np.fft.rfftn(u0.data, axes=(-3, -2, -1))
-    # project the initial data; analytic ICs are solenoidal already
-    uh = _project(uh, kx, ky, kz, k2)
-    # viscous factor uses the true |k|^2 (the derivative arrays zero Nyquist)
-    k0 = 2.0 * math.pi / grid.box_len
-    kfull = np.fft.fftfreq(grid.n, d=1.0 / grid.n) * k0
-    khalf = np.fft.rfftfreq(grid.n, d=1.0 / grid.n) * k0
-    k2visc = (kfull**2)[:, None, None] + (kfull**2)[None, :, None] + (khalf**2)[None, None, :]
+    # the 2/3 cut and the viscous factor use the raw frequencies: the
+    # derivative wavenumbers zero Nyquist, which must not pass the cut
+    ix, iy, iz = _frequencies(grid.n)
+    cut = grid.n / 3.0
+    dealias = (np.abs(ix) < cut) & (np.abs(iy) < cut) & (np.abs(iz) < cut)
+    k0 = TAU / grid.box_len
+    k2visc = (ix * k0) ** 2 + (iy * k0) ** 2 + (iz * k0) ** 2
     half = np.exp(-config.nu * k2visc * config.dt / 2.0)
     full = half * half
+    # project the initial data; analytic ICs are solenoidal already
+    uh = project_hat(_rfftn(u0.data), grid)
 
     nsteps = int(round(config.t_end / config.dt))
     rows = {name: [] for name in SERIES_COLUMNS}
     snapshots: list[tuple[float, VectorField]] = []
 
     def record(step: int, t: float, uh_now):
-        u_phys = np.fft.irfftn(uh_now, s=grid.shape, axes=(-3, -2, -1))
-        oh = _curl_hat(uh_now, kx, ky, kz)
-        w_phys = np.fft.irfftn(oh, s=grid.shape, axes=(-3, -2, -1))
+        u_phys, w_phys = _physical(uh_now, grid)
         umag2 = np.einsum("cijk,cijk->ijk", u_phys, u_phys)
         wmag2 = np.einsum("cijk,cijk->ijk", w_phys, w_phys)
         rows["t"].append(t)
@@ -180,58 +172,49 @@ def simulate(config: SolverConfig) -> Trajectory:
         rows["enstrophy"].append(0.5 * float(wmag2.sum()) * grid.voxel_volume)
         if step % config.snapshot_every == 0 or step == nsteps:
             snapshots.append((t, VectorField(grid, u_phys)))
+        return u_phys, w_phys
 
-    record(0, 0.0, uh)
+    def stage(uh_stage):
+        return _nonlinear(*_physical(uh_stage, grid), grid, dealias)
+
+    u_w = record(0, 0.0, uh)
     t = 0.0
     for step in range(1, nsteps + 1):
-        n1 = _nonlinear(uh, grid, kx, ky, kz, k2, dealias)
-        n2 = _nonlinear(half * (uh + 0.5 * config.dt * n1), grid, kx, ky, kz, k2, dealias)
-        n3 = _nonlinear(half * uh + 0.5 * config.dt * n2, grid, kx, ky, kz, k2, dealias)
-        n4 = _nonlinear(full * uh + config.dt * half * n3, grid, kx, ky, kz, k2, dealias)
+        n1 = _nonlinear(*u_w, grid, dealias)
+        n2 = stage(half * (uh + 0.5 * config.dt * n1))
+        n3 = stage(half * uh + 0.5 * config.dt * n2)
+        n4 = stage(full * uh + config.dt * half * n3)
         uh = full * uh + (config.dt / 6.0) * (full * n1 + 2.0 * half * (n2 + n3) + n4)
         t = step * config.dt
         if not np.isfinite(uh.view(np.float64)).all():
-            raise SolverInstabilityError(f"non-finite state at t={t:.6f}", t - config.dt)
-        record(step, t, uh)
+            raise SolverInstabilityError(f"non-finite state at t={t:.6f} (last good time "
+                                         f"t={t - config.dt:.6f})", t - config.dt)
+        u_w = record(step, t, uh)
 
     series = {name: np.asarray(vals) for name, vals in rows.items()}
     return Trajectory(grid, series, snapshots, config)
 
 
-def _curl_hat(uh, kx, ky, kz):
-    oh = np.empty_like(uh)
-    oh[0] = 1j * (ky * uh[2] - kz * uh[1])
-    oh[1] = 1j * (kz * uh[0] - kx * uh[2])
-    oh[2] = 1j * (kx * uh[1] - ky * uh[0])
-    return oh
+def _physical(uh, grid: Grid3):
+    """Physical u and omega of a velocity spectrum."""
+    return _irfftn(uh, grid.n), _irfftn(curl_hat(uh, grid), grid.n)
 
 
-def _project(fh, kx, ky, kz, k2):
-    k2safe = np.where(k2 == 0.0, 1.0, k2)
-    kdotf = (kx * fh[0] + ky * fh[1] + kz * fh[2]) / k2safe
-    out = fh.copy()
-    out[0] -= kx * kdotf
-    out[1] -= ky * kdotf
-    out[2] -= kz * kdotf
-    return out
-
-
-def _nonlinear(uh, grid: Grid3, kx, ky, kz, k2, dealias):
-    """P[u x omega] in spectral space, 2/3-dealiased.
+def _nonlinear(u, w, grid: Grid3, dealias):
+    """P[u x omega] in spectral space, 2/3-dealiased, from physical u and omega
+    (read, never written: the caller may hold them as a snapshot).
 
     Rotational form: (u . grad)u = omega x u + grad(|u|^2/2); the gradient
     part is absorbed into pressure by the projection, so P[u x omega] is the
     projected convective term with a third fewer transforms.
     """
-    u = np.fft.irfftn(uh, s=grid.shape, axes=(-3, -2, -1))
-    w = np.fft.irfftn(_curl_hat(uh, kx, ky, kz), s=grid.shape, axes=(-3, -2, -1))
     cross = np.empty_like(u)
     cross[0] = u[1] * w[2] - u[2] * w[1]
     cross[1] = u[2] * w[0] - u[0] * w[2]
     cross[2] = u[0] * w[1] - u[1] * w[0]
-    ch = np.fft.rfftn(cross, axes=(-3, -2, -1))
+    ch = _rfftn(cross)
     ch *= dealias
-    return _project(ch, kx, ky, kz, k2)
+    return project_hat(ch, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +315,13 @@ class BalanceError(ValueError):
     """No admissible parameter solves the exponent-balance equation."""
 
 
-def _shell_exponent(spec: CriterionSpec) -> float:
-    pprime = math.inf if spec.p == 1.0 else spec.p / (spec.p - 1.0)
-    inv = 0.0 if math.isinf(pprime) else 1.0 / pprime
-    return (4.0 - 3.0 * inv) if spec.exponent_mode == "curl" else (3.0 - 3.0 * inv)
-
-
 def criterion_exponent(spec: CriterionSpec) -> float:
     """Threshold exponent on the reference norm.
 
     min(alpha, beta) * K - alpha * S + 1 with K = nu (theta = inf) or
     (nu theta - 1)/theta, and S = 4 - 3/p' (curl family) or 3 - 3/p'."""
-    k_term = spec.nu_w if math.isinf(spec.theta) else (spec.nu_w * spec.theta - 1.0) / spec.theta
-    return min(spec.alpha, spec.beta) * k_term - spec.alpha * _shell_exponent(spec) + 1.0
+    return (min(spec.alpha, spec.beta) * decay_exponent(spec.nu_w, spec.theta)
+            - spec.alpha * shell_exponent(spec.p, spec.exponent_mode) + 1.0)
 
 
 def solve_exponent_balance(spec: CriterionSpec, free: str) -> float:
@@ -354,14 +331,15 @@ def solve_exponent_balance(spec: CriterionSpec, free: str) -> float:
     nu_w >= 0 with nu_w*theta > 1 for finite theta, alpha > 0, beta > 0,
     p >= 1, theta > 1).
     """
-    s_exp = _shell_exponent(spec)
-    k_term = spec.nu_w if math.isinf(spec.theta) else (spec.nu_w * spec.theta - 1.0) / spec.theta
+    s_exp = shell_exponent(spec.p, spec.exponent_mode)
+    k_term = decay_exponent(spec.nu_w, spec.theta)
     m = min(spec.alpha, spec.beta)
+    if free in ("nu_w", "theta"):
+        if m == 0.0:
+            raise BalanceError(f"min(alpha, beta) = 0 leaves {free} without effect")
+        target = (spec.alpha * s_exp - 1.0) / m  # the balancing k-term
 
     if free == "nu_w":
-        if m == 0.0:
-            raise BalanceError("min(alpha, beta) = 0 leaves nu_w without effect")
-        target = (spec.alpha * s_exp - 1.0) / m
         nu = target if math.isinf(spec.theta) else target + 1.0 / spec.theta
         if nu < 0.0 or (math.isfinite(spec.theta) and not nu * spec.theta > 1.0):
             raise BalanceError(f"balance needs nu_w = {nu:.6g}, inadmissible")
@@ -390,9 +368,6 @@ def solve_exponent_balance(spec: CriterionSpec, free: str) -> float:
             return b
         raise BalanceError(f"balance needs beta = {b:.6g}, inadmissible")
     if free == "theta":
-        if m == 0.0:
-            raise BalanceError("min(alpha, beta) = 0 leaves theta without effect")
-        target = (spec.alpha * s_exp - 1.0) / m  # required k_term
         if math.isclose(spec.nu_w, target, rel_tol=1e-12):
             return math.inf
         denom = spec.nu_w - target

@@ -33,6 +33,7 @@ from .grid import (
     sliding_ball_sum,
     sup_norm,
 )
+from .morrey import WeightSpec, decay_exponent
 from .predual import _conjugate
 
 SET_LABELS = ("S_1+", "S_1-", "S_2+", "S_2-", "S_3+", "S_3-")
@@ -320,14 +321,13 @@ def gm_chain_constant(pair: PairLD, p: float, theta: float, alpha: float,
         return base / safety
     if not alpha * theta > 1.0:
         raise ValueError(f"need alpha*theta > 1, got {alpha * theta}")
-    from .morrey import WeightSpec
     from .predual import total_weight_norm, weight_tail_norm
 
     w = WeightSpec(nu=alpha, rho=rho, theta=theta)
     wtotal = total_weight_norm(w)
     total_inv = 0.0 if math.isinf(wtotal) else 1.0 / wtotal
     r_cap = min(r_max, 0.95 / (1.0 + ramp))
-    e_neg = (alpha * theta - 1.0) / theta  # = -E > 0
+    e_neg = decay_exponent(alpha, theta)  # = -E > 0
     best = math.inf
     for r in np.geomspace(max(rho, 0.02), r_cap, 64):
         tail_at_shell = weight_tail_norm(w, min((1.0 + ramp) * r, 0.999))
@@ -352,12 +352,18 @@ def eps_const(pair: PairLD, p: float, theta: float, alpha: float,
     x = pair.delta * (1.0 + pair.lam)
     a_half = (x - 1.0) / 2.0
     b_half = (x + 1.0) / 2.0
-    e_exp = -alpha if math.isinf(theta) else (1.0 - alpha * theta) / theta
+    e_exp = -decay_exponent(alpha, theta)
     ramp = b_half ** (1.0 / 3.0) - 1.0
     if cal is None:
         cal = gm_chain_constant(pair, p, theta, alpha, rho=rho)
     one_minus = 0.0 if math.isinf(pprime) else 1.0 / pprime
     return cal * UNIT_BALL_VOLUME * a_half ** (1.0 - one_minus) * b_half ** (e_exp / 3.0) * ramp
+
+
+def shell_exponent(p: float, mode: str) -> float:
+    """S = 4 - 3/p' (mode "curl") or 3 - 3/p' (mode "identity"): the power of
+    the scale r in the Morrey-type implication threshold."""
+    return (4.0 if mode == "curl" else 3.0) - 3.0 / _conjugate(p)
 
 
 @dataclass(frozen=True)

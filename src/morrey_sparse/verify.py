@@ -39,7 +39,7 @@ from .grid import (
     real_spectrum,
     sup_norm,
 )
-from .morrey import MorreyParams, WeightSpec, gm_norm, log_scale_nodes
+from .morrey import MorreyParams, WeightSpec, decay_exponent, gm_norm, log_scale_nodes
 from .sparseness import (
     PairLD,
     admissible_pair,
@@ -48,6 +48,7 @@ from .sparseness import (
     kappa,
     max_densities,
     ramp_fraction,
+    shell_exponent,
     superlevel_spectra,
 )
 
@@ -169,18 +170,16 @@ def check_lemma_gm(f: VectorField, pair: PairLD, p: float, theta: float, alpha: 
         raise ValueError(f"scale {r} exceeds the soundness cap {r_cap:.4f} "
                          "for this pair (cutoff shell must stay inside the "
                          "weight support)")
-    pprime = math.inf if p == 1.0 else p / (p - 1.0)
-    if math.isinf(pprime):
+    if not p > 1.0:
         raise ValueError("p must exceed 1")
     state = _l2_state(f) if mode == "curl" else None
     base_sup = state.omega_sup if state else sup_norm(f)
     weight = WeightSpec(nu=alpha, rho=rho, theta=theta)
     params_obj = MorreyParams(p, weight, log_scale_nodes(f.grid, rho, 1.0, scale_count))
     lhs = gm_norm(f, params_obj).value
-    e_exp = -alpha if math.isinf(theta) else (1.0 - alpha * theta) / theta
-    shell_exp = (4.0 - 3.0 / pprime) if mode == "curl" else (3.0 - 3.0 / pprime)
     eps = eps_const(pair, p, theta, alpha, cal=cal, rho=rho)
-    rhs = float(eps * max(r, rho) ** e_exp * r**shell_exp * base_sup)
+    rhs = float(eps * max(r, rho) ** -decay_exponent(alpha, theta)
+                * r ** shell_exponent(p, mode) * base_sup)
     params = {"lambda": pair.lam, "delta": pair.delta, "r": r, "p": p,
               "theta": theta, "alpha": alpha, "rho": rho, "mode": mode}
     if base_sup == 0.0:

@@ -1,6 +1,8 @@
 import json
 
+import numpy as np
 import pytest
+import scipy
 
 from morrey_sparse import cli as cli_module
 from morrey_sparse import nse as nse_module
@@ -224,6 +226,25 @@ def test_manifest_is_strict_json(field_file, tmp_path):
 
     manifest = json.loads((tmp_path / "manifest.json").read_text(), parse_constant=reject)
     assert manifest["params"]["theta"] == "inf"
+    assert manifest["numpy"] == np.__version__ and manifest["scipy"] == scipy.__version__
+    assert manifest["fft"] == "scipy.fft" and manifest["wall_time_s"] >= 0.0
+
+
+def test_simulate_nonfinite_amplitude_is_usage_error(tmp_path):
+    for amplitude in ("nan", "inf"):
+        assert main(["simulate", "--ic", "random", "--n", "16", "--t-end", "0.003",
+                     "--amplitude", amplitude, "--out", str(tmp_path)]) == 2, amplitude
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_solver_instability_is_computation_error(tmp_path, monkeypatch, capsys):
+    def unstable(config):
+        raise nse_module.SolverInstabilityError(
+            "non-finite state at t=0.003000 (last good time t=0.002000)", 0.002)
+
+    monkeypatch.setattr(cli_module, "simulate", unstable)
+    assert main(["simulate", "--n", "16", "--t-end", "0.003", "--out", str(tmp_path)]) == 1
+    assert "last good time t=0.002000" in capsys.readouterr().err
 
 
 def test_norm_center_out_of_range(field_file, tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft
 
 from morrey_sparse import grid as grid_module
 from morrey_sparse import morrey as morrey_module
@@ -276,10 +277,10 @@ def test_empty_scales_error(grid16):
 def _per_scale_power(f, p, scales):
     """Reference for sliding_ball_power_multi: every radius builds its own
     ball and spectrum, one inverse transform per scale, fresh arrays."""
-    power_hat = np.fft.rfftn(magnitude_power(f, p))
+    power_hat = fft.rfftn(magnitude_power(f, p))
     for r in scales:
-        ball_hat = np.fft.rfftn(ball_kernel(f.grid, float(r)).mask.astype(np.float64))
-        sums = np.fft.irfftn(power_hat * ball_hat, s=f.grid.shape, axes=(0, 1, 2))
+        ball_hat = fft.rfftn(ball_kernel(f.grid, float(r)).mask.astype(np.float64))
+        sums = fft.irfftn(power_hat * ball_hat, s=f.grid.shape, axes=(0, 1, 2))
         np.maximum(sums, 0.0, out=sums)
         yield float(r), sums * f.grid.voxel_volume
 

@@ -2,11 +2,20 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from morrey_sparse import grid as grid_module
 from morrey_sparse import nse as nse_module
-from morrey_sparse.grid import Grid3, divergence, sup_norm
-from morrey_sparse.morrey import MorreyParams, WeightSpec, classical_morrey, gm_norm, log_scale_nodes
+from morrey_sparse.fields import random_solenoidal_field, vorticity_blob
+from morrey_sparse.grid import Grid3, biot_savart, curl, divergence, leray_project, sup_norm
+from morrey_sparse.morrey import (
+    MorreyParams,
+    WeightSpec,
+    classical_morrey,
+    decay_exponent,
+    gm_norm,
+    log_scale_nodes,
+)
 from morrey_sparse.nse import (
     BalanceError,
     CriterionSpec,
@@ -24,6 +33,9 @@ from morrey_sparse.nse import (
     simulate,
     solve_exponent_balance,
 )
+from morrey_sparse.predual import _conjugate
+from morrey_sparse.sparseness import admissible_pair, shell_exponent
+from morrey_sparse.verify import check_lemma_l2
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +56,12 @@ def test_config_validation():
         SolverConfig(n=32, dt=1e-3, t_end=1.0, nu=0.5)
     with pytest.raises(ValueError):
         simulate(SolverConfig(n=16, dt=1.0, t_end=2.0, ic="shear"))  # CFL bound
+
+
+def test_instability_reports_last_good_time():
+    cfg = SolverConfig(n=16, dt=1e-3, t_end=3e-3, ic="random", ic_params={"amplitude": math.nan})
+    with pytest.raises(nse_module.SolverInstabilityError, match="last good time t=0.000000"):
+        simulate(cfg)
 
 
 def test_shear_exact_decay():
@@ -84,6 +102,46 @@ def test_timestep_halving_order():
     e1 = np.abs(sols[0.04] - sols[0.02]).max()
     e2 = np.abs(sols[0.02] - sols[0.01]).max()
     assert math.log2(e1 / e2) >= 3.5
+
+
+def test_one_fft_backend(monkeypatch):
+    # every transform of the package runs on scipy.fft through grid
+    def banned(*args, **kwargs):
+        raise AssertionError("numpy.fft transform called")
+
+    for name in ("rfftn", "irfftn", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, banned)
+    grid_module._ball_spectrum_cached.cache_clear()
+    grid = Grid3(16)
+    f = random_solenoidal_field(grid, 4, 0)
+    biot_savart(curl(f))
+    leray_project(f)
+    vorticity_blob(grid, (8, 8, 8), 0.8)
+    simulate(SolverConfig(n=16, dt=1e-3, t_end=3e-3, ic="random"))
+    gm_norm(f, MorreyParams.default(grid, WeightSpec(nu=0.5)))
+    check_lemma_l2(f, admissible_pair(0.75), 0.5)
+
+
+def test_solver_transforms_per_step(monkeypatch):
+    # record()'s physical u and omega feed the next step's first stage:
+    # 4 stages of 9 transforms, and 6 to record the state, less the 6 shared
+    count = [0]
+
+    def counting(fn):
+        def wrapper(a, *args, **kwargs):
+            count[0] += math.prod(a.shape[:-3])  # a 3-vector call counts 3
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("rfftn", "irfftn"):
+        monkeypatch.setattr(scipy.fft, name, counting(getattr(scipy.fft, name)))
+
+    def transforms(steps):
+        count[0] = 0
+        simulate(SolverConfig(n=16, dt=1e-3, t_end=steps * 1e-3, ic="taylor-green"))
+        return count[0]
+
+    assert transforms(6) - transforms(3) == 36 * 3
 
 
 def test_abc_and_random_ics():
@@ -161,6 +219,24 @@ def test_exponent_finite_theta_formula():
     spec = CriterionSpec(alpha=0.5, beta=1.0, nu_w=1.0, p=2.0, theta=2.0)
     # min(a, b) (nu th - 1)/th - a (4 - 3/p') + 1 = 0.5*0.5 - 0.5*2.5 + 1
     assert criterion_exponent(spec) == pytest.approx(0.25 - 1.25 + 1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("theta", [math.inf, 3.0])
+def test_exponent_helpers_match_inline_formulas(theta):
+    for nu in (0.5, 0.75, 1.25):
+        k_term = nu if math.isinf(theta) else (nu * theta - 1.0) / theta
+        e_exp = -nu if math.isinf(theta) else (1.0 - nu * theta) / theta
+        assert decay_exponent(nu, theta) == k_term
+        assert -decay_exponent(nu, theta) == e_exp
+    for p in (1.0, 1.5, 2.0, 3.0):
+        pprime = math.inf if p == 1.0 else p / (p - 1.0)
+        assert _conjugate(p) == pprime
+        inv = 0.0 if math.isinf(pprime) else 1.0 / pprime
+        assert shell_exponent(p, "curl") == 4.0 - 3.0 * inv == 4.0 - 3.0 / pprime
+        assert shell_exponent(p, "identity") == 3.0 - 3.0 * inv == 3.0 - 3.0 / pprime
+        spec = CriterionSpec(alpha=0.4, beta=0.6, nu_w=0.75, p=p, theta=theta)
+        k_term = 0.75 if math.isinf(theta) else (0.75 * theta - 1.0) / theta
+        assert criterion_exponent(spec) == 0.4 * k_term - 0.4 * (4.0 - 3.0 * inv) + 1.0
 
 
 def test_balance_solve_nu():
