@@ -54,7 +54,7 @@ def localized_field(grid: Grid3, kmax: int, seed: int, radius: float = 0.8,
     if center is None:
         center = (grid.n // 2, grid.n // 2, grid.n // 2)
     base = random_solenoidal_field(grid, kmax, seed, amplitude=1.0)
-    dist = np.sqrt(grid.distance_sq_from(center))
+    dist = grid.spacing * np.sqrt(grid.shell_index(center))
     window = radial_plateau(dist, 0.5 * radius, radius)
     data = base.data * window
     sup = np.sqrt(np.einsum("cijk,cijk->ijk", data, data)).max()
@@ -105,7 +105,7 @@ def vorticity_blob(grid: Grid3, center: tuple[int, int, int], sigma: float,
 
 def scalar_bump(grid: Grid3, center: tuple[int, int, int], inner: float, outer: float) -> ScalarField:
     """Radial plateau bump as a scalar field (1 on B_inner, 0 outside B_outer)."""
-    dist = np.sqrt(grid.distance_sq_from(center))
+    dist = grid.spacing * np.sqrt(grid.shell_index(center))
     return ScalarField(grid, radial_plateau(dist, inner, outer))
 
 

@@ -3,12 +3,19 @@
 All fields live on a cubic periodic box [0, L)^3 sampled by an n^3 voxel
 lattice.  Scales of interest are capped at 1 and the box side must exceed 2,
 so a ball of radius <= 1 never sees itself through the periodic wrap.
-Differential operators are spectral (exact on band-limited fields); the
-sliding window L^p kernels are FFT convolutions of |f|^p with a voxelized
-ball indicator, checked against a transform-free brute force.  Ball spectra
-are cached by shell, the largest lattice squared distance <= r^2: radii with
-no lattice distance between them have one voxel ball and share one spectrum.
 
+The lattice geometry is integer.  A voxel at min-image index offset (i, j, k)
+from a center lies on shell m = i^2 + j^2 + k^2 (:meth:`Grid3.shell_index`), at
+distance h sqrt(m).  The ball of radius r is the voxels on shells m <= K(r),
+the largest attained shell with m h^2 <= r^2 (:func:`_shell`): it is invariant
+under the 48 symmetries of the cube, and radii with no shell between them share
+one ball, mask and spectrum.  One shell table per grid (:func:`shell_table`)
+gives every ball's voxel count, and per-center shell sums
+(:func:`radial_shells`) serve every radial profile.
+
+Differential operators are spectral (exact on band-limited fields); the
+sliding window L^p kernels are FFT convolutions of |f|^p with the voxel ball
+indicator, checked against a transform-free brute force over the same ball.
 Every 3-D transform of the package runs on ``scipy.fft`` through
 :func:`_rfftn`/:func:`_irfftn`, and the spectral-space operators
 (:func:`curl_hat`, :func:`project_hat`) are shared by the field operators and
@@ -24,6 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import fft
@@ -53,9 +61,10 @@ class NonFiniteDataError(FieldFileError):
     """Payload (or field) contains NaN or infinity."""
 
 
-def _axis_distance(n: int, spacing: float, c: int) -> np.ndarray:
+def _axis_offset(n: int, c: int) -> np.ndarray:
+    """Min-image index offset from plane ``c`` to every plane of one axis."""
     d = np.abs(np.arange(n) - (c % n))
-    return np.minimum(d, n - d) * spacing
+    return np.minimum(d, n - d)
 
 
 @dataclass(frozen=True)
@@ -91,14 +100,13 @@ class Grid3:
 
     def min_image_axis(self) -> np.ndarray:
         """Per-axis periodic distance from index 0 to every voxel plane."""
-        return _axis_distance(self.n, self.spacing, 0)
+        return _axis_offset(self.n, 0) * self.spacing
 
-    def distance_sq_from(self, center: tuple[int, int, int]) -> np.ndarray:
-        """Squared min-image distance from a voxel center to every voxel."""
-        dx = _axis_distance(self.n, self.spacing, int(center[0])) ** 2
-        dy = _axis_distance(self.n, self.spacing, int(center[1])) ** 2
-        dz = _axis_distance(self.n, self.spacing, int(center[2])) ** 2
-        return dx[:, None, None] + dy[None, :, None] + dz[None, None, :]
+    def shell_index(self, center: tuple[int, int, int] = (0, 0, 0)) -> np.ndarray:
+        """Integer squared min-image index distance i^2 + j^2 + k^2 from a voxel
+        center to every voxel; the voxel lies at distance spacing * sqrt(m)."""
+        i, j, k = (_axis_offset(self.n, int(c)) ** 2 for c in center)
+        return i[:, None, None] + j[None, :, None] + k[None, None, :]
 
 
 @dataclass(frozen=True)
@@ -195,6 +203,15 @@ def rfft_wavenumbers(grid: Grid3):
     return kx, ky, kz, k2
 
 
+@lru_cache(maxsize=8)
+def _k2_divisor(grid: Grid3) -> np.ndarray:
+    """|k|^2 with its zeros set to 1: the read-only divisor inverting -Laplace."""
+    k2 = rfft_wavenumbers(grid)[3]
+    div = np.where(k2 == 0.0, 1.0, k2)
+    div.setflags(write=False)
+    return div
+
+
 def _rfftn(data: np.ndarray) -> np.ndarray:
     return fft.rfftn(data, axes=(-3, -2, -1))
 
@@ -215,8 +232,8 @@ def curl_hat(fh: np.ndarray, grid: Grid3) -> np.ndarray:
 
 def project_hat(fh: np.ndarray, grid: Grid3) -> np.ndarray:
     """Leray projection of a vector spectrum (a new array; k = 0 untouched)."""
-    kx, ky, kz, k2 = rfft_wavenumbers(grid)
-    kdotf = (kx * fh[0] + ky * fh[1] + kz * fh[2]) / np.where(k2 == 0.0, 1.0, k2)
+    kx, ky, kz, _ = rfft_wavenumbers(grid)
+    kdotf = (kx * fh[0] + ky * fh[1] + kz * fh[2]) / _k2_divisor(grid)
     out = np.empty_like(fh)
     for c, k in enumerate((kx, ky, kz)):
         out[c] = fh[c] - k * kdotf
@@ -253,9 +270,8 @@ def biot_savart(omega: VectorField) -> VectorField:
     u_hat = i k x omega_hat / |k|^2, zero at k = 0.  curl(biot_savart(w)) == w
     for mean-zero solenoidal w.
     """
-    k2 = rfft_wavenumbers(omega.grid)[3]
     uh = curl_hat(_rfftn(omega.data), omega.grid)
-    uh /= np.where(k2 == 0.0, 1.0, k2)
+    uh /= _k2_divisor(omega.grid)
     uh[:, 0, 0, 0] = 0.0
     return VectorField(omega.grid, _irfftn(uh, omega.grid.n))
 
@@ -265,18 +281,73 @@ def biot_savart(omega: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
+class ShellTable(NamedTuple):
+    """The attained shells of a grid, ascending: shell index m, squared radius
+    m h^2, and the voxel count of the ball through each shell."""
+
+    index: np.ndarray
+    radius_sq: np.ndarray
+    ball_count: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def shell_table(grid: Grid3) -> ShellTable:
+    """Shell table of the grid, from one bincount of the shell index around
+    voxel 0; by periodicity every voxel sees the same shells (read-only)."""
+    hist = np.bincount(grid.shell_index().ravel())
+    index = np.flatnonzero(hist)
+    table = ShellTable(index, index * grid.spacing**2, np.cumsum(hist[index]))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def _shell_rank(grid: Grid3, radius):
+    """Table position of K(radius), the largest attained shell m with
+    m h^2 <= radius^2 (vectorized over radii)."""
+    return np.searchsorted(shell_table(grid).radius_sq, radius * radius, side="right") - 1
+
+
+def _shell(grid: Grid3, radius: float) -> int:
+    """K(radius): the ball of ``radius`` is exactly the voxels on shells <= K."""
+    return int(shell_table(grid).index[_shell_rank(grid, radius)])
+
+
+def radial_shells(values: np.ndarray, grid: Grid3, center: tuple[int, int, int],
+                  peak: bool = False) -> np.ndarray:
+    """Per attained shell around ``center``, in :func:`shell_table` order, the
+    sum of ``values`` over its voxels, or their max (``values`` >= 0) with
+    ``peak``; cumulative sums give the integral over every ball."""
+    shells = shell_table(grid).index
+    index = grid.shell_index(center).ravel()
+    if peak:
+        out = np.zeros(shells[-1] + 1)
+        np.maximum.at(out, index, values.ravel())
+    else:
+        out = np.bincount(index, weights=values.ravel())
+    return out[shells]
+
+
 @dataclass(frozen=True)
 class BallKernel:
-    """Voxel indicator of {|y| <= radius} around index 0, periodic min-image.
-
-    A voxel belongs to the ball iff its center lies within ``radius`` of the
-    ball center; ties (distance exactly ``radius``) are included.
-    """
+    """Voxel indicator of {|y| <= radius} around index 0, periodic min-image:
+    the voxels on shells <= K(radius), so ties (distance exactly ``radius``)
+    are included."""
 
     grid: Grid3
     radius: float
-    mask: np.ndarray
-    voxel_count: int
+
+    @property
+    def shell(self) -> int:
+        return _shell(self.grid, self.radius)
+
+    @property
+    def mask(self) -> np.ndarray:
+        return _ball_mask(self.grid, self.shell)
+
+    @property
+    def voxel_count(self) -> int:
+        return int(shell_table(self.grid).ball_count[_shell_rank(self.grid, self.radius)])
 
     @property
     def volume(self) -> float:
@@ -289,34 +360,19 @@ class BallKernel:
         return abs(self.volume - exact) / exact
 
 
-@lru_cache(maxsize=8)
-def _lattice_shells(n: int, box_len: float) -> np.ndarray:
-    shells = np.unique(Grid3(n, box_len).distance_sq_from((0, 0, 0)))
-    shells.setflags(write=False)
-    return shells
-
-
-def _shell(grid: Grid3, radius: float) -> float:
-    """Largest lattice squared distance <= radius^2: the ball of ``radius``
-    is exactly the voxels at squared distance <= this key."""
-    shells = _lattice_shells(grid.n, grid.box_len)
-    return float(shells[np.searchsorted(shells, radius * radius, side="right") - 1])
-
-
 @lru_cache(maxsize=64)
-def _ball_kernel_cached(n: int, box_len: float, radius: float) -> BallKernel:
-    grid = Grid3(n, box_len)
-    mask = grid.distance_sq_from((0, 0, 0)) <= radius * radius
+def _ball_mask(grid: Grid3, shell: int) -> np.ndarray:
+    """Read-only ball {shell index <= shell} around voxel 0."""
+    mask = grid.shell_index() <= shell
     mask.setflags(write=False)
-    return BallKernel(grid, radius, mask, int(mask.sum()))
+    return mask
 
 
 @lru_cache(maxsize=64)
-def _ball_spectrum_cached(n: int, box_len: float, shell: float, dtype: type) -> np.ndarray:
-    """Spectrum of the ball {squared distance <= shell}, a :func:`_shell` key;
-    for float32 mask counts, the float64 transform rounded once to complex64."""
-    mask = Grid3(n, box_len).distance_sq_from((0, 0, 0)) <= shell
-    spec = _rfftn(mask.astype(np.float64))
+def _ball_spectrum_cached(grid: Grid3, shell: int, dtype: type) -> np.ndarray:
+    """Spectrum of the ball {shell index <= shell}, a :func:`_shell` key; for
+    float32 mask counts, the float64 transform rounded once to complex64."""
+    spec = _rfftn((grid.shell_index() <= shell).astype(np.float64))
     if dtype == np.float32:
         spec = spec.astype(np.complex64)
     spec.setflags(write=False)
@@ -326,18 +382,12 @@ def _ball_spectrum_cached(n: int, box_len: float, shell: float, dtype: type) -> 
 def ball_kernel(grid: Grid3, radius: float) -> BallKernel:
     if not 0.0 < radius < grid.box_len / 2.0:
         raise ValueError(f"radius {radius} outside (0, {grid.box_len / 2})")
-    return _ball_kernel_cached(grid.n, grid.box_len, float(radius))
+    return BallKernel(grid, float(radius))
 
 
 def count_dtype(voxel_count: int) -> type:
     """Precision of mask counts over a ball of ``voxel_count`` voxels."""
     return np.float32 if voxel_count <= SINGLE_COUNT_VOXELS else np.float64
-
-
-def real_spectrum(values: np.ndarray) -> np.ndarray:
-    """Real FFT over the last three axes (leading axes batch), the input of
-    :func:`ball_power_from_spectrum`: one forward transform serves every radius."""
-    return _rfftn(values)
 
 
 class MaskSpectra:
@@ -362,13 +412,13 @@ def sliding_ball_sum(mask: MaskSpectra, radius: float) -> np.ndarray:
     The kernel is symmetric under the min-image convention, so correlation
     and convolution coincide.  Deterministic for fixed inputs.
     """
-    grid = mask.grid
-    dtype = count_dtype(ball_kernel(grid, radius).voxel_count)
-    spec = _ball_spectrum_cached(grid.n, grid.box_len, _shell(grid, float(radius)), dtype)
-    return _irfftn(mask.hat(dtype) * spec, grid.n)
+    kernel = ball_kernel(mask.grid, radius)
+    dtype = count_dtype(kernel.voxel_count)
+    spec = _ball_spectrum_cached(mask.grid, kernel.shell, dtype)
+    return _irfftn(mask.hat(dtype) * spec, mask.grid.n)
 
 
-def _power_shell(grid: Grid3, r: float) -> float:
+def _power_shell(grid: Grid3, r: float) -> int:
     if not grid.spacing < r < grid.box_len / 2.0:
         raise ValueError(f"radius {r} outside (spacing, box_len/2) = ({grid.spacing}, {grid.box_len / 2})")
     return _shell(grid, r)
@@ -376,7 +426,7 @@ def _power_shell(grid: Grid3, r: float) -> float:
 
 def ball_power_from_spectrum(grid: Grid3, power_hat: np.ndarray, r: float) -> np.ndarray:
     """x -> integral of |f|^p over B_r(x), from the real spectrum of |f|^p."""
-    spec = _ball_spectrum_cached(grid.n, grid.box_len, _power_shell(grid, float(r)), np.float64)
+    spec = _ball_spectrum_cached(grid, _power_shell(grid, float(r)), np.float64)
     sums = _irfftn(power_hat * spec, grid.n)
     np.maximum(sums, 0.0, out=sums)
     return sums * grid.voxel_volume
@@ -407,15 +457,14 @@ def sliding_ball_lp(f: Field, p: float, r: float) -> ScalarField:
 def ball_lp_bruteforce(f: Field, p: float, index: tuple[int, int, int], r: float) -> float:
     """Transform-free oracle: direct sum of |f|^p over the periodic ball.
 
-    Same geometric membership rule as the FFT kernel (center distance <= r,
-    ties included), but summed by explicit gather; no FFTs anywhere.
+    Same membership rule as the FFT kernel (shells <= K(r), ties included),
+    but summed by explicit gather; no FFTs anywhere.
     """
     grid = f.grid
     if not 0.0 < r < grid.box_len / 2.0:
         raise ValueError(f"radius {r} outside (0, {grid.box_len / 2})")
     magp = magnitude_power(f, p)
-    dist2 = grid.distance_sq_from(index)
-    total = float(magp[dist2 <= r * r].sum()) * grid.voxel_volume
+    total = float(magp[grid.shell_index(index) <= _shell(grid, r)].sum()) * grid.voxel_volume
     return total ** (1.0 / p)
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Field, Grid3, magnitude_power, sliding_ball_power_multi
+from .grid import Field, Grid3, _shell_rank, magnitude_power, radial_shells, sliding_ball_power_multi
 
 
 @dataclass(frozen=True)
@@ -151,16 +151,12 @@ def _combine_theta(weighted: np.ndarray, scales: np.ndarray, theta: float) -> np
     return np.where(np.isfinite(peak), out, 0.0)
 
 
-def _ball_lp_profile(f: Field, p: float, center: tuple[int, int, int], scales: np.ndarray) -> np.ndarray:
-    """||f||_{L^p(B_r(center))} for every r in ``scales`` (single center)."""
-    magp = magnitude_power(f, p)
-    dist2 = f.grid.distance_sq_from(center)
-    order = np.argsort(dist2, axis=None, kind="stable")
-    sorted_d2 = dist2.reshape(-1)[order]
-    csum = np.cumsum(magp.reshape(-1)[order])
-    idx = np.searchsorted(sorted_d2, scales**2, side="right")
-    sums = np.where(idx > 0, csum[np.maximum(idx - 1, 0)], 0.0)
-    return (sums * f.grid.voxel_volume) ** (1.0 / p)
+def _ball_power_profile(f: Field, p: float, center: tuple[int, int, int],
+                        scales: np.ndarray) -> tuple[np.ndarray, float]:
+    """integral of |f|^p over B_r(center) for every r in ``scales``, and over
+    the whole torus, from per-shell sums around the center."""
+    masses = np.cumsum(radial_shells(magnitude_power(f, p), f.grid, center)) * f.grid.voxel_volume
+    return masses[_shell_rank(f.grid, scales)], float(masses[-1])
 
 
 def lm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> float:
@@ -171,17 +167,15 @@ def lm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> flo
     theta = inf: max over the nodes of w(r) ||f||_{L^p(B_r(center))}.
     """
     scales = _supported_scales(params)
-    vals = _ball_lp_profile(f, params.p, center, scales)
-    weighted = params.weight.value(scales) * vals
+    ball, _ = _ball_power_profile(f, params.p, center, scales)
+    weighted = params.weight.value(scales) * ball ** (1.0 / params.p)
     return float(_combine_theta(weighted, scales, params.weight.theta))
 
 
 def clm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> float:
     """Complementary local norm: L^p over the torus minus the ball."""
     scales = _supported_scales(params)
-    magp = magnitude_power(f, params.p)
-    total = float(magp.sum()) * f.grid.voxel_volume
-    ball = _ball_lp_profile(f, params.p, center, scales) ** params.p
+    ball, total = _ball_power_profile(f, params.p, center, scales)
     comp = np.maximum(total - ball, 0.0) ** (1.0 / params.p)
     weighted = params.weight.value(scales) * comp
     return float(_combine_theta(weighted, scales, params.weight.theta))

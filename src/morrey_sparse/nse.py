@@ -36,6 +36,7 @@ from .grid import (
     sup_norm,
 )
 from .morrey import MorreyParams, WeightSpec, decay_exponent, gm_norm, log_scale_nodes
+from .predual import _conjugate
 from .sparseness import shell_exponent
 
 VISCOSITY = 1.0
@@ -137,10 +138,13 @@ def simulate(config: SolverConfig) -> Trajectory:
     2/3 rule and Leray-projected each evaluation.  Snapshots are stored every
     ``snapshot_every`` steps (plus t = 0 and the final time); the norm series
     is recorded at every step.  A step costs 36 transforms: the physical u and
-    omega that record a state also feed the next step's first stage.
+    omega that record a state also feed the next step's first stage.  A
+    non-finite initial condition raises ``NonFiniteDataError`` (a ValueError)
+    before the first step.
     """
     grid = Grid3(config.n, config.box_len)
     u0 = initial_condition(config.ic, grid, config.ic_params, config.seed)
+    u0.validate_finite()
     cfl = 0.5 * grid.spacing / max(1.0, sup_norm(u0))
     if config.dt > cfl:
         raise ValueError(f"dt={config.dt} violates the step bound {cfl:.3e}")
@@ -391,7 +395,7 @@ def solve_exponent_balance(spec: CriterionSpec, free: str) -> float:
         pprime = 3.0 / three_over_pp
         if pprime <= 1.0:
             raise BalanceError(f"balance needs p' = {pprime:.6g} <= 1")
-        return pprime / (pprime - 1.0)
+        return _conjugate(pprime)
     raise ValueError(f"unknown free parameter {free!r}")
 
 

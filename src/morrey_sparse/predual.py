@@ -10,7 +10,7 @@ below, which makes the functional finite only when the mass of f sits within
 distance 1 of the best center.  Gridded fields are sums of voxel point
 masses, so the complement norm is a step function of the radius and the
 Stieltjes integral is evaluated exactly (no quadrature error), one term per
-distinct voxel distance.
+lattice shell.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, magnitude_power, sup_norm
+from .grid import Field, magnitude_power, radial_shells, shell_table, sup_norm
 from .morrey import WeightSpec
 
 #: Frozen constant for the pairing inequality
@@ -135,54 +135,31 @@ def dual_weight_power_law(nu: float, theta: float, t: float, variant: str = "til
 SUPPORT_RTOL = 1e-12
 
 
-class _RadialProfile:
-    """Sorted-by-distance view of |f|^p' around one center.
-
-    Complement norms are step functions of the radius; this exposes the step
-    breakpoints and exact complement masses between them.
-    """
-
-    def __init__(self, f: Field, pprime: float, center: tuple[int, int, int]):
-        grid = f.grid
-        power = math.isfinite(pprime)
-        vals = magnitude_power(f, pprime if power else 1.0).reshape(-1)
-        dist = np.sqrt(grid.distance_sq_from(center)).reshape(-1)
-        order = np.argsort(dist, kind="stable")
-        self.pprime = pprime
-        self.dist = dist[order]
-        self.vox = grid.voxel_volume
-        if power:
-            csum = np.cumsum(vals[order] * self.vox)
-            self.total = float(csum[-1])
-            self.prefix = csum
-        else:
-            v = vals[order]
-            self.suffix_max = np.maximum.accumulate(v[::-1])[::-1]
-            self.total = float(v.max()) if v.size else 0.0
-        # support radius: largest distance carrying non-dust mass
-        scale = sup_norm(f)
-        mask = vals[order] > SUPPORT_RTOL * scale if scale > 0.0 else np.zeros_like(vals, dtype=bool)
-        self.support_radius = float(self.dist[mask].max()) if mask.any() else 0.0
-
-    def complement_norm_beyond(self, t: float) -> float:
-        """||f||_{L^p'} over {dist > t} (ties at t excluded, matching the
-        ball rule that includes ties)."""
-        idx = int(np.searchsorted(self.dist, t, side="right"))
-        if math.isfinite(self.pprime):
-            mass = self.total - (self.prefix[idx - 1] if idx > 0 else 0.0)
-            return max(mass, 0.0) ** (1.0 / self.pprime)
-        return float(self.suffix_max[idx]) if idx < self.dist.size else 0.0
-
-    def breakpoints(self, lo: float, hi: float) -> np.ndarray:
-        d = np.unique(self.dist)
-        return d[(d > lo) & (d < hi)]
+def _complement_profile(f: Field, pprime: float, center: tuple[int, int, int]):
+    """||f||_{L^p'} outside balls around one center, by lattice shell: the
+    shell radii h sqrt(m), ``beyond[i]`` = the norm outside the first i shells
+    (a step function of the radius), and the support radius, the largest
+    shell radius carrying non-dust mass."""
+    grid = f.grid
+    vals = magnitude_power(f, pprime if math.isfinite(pprime) else 1.0)
+    if math.isfinite(pprime):
+        mass = radial_shells(vals, grid, center) * grid.voxel_volume
+        beyond = np.cumsum(mass[::-1])[::-1] ** (1.0 / pprime)
+    else:
+        beyond = np.maximum.accumulate(radial_shells(vals, grid, center, peak=True)[::-1])[::-1]
+    radii = grid.spacing * np.sqrt(shell_table(grid).index)
+    carried = np.flatnonzero(radial_shells(vals > SUPPORT_RTOL * sup_norm(f), grid, center))
+    return radii, np.append(beyond, 0.0), float(radii[carried[-1]]) if carried.size else 0.0
 
 
 def _conjugate(p: float) -> float:
+    """Hoelder conjugate exponent: inf for p = 1, 1 for p = inf."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     if p == 1.0:
         return math.inf
+    if math.isinf(p):
+        return 1.0
     return p / (p - 1.0)
 
 
@@ -202,37 +179,34 @@ def _inverse_tail_drop(w: WeightSpec, thetaprime: float, t: float) -> float:
 def stieltjes_predual_integral(f: Field, p: float, w: WeightSpec,
                                center: tuple[int, int, int]) -> float:
     """Exact scale-Stieltjes integral
-    integral_0^inf ||f||^{theta'}_{L^p'(complement of B_t(center))} d(||w||^{-theta'}_{L^theta(t,inf)}).
+    integral_0^inf ||f||^{theta'}_{L^p'(complement of B_t(center))} d(||w||^{-theta'}_{L^theta(t,inf)}),
+    with theta' = 1 at theta = inf (the measure d((t v rho)^nu)).
 
     The derivative vanishes on (0, rho] (constant tail) and is forced to zero
     for t >= 1 where the tail norm has vanished.  Complement norms are taken
     on the torus.  Gridded complement norms are exact step functions, so the
-    integral is summed exactly over the voxel-distance breakpoints; returns
-    +inf when f carries mass at distance >= 1 from the center (the measure is
-    not integrable against a non-vanishing integrand there).
+    integral is summed exactly over the shell-radius breakpoints.  It is 0
+    when the support of f ends at or below rho; for finite theta it is +inf
+    when f carries mass at distance >= 1 from the center (the measure is not
+    integrable against a non-vanishing integrand there).
     """
-    if math.isinf(w.theta):
-        raise ValueError("theta = inf is handled inside predual_bound")
-    if not w.theta > 1.0:
-        raise ValueError("need theta in (1, inf)")
-    thetaprime = w.theta / (w.theta - 1.0)
-    pprime = _conjugate(p)
-    prof = _RadialProfile(f, pprime, center)
-    if prof.total == 0.0:
+    thetaprime = _conjugate(w.theta)
+    radii, beyond, support = _complement_profile(f, _conjugate(p), center)
+    if beyond[0] == 0.0:
         return 0.0
-    if prof.support_radius >= 1.0:
+    if support >= 1.0 and math.isfinite(w.theta):
         return math.inf
-    lo = w.rho
-    hi = min(1.0, prof.support_radius + SUPPORT_RTOL)
-    edges = np.concatenate(([lo], prof.breakpoints(lo, hi), [hi]))
+    lo, hi = w.rho, min(1.0, support + SUPPORT_RTOL)
+    if hi <= lo:
+        return 0.0
+    # intervals [lo, first shell radius above lo), ..., [last below hi, hi]:
+    # the complement of the ball of radius t is constant on each
+    i0, i1 = np.searchsorted(radii, lo, side="right"), np.searchsorted(radii, hi, side="left")
+    drops = [_inverse_tail_drop(w, thetaprime, t) for t in (lo, *radii[i0:i1], hi)]
     total = 0.0
-    g_right = None
-    for a, b in zip(edges[:-1], edges[1:]):
-        c = prof.complement_norm_beyond(a)
+    for c, g_left, g_right in zip(beyond[i0:i1 + 1], drops, drops[1:]):
         if c == 0.0:
             break
-        g_left = _inverse_tail_drop(w, thetaprime, a) if g_right is None else g_right
-        g_right = _inverse_tail_drop(w, thetaprime, b)
         total += c**thetaprime * (g_right - g_left)
     return float(total)
 
@@ -273,26 +247,6 @@ def candidate_centers(f: Field) -> list[tuple[int, int, int]]:
     return cands
 
 
-def _theta_inf_term(f: Field, p: float, w: WeightSpec, center) -> float:
-    """Exact Stieltjes term for theta = inf (theta' = 1, measure d((t v rho)^nu))."""
-    pprime = _conjugate(p)
-    prof = _RadialProfile(f, pprime, center)
-    if prof.total == 0.0:
-        return 0.0
-    lo = w.rho
-    hi = min(1.0, max(prof.support_radius + SUPPORT_RTOL, lo))
-    if hi <= lo:
-        return 0.0
-    edges = np.concatenate(([lo], prof.breakpoints(lo, hi), [hi]))
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        c = prof.complement_norm_beyond(a)
-        if c == 0.0:
-            break
-        total += c * (max(b, w.rho) ** w.nu - max(a, w.rho) ** w.nu)
-    return float(total)
-
-
 def predual_bound(f: Field, p: float, w: WeightSpec,
                   centers: list[tuple[int, int, int]] | None = None) -> PredualBound:
     """Pairing bound: (inf over candidate centers of the Stieltjes integral)^(1/theta')
@@ -313,15 +267,9 @@ def predual_bound(f: Field, p: float, w: WeightSpec,
     global_term = 0.0 if math.isinf(wtotal) else fnorm / wtotal
     if centers is None:
         centers = candidate_centers(f)
-    if math.isinf(w.theta):
-        vals = [_theta_inf_term(f, p, w, c) for c in centers]
-        best = int(np.argmin(vals))
-        st = vals[best]
-    else:
-        thetaprime = w.theta / (w.theta - 1.0)
-        vals = [stieltjes_predual_integral(f, p, w, c) for c in centers]
-        best = int(np.argmin(vals))
-        st = vals[best] ** (1.0 / thetaprime) if math.isfinite(vals[best]) else math.inf
+    vals = [stieltjes_predual_integral(f, p, w, c) for c in centers]
+    best = int(np.argmin(vals))
+    st = vals[best] ** (1.0 / _conjugate(w.theta))
     return PredualBound(st + global_term, centers[best], st, global_term)
 
 

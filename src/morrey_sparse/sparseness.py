@@ -153,8 +153,7 @@ def _count_fraction(counts, voxel_count: int):
 def sparse_3d(S: VoxelSet, center: tuple[int, int, int], r: float) -> float:
     """Voxel-counted density of S in the ball B_r(center), in [0, 1]."""
     kernel = ball_kernel(S.grid, r)
-    dist2 = S.grid.distance_sq_from(center)
-    inside = dist2 <= r * r
+    inside = S.grid.shell_index(center) <= kernel.shell
     return float(S.mask[inside].sum()) / kernel.voxel_count
 
 

@@ -32,11 +32,11 @@ from .grid import (
     Grid3,
     MaskSpectra,
     VectorField,
+    _rfftn,
     ball_power_from_spectrum,
     biot_savart,
     curl,
     magnitude_power,
-    real_spectrum,
     sup_norm,
 )
 from .morrey import MorreyParams, WeightSpec, decay_exponent, gm_norm, log_scale_nodes
@@ -101,7 +101,7 @@ class _L2State:
         """sup_x ||f||_{L^2(B_r(x))}, as ``sliding_ball_lp(f, 2, r)`` computes it."""
         if r not in self.lhs:
             if self.power_hat is None:
-                self.power_hat = real_spectrum(magnitude_power(self.field(), 2.0))
+                self.power_hat = _rfftn(magnitude_power(self.field(), 2.0))
             power = ball_power_from_spectrum(self.grid, self.power_hat, r)
             power **= 0.5
             self.lhs[r] = float(power.max())

@@ -40,14 +40,14 @@ def test_vorticity_blob_solenoidal_and_axis_dominant(grid32):
 
 def test_localized_field_support(grid32):
     f = localized_field(grid32, kmax=4, seed=7, radius=0.8)
-    dist = np.sqrt(grid32.distance_sq_from((16, 16, 16)))
+    dist = grid32.spacing * np.sqrt(grid32.shell_index((16, 16, 16)))
     outside = dist > 0.8
     assert np.abs(f.data[:, outside]).max() == 0.0
 
 
 def test_bump_gradient_shell_support(grid32):
     g = bump_gradient(grid32, (16, 16, 16), 0.3, 0.6)
-    dist = np.sqrt(grid32.distance_sq_from((16, 16, 16)))
+    dist = grid32.spacing * np.sqrt(grid32.shell_index((16, 16, 16)))
     mag = g.magnitude()
     assert mag[dist < 0.29].max() == 0.0
     assert mag[dist > 0.61].max() == 0.0

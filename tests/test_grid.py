@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -344,32 +345,94 @@ def test_count_precision_rule(grid16, monkeypatch):
     assert np.array_equal(np.rint(wide), np.rint(single))
 
 
-def _lattice_dist2(grid: Grid3) -> np.ndarray:
-    """Squared min-image distance from voxel 0, built independently of grid."""
-    m = np.minimum(np.indices(grid.shape), grid.n - np.indices(grid.shape)) * grid.spacing
-    return m[0] ** 2 + m[1] ** 2 + m[2] ** 2
+def _lattice_index2(grid: Grid3) -> np.ndarray:
+    """Integer squared min-image index distance from voxel 0, built
+    independently of grid."""
+    m = np.minimum(np.indices(grid.shape), grid.n - np.indices(grid.shape))
+    return (m**2).sum(axis=0)
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
 def test_shell_key_gives_the_radius_ball(n):
-    # the cache key is a lattice squared distance, and the ball it cuts is
-    # the ball of the radius, also for radii on and next to a lattice distance
+    # the cache key is an attained shell index, and the ball it cuts is the
+    # ball of the radius, also for radii on and next to a shell radius
     grid = Grid3(n)
-    dist2 = _lattice_dist2(grid)
-    assert np.array_equal(grid.distance_sq_from((0, 0, 0)), dist2)
-    shells = np.unique(dist2)
+    index2 = _lattice_index2(grid)
+    assert np.array_equal(grid.shell_index(), index2)
+    shells = np.unique(index2)
+    h2 = grid.spacing**2
     radii = list(np.random.default_rng(n).uniform(grid.spacing, 1.5, 30))
-    for d2 in shells[1:10]:
-        r = math.sqrt(d2)
+    for m in shells[1:10]:
+        r = math.sqrt(m * h2)
         radii += [r, np.nextafter(r, 0.0), np.nextafter(r, 2.0)]
     for r in map(float, radii):
         key = grid_module._shell(grid, r)
-        assert key in shells and key <= r * r
-        ball = dist2 <= r * r
-        assert np.array_equal(dist2 <= key, ball)
+        assert key in shells and key * h2 <= r * r
+        ball = index2 * h2 <= r * r
+        assert np.array_equal(index2 <= key, ball)
         assert np.array_equal(ball_kernel(grid, r).mask, ball)
-        spec = grid_module._ball_spectrum_cached(n, grid.box_len, key, np.float64)
+        assert ball_kernel(grid, r).voxel_count == int(ball.sum())
+        spec = grid_module._ball_spectrum_cached(grid, key, np.float64)
         assert np.array_equal(spec, fft.rfftn(ball.astype(np.float64)))
+
+
+def test_shell_key_at_and_next_to_a_shell():
+    # K(r) is the largest attained m with m h^2 <= r^2: with h = 1/4, a radius
+    # sqrt(m) h has r^2 == m h^2 exactly and keeps shell m (ties included);
+    # one ulp less drops it (15 is not a sum of three squares)
+    grid = Grid3(16, box_len=4.0)
+    for m, below in ((1, 0), (4, 3), (9, 8), (16, 14)):
+        r = math.sqrt(m) * grid.spacing
+        assert r * r == m * grid.spacing**2
+        assert grid_module._shell(grid, r) == m
+        assert grid_module._shell(grid, np.nextafter(r, 0.0)) == below
+        assert grid_module._shell(grid, np.nextafter(r, 2.0)) == m
+
+
+def _cube_images(a: np.ndarray):
+    """The 48 images of an array about voxel 0 under the symmetries of the
+    cube: axis permutations times periodic reflections i -> -i."""
+    for perm in itertools.permutations(range(3)):
+        t = np.transpose(a, perm)
+        for flips in itertools.product((False, True), repeat=3):
+            out = t
+            for axis, flip in enumerate(flips):
+                if flip:
+                    out = np.roll(np.flip(out, axis), 1, axis)
+            yield out
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_balls_invariant_under_cube_symmetries(n, monkeypatch):
+    # a ball is a union of whole lattice shells, so every ball the kernels
+    # and both brute forces cut is invariant under the 48 symmetries; none
+    # of them takes a transform
+    from morrey_sparse.sparseness import VoxelSet, sparse_3d
+
+    def banned(*args, **kwargs):
+        raise AssertionError("transform called")
+
+    for name in ("rfftn", "irfftn"):
+        monkeypatch.setattr(fft, name, banned)
+    grid = Grid3(n)
+    shells = np.unique(_lattice_index2(grid))
+    radii = [0.48095618631069903]
+    for m in shells[(shells > 0) & (shells * grid.spacing**2 <= 1.0)]:
+        r = grid.spacing * math.sqrt(m)
+        radii += [np.nextafter(r, 0.0), r, np.nextafter(r, 2.0)]
+    center = (3, n - 2, n // 2)
+    for r in map(float, radii):
+        kernel = ball_kernel(grid, r)
+        ball = kernel.mask
+        assert int(ball.sum()) == kernel.voxel_count
+        assert all(np.array_equal(img, ball) for img in _cube_images(ball)), r
+        # sparse_3d and ball_lp_bruteforce cut this same ball around a center
+        inside = np.roll(ball, center, axis=(0, 1, 2))
+        assert sparse_3d(VoxelSet(grid, inside), center, r) == 1.0
+        assert sparse_3d(VoxelSet(grid, ~inside), center, r) == 0.0
+        ones = ScalarField(grid, inside.astype(np.float64))
+        assert ball_lp_bruteforce(ones, 1.0, center, r) == kernel.voxel_count * grid.voxel_volume
+        assert ball_lp_bruteforce(ScalarField(grid, 1.0 - ones.data), 1.0, center, r) == 0.0
 
 
 def test_one_spectrum_per_shell(grid32):

@@ -129,8 +129,8 @@ def test_gm_localized_argmax_near_support(grid32):
     f = vorticity_blob(grid32, x0, sigma=0.35)
     params = params_inf(grid32, rho=0.1)
     res = gm_norm(f, params)
-    d2 = grid32.distance_sq_from(x0)[res.center]
-    assert math.sqrt(d2) <= max(params.scales)
+    m = grid32.shell_index(x0)[res.center]
+    assert grid32.spacing * math.sqrt(m) <= max(params.scales)
 
 
 def test_gm_dominates_lm(grid16):

@@ -7,7 +7,15 @@ import scipy.fft
 from morrey_sparse import grid as grid_module
 from morrey_sparse import nse as nse_module
 from morrey_sparse.fields import random_solenoidal_field, vorticity_blob
-from morrey_sparse.grid import Grid3, biot_savart, curl, divergence, leray_project, sup_norm
+from morrey_sparse.grid import (
+    Grid3,
+    NonFiniteDataError,
+    biot_savart,
+    curl,
+    divergence,
+    leray_project,
+    sup_norm,
+)
 from morrey_sparse.morrey import (
     MorreyParams,
     WeightSpec,
@@ -58,10 +66,33 @@ def test_config_validation():
         simulate(SolverConfig(n=16, dt=1.0, t_end=2.0, ic="shear"))  # CFL bound
 
 
-def test_instability_reports_last_good_time():
+def test_nonfinite_initial_condition_rejected_before_stepping(monkeypatch):
+    def never(*args):
+        raise AssertionError("stepped a non-finite initial condition")
+
+    monkeypatch.setattr(nse_module, "_nonlinear", never)
     cfg = SolverConfig(n=16, dt=1e-3, t_end=3e-3, ic="random", ic_params={"amplitude": math.nan})
-    with pytest.raises(nse_module.SolverInstabilityError, match="last good time t=0.000000"):
+    with pytest.raises(NonFiniteDataError):
         simulate(cfg)
+    assert issubclass(NonFiniteDataError, ValueError)
+
+
+def test_instability_reports_last_good_time(monkeypatch):
+    # the third step's stages go non-finite: the state at t = 0.002 was good
+    calls = []
+    real = nse_module._nonlinear
+
+    def poisoned(u, w, grid, dealias):
+        calls.append(None)
+        out = real(u, w, grid, dealias)
+        return out * math.nan if len(calls) > 8 else out
+
+    monkeypatch.setattr(nse_module, "_nonlinear", poisoned)
+    cfg = SolverConfig(n=16, dt=1e-3, t_end=5e-3, ic="taylor-green")
+    with pytest.raises(nse_module.SolverInstabilityError, match="last good time t=0.002000") as err:
+        simulate(cfg)
+    assert err.value.last_good_time == pytest.approx(2e-3)
+    assert len(calls) == 12  # four stages per step, stopped after step 3
 
 
 def test_shear_exact_decay():
@@ -265,6 +296,11 @@ def test_balance_solve_alpha_and_theta():
     th = solve_exponent_balance(spec_t, "theta")
     balanced_t = CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.75, p=2.0, theta=th)
     assert abs(criterion_exponent(balanced_t)) <= 1e-14
+    spec_p = CriterionSpec(alpha=0.4, beta=0.6, nu_w=0.75, p=2.0, theta=math.inf)
+    pp = solve_exponent_balance(spec_p, "p")
+    assert pp == pytest.approx(4.0 / 3.0, rel=1e-12)  # p' = 4
+    balanced_p = CriterionSpec(alpha=0.4, beta=0.6, nu_w=0.75, p=pp, theta=math.inf)
+    assert abs(criterion_exponent(balanced_p)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

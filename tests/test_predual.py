@@ -214,6 +214,33 @@ def test_predual_homogeneity():
     assert b.value == pytest.approx(3.0 * a.value, rel=1e-9)
 
 
+@pytest.mark.parametrize("theta", [math.inf, 2.0])
+def test_predual_p1_matches_bruteforce_complement_sup(theta):
+    # p = 1 (p' = inf): the complement norm is the sup of |f| outside the
+    # ball; sum the Stieltjes integral edge by edge with masked maxima
+    g = Grid3(24)
+    f = bump_gradient(g, (12, 12, 12), 0.3, 0.6)
+    w = WeightSpec(nu=0.5 if math.isinf(theta) else 1.0, rho=0.25, theta=theta)
+    if math.isinf(theta):  # theta' = 1, measure d((t v rho)^nu)
+        tp, drop, wnorm = 1.0, (lambda t: max(t, w.rho) ** w.nu), w.rho ** -w.nu
+    else:  # theta' = 2 and nu theta = 2: tail integral 1/t - 1, to the power -1
+        tp, drop = 2.0, (lambda t: 1.0 / (1.0 / max(t, w.rho) - 1.0))
+        wnorm = math.sqrt(1.0 / w.rho - 1.0)
+    mag = f.magnitude()
+    for center in ((12, 12, 12), (13, 11, 12)):
+        d = np.abs(np.indices(g.shape) - np.reshape(center, (3, 1, 1, 1)))
+        dist = g.spacing * np.sqrt((np.minimum(d, g.n - d) ** 2).sum(axis=0))
+        hi = float(dist[mag > 1e-12 * mag.max()].max()) + 1e-12
+        assert hi < 1.0
+        edges = [w.rho, *np.unique(dist[(dist > w.rho) & (dist < hi)]), hi]
+        integral = sum(mag[dist > a].max() ** tp * (drop(b) - drop(a))
+                       for a, b in zip(edges, edges[1:]))
+        expected = integral ** (1.0 / tp) + mag.max() / wnorm
+        res = predual_bound(f, 1.0, w, centers=[center])
+        assert res.value == pytest.approx(expected, rel=1e-12)
+        assert res.global_term == pytest.approx(mag.max() / wnorm, rel=1e-15)
+
+
 def test_predual_degenerate_weight():
     g = Grid3(16)
     f = localized_field(g, kmax=3, seed=2, radius=0.8)

@@ -213,8 +213,7 @@ def test_semi_mixed_empty_and_ball(grid16):
     assert res.ok and res.max_density == 0.0
     # a ball of radius r is fully dense at its own center
     r = 0.9
-    d2 = grid16.distance_sq_from((4, 7, 9))
-    ball = VoxelSet(grid16, d2 <= r * r)
+    ball = VoxelSet(grid16, grid16.shell_index((4, 7, 9)) * grid16.spacing**2 <= r * r)
     res = semi_mixed(ball, r, 0.99)
     assert not res.ok
     assert res.max_density == 1.0
@@ -299,8 +298,7 @@ def test_dilation_doubles_transition_scale():
     # a voxel
     delta = 0.5
     small = Grid3(16)
-    d2 = small.distance_sq_from((8, 8, 8))
-    S = VoxelSet(small, d2 <= 0.4**2)
+    S = VoxelSet(small, small.shell_index((8, 8, 8)) * small.spacing**2 <= 0.4**2)
     big = Grid3(32, box_len=2.0 * small.box_len)
     rep = np.repeat(np.repeat(np.repeat(S.mask, 2, 0), 2, 1), 2, 2)
     D = VoxelSet(big, np.ascontiguousarray(rep))
