@@ -4,8 +4,11 @@ The scale weight is the truncated power law ``w(s) = s^(-nu)`` on ``[rho, 1]``
 and zero elsewhere.  Norms take an L^theta average (or sup, theta = inf) in
 the scale variable of weighted local L^p ball norms.  The L^theta(0, inf)
 integral truncates exactly to the weight support; quadrature over the scale
-nodes is trapezoidal in log r and runs in log space so huge finite theta
-values stay stable.
+nodes is trapezoidal in log r.  Every norm reduces its scale axis through
+one streaming fold (``_fold_scales``): the sup keeps a running max, and a
+finite theta also keeps the quadrature sum relative to that max, rescaled
+whenever the max rises, so no power overflows for any theta and no per-scale
+stack is built.
 
 Caveat: fields live on a torus, so complement-of-ball norms count everything
 in one fundamental cell outside the ball.  For fields that are not compactly
@@ -132,23 +135,45 @@ def _supported_scales(params: MorreyParams) -> np.ndarray:
     return sc
 
 
-def _combine_theta(weighted: np.ndarray, scales: np.ndarray, theta: float) -> np.ndarray:
-    """Reduce w(r)*v(r) samples over the scale axis (axis 0) per L^theta.
+def _fold_scales(layers, scales: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce the w(r_i)*v(r_i) layers, one per scale node and all of one
+    shape, over the nodes per L^theta; returns the reduced values and, per
+    point, the first node index that reaches the running max m.
 
-    ``weighted`` has shape (n_scales, ...); returns shape (...).  Finite theta
-    integrates [w v]^theta in log-r trapezoid form, evaluated in log space.
+    theta = inf keeps m.  Finite theta also keeps s = sum_i c_i (x_i / m)^theta
+    with the log-r trapezoid coefficients c_i, rescaled by (m_old / m_new)^theta
+    when m rises, so every ratio is <= 1 and no power can overflow; the
+    result is m * s^(1/theta), which is 0 where m = 0.
     """
-    if math.isinf(theta):
-        return weighted.max(axis=0)
+    finite = math.isfinite(theta)
     coeffs = _trapezoid_logr_coeffs(scales)
-    with np.errstate(divide="ignore"):
-        logs = np.log(weighted)  # -inf where the sample is zero
-    terms = theta * logs + np.log(coeffs).reshape((-1,) + (1,) * (weighted.ndim - 1))
-    peak = terms.max(axis=0)
-    with np.errstate(invalid="ignore"):
-        total = peak + np.log(np.exp(terms - peak).sum(axis=0))
-    out = np.exp(total / theta)
-    return np.where(np.isfinite(peak), out, 0.0)
+    layers = iter(layers)
+    m = np.array(next(layers), dtype=np.float64)
+    first = np.zeros(m.shape, dtype=np.int32)
+    s = np.full(m.shape, coeffs[0]) if finite else None
+    for i, x in enumerate(layers, start=1):
+        rise = x > m
+        if finite:
+            q = np.minimum(x, m)
+            np.divide(q, np.maximum(x, m), out=q, where=q > 0.0)  # 0/0 stays 0
+            q **= theta
+            np.multiply(s, q, out=s, where=rise)  # the old sum, at the new max
+            q *= coeffs[i]
+            np.copyto(q, coeffs[i], where=rise)  # the new max's own term
+            s += q
+        np.copyto(m, x, where=rise)
+        np.copyto(first, i, where=rise)
+    if finite:
+        m *= s ** (1.0 / theta)
+    return m, first
+
+
+def _witness(values: np.ndarray, first: np.ndarray) -> tuple[float, tuple[int, int, int], int]:
+    """The largest value, its first center in C order, and the node index
+    that reaches it there."""
+    flat = int(np.argmax(values))
+    center = tuple(int(c) for c in np.unravel_index(flat, values.shape))
+    return float(values.reshape(-1)[flat]), center, int(first.reshape(-1)[flat])
 
 
 def _ball_power_profile(f: Field, p: float, center: tuple[int, int, int],
@@ -169,7 +194,7 @@ def lm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> flo
     scales = _supported_scales(params)
     ball, _ = _ball_power_profile(f, params.p, center, scales)
     weighted = params.weight.value(scales) * ball ** (1.0 / params.p)
-    return float(_combine_theta(weighted, scales, params.weight.theta))
+    return float(_fold_scales(weighted[:, None], scales, params.weight.theta)[0][0])
 
 
 def clm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> float:
@@ -178,46 +203,28 @@ def clm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> fl
     ball, total = _ball_power_profile(f, params.p, center, scales)
     comp = np.maximum(total - ball, 0.0) ** (1.0 / params.p)
     weighted = params.weight.value(scales) * comp
-    return float(_combine_theta(weighted, scales, params.weight.theta))
+    return float(_fold_scales(weighted[:, None], scales, params.weight.theta)[0][0])
 
 
 def gm_norm(f: Field, params: MorreyParams) -> GmNorm:
     """Global Morrey-type quasi-norm: sup over all voxel centers.
 
-    One sliding ball pass per scale node; never n^3 independent local norms.
+    One sliding ball pass per lattice shell among the scale nodes; never n^3
+    independent local norms.
     """
     scales = _supported_scales(params)
-    grid = f.grid
     wvals = params.weight.value(scales)
     theta = params.weight.theta
-    p = params.p
 
-    if math.isinf(theta):
-        best = np.full(grid.shape, -np.inf)
-        best_scale_idx = np.zeros(grid.shape, dtype=np.int32)
-        kept = w_kept = None
-        for i, (r, power) in enumerate(sliding_ball_power_multi(f, p, scales)):
-            # a scale in the same voxel ball as the last one kept, at no
-            # larger weight, cannot strictly beat it; ties keep the first
-            if power is kept and wvals[i] <= w_kept:
-                continue
-            kept, w_kept = power, wvals[i]
-            layer = wvals[i] * power ** (1.0 / p)
-            replace = layer > best
-            best = np.where(replace, layer, best)
-            best_scale_idx[replace] = i
-        flat = int(np.argmax(best))
-        center = np.unravel_index(flat, grid.shape)
-        return GmNorm(float(best.reshape(-1)[flat]), tuple(int(c) for c in center),
-                      float(scales[best_scale_idx.reshape(-1)[flat]]))
+    def layers():
+        last = root = None
+        for w, (_, power) in zip(wvals, sliding_ball_power_multi(f, params.p, scales)):
+            if power is not last:  # nodes in one lattice shell share one array
+                last, root = power, power ** (1.0 / params.p)
+            yield w * root
 
-    stack = np.empty((scales.size,) + grid.shape)
-    for i, (r, power) in enumerate(sliding_ball_power_multi(f, p, scales)):
-        stack[i] = wvals[i] * power ** (1.0 / p)
-    per_voxel = _combine_theta(stack, scales, theta)
-    flat = int(np.argmax(per_voxel))
-    center = np.unravel_index(flat, grid.shape)
-    return GmNorm(float(per_voxel.reshape(-1)[flat]), tuple(int(c) for c in center), None)
+    value, center, node = _witness(*_fold_scales(layers(), scales, theta))
+    return GmNorm(value, center, float(scales[node]) if math.isinf(theta) else None)
 
 
 def classical_morrey(f: Field, p: float, alpha: float, r_min: float, r_max: float,
@@ -227,24 +234,14 @@ def classical_morrey(f: Field, p: float, alpha: float, r_min: float, r_max: floa
     Note the integral is NOT taken to the power 1/p; this is the raw local
     mass quantity.  Returns the sup with a witnessing (center, scale).
     """
-    grid = f.grid
     if not 0.0 < r_min < r_max <= 1.0:
         raise ValueError(f"need 0 < r_min < r_max <= 1, got [{r_min}, {r_max}]")
     if scales is None:
-        scales = np.asarray(log_scale_nodes(grid, r_min, r_max, count))
+        scales = np.asarray(log_scale_nodes(f.grid, r_min, r_max, count))
     else:
         scales = np.asarray(sorted(float(s) for s in scales))
         if scales.size == 0 or scales[0] < r_min - 1e-12 or scales[-1] > r_max + 1e-12:
             raise ValueError("explicit scales must be non-empty and lie in [r_min, r_max]")
-    best_val = -math.inf
-    best_center = (0, 0, 0)
-    best_scale = float(scales[0])
-    for r, power in sliding_ball_power_multi(f, p, scales):
-        layer = power * r ** (-alpha)
-        flat = int(np.argmax(layer))
-        val = float(layer.reshape(-1)[flat])
-        if val > best_val:
-            best_val = val
-            best_center = tuple(int(c) for c in np.unravel_index(flat, grid.shape))
-            best_scale = float(r)
-    return ClassicalMorrey(best_val, best_center, best_scale)
+    layers = (power * r ** (-alpha) for r, power in sliding_ball_power_multi(f, p, scales))
+    value, center, node = _witness(*_fold_scales(layers, scales, math.inf))
+    return ClassicalMorrey(value, center, float(scales[node]))

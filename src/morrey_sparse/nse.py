@@ -86,7 +86,6 @@ class Trajectory:
     grid: Grid3
     series: dict[str, np.ndarray]
     snapshots: list[tuple[float, VectorField]]
-    config: SolverConfig | None = None
 
     def series_at(self, t: float, column: str) -> float:
         ts = self.series["t"]
@@ -196,7 +195,7 @@ def simulate(config: SolverConfig) -> Trajectory:
         u_w = record(step, t, uh)
 
     series = {name: np.asarray(vals) for name, vals in rows.items()}
-    return Trajectory(grid, series, snapshots, config)
+    return Trajectory(grid, series, snapshots)
 
 
 def _physical(uh, grid: Grid3):

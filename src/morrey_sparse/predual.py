@@ -38,11 +38,11 @@ class DualWeightDomainError(ValueError):
 
 
 def _tail_power_integral(w: WeightSpec, a: float) -> float:
-    """integral_a^1 s^(-nu*theta) ds for a in [0, 1], +inf when divergent."""
+    """integral_a^1 s^(-nu*theta) ds for a in [0, 1], finite theta; +inf when divergent."""
     nt = w.nu * w.theta
     if a >= 1.0:
         return 0.0
-    if math.isclose(nt, 1.0, rel_tol=1e-12):
+    if w.log_tail:
         return math.inf if a == 0.0 else math.log(1.0 / a)
     if a == 0.0:
         return math.inf if nt > 1.0 else 1.0 / (1.0 - nt)
@@ -50,14 +50,14 @@ def _tail_power_integral(w: WeightSpec, a: float) -> float:
 
 
 def _head_power_integral(w: WeightSpec, b: float) -> float:
-    """integral_rho^min(b,1) s^(-nu*theta) ds, +inf when divergent."""
+    """integral_rho^min(b,1) s^(-nu*theta) ds for finite theta; +inf when divergent."""
     nt = w.nu * w.theta
     hi = min(b, 1.0)
     if hi <= w.rho:
         return 0.0
     if w.rho == 0.0 and nt >= 1.0:
         return math.inf
-    if math.isclose(nt, 1.0, rel_tol=1e-12):
+    if w.log_tail:
         return math.log(hi / w.rho)
     return (hi ** (1.0 - nt) - w.rho ** (1.0 - nt)) / (1.0 - nt)
 
@@ -141,14 +141,15 @@ def _complement_profile(f: Field, pprime: float, center: tuple[int, int, int]):
     (a step function of the radius), and the support radius, the largest
     shell radius carrying non-dust mass."""
     grid = f.grid
-    vals = magnitude_power(f, pprime if math.isfinite(pprime) else 1.0)
+    mag = magnitude_power(f, 1.0)
     if math.isfinite(pprime):
-        mass = radial_shells(vals, grid, center) * grid.voxel_volume
+        mass = radial_shells(magnitude_power(f, pprime), grid, center) * grid.voxel_volume
         beyond = np.cumsum(mass[::-1])[::-1] ** (1.0 / pprime)
     else:
-        beyond = np.maximum.accumulate(radial_shells(vals, grid, center, peak=True)[::-1])[::-1]
+        beyond = np.maximum.accumulate(radial_shells(mag, grid, center, peak=True)[::-1])[::-1]
     radii = grid.spacing * np.sqrt(shell_table(grid).index)
-    carried = np.flatnonzero(radial_shells(vals > SUPPORT_RTOL * sup_norm(f), grid, center))
+    # |f| against sup |f|, so the cut does not move with the amplitude of f
+    carried = np.flatnonzero(radial_shells(mag > SUPPORT_RTOL * mag.max(), grid, center))
     return radii, np.append(beyond, 0.0), float(radii[carried[-1]]) if carried.size else 0.0
 
 

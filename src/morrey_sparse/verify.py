@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -128,6 +128,21 @@ def _l2_state(f: VectorField) -> _L2State:
     return state
 
 
+def _report(lhs: float, rhs: float, sup: float, spectra, radius: float, delta: float,
+            params: dict, guard: float) -> VerifyReport:
+    """The report of one implication check from its premise sides: a
+    degenerate pass when the thresholded field vanishes (nothing to
+    threshold), else the six super-level densities at ``radius``, from the
+    mask spectra that ``spectra()`` returns, against ``delta``."""
+    holds = lhs <= rhs
+    if sup == 0.0:
+        return VerifyReport(lhs, rhs, holds, True, (0.0,) * 6, params, degenerate=True)
+    densities = max_densities(spectra(), radius)
+    conclusion = all(d <= delta for d in densities)
+    marginal = holds and lhs > (1.0 - guard) * rhs
+    return VerifyReport(lhs, rhs, holds, conclusion, densities, params, marginal=marginal)
+
+
 def check_lemma_l2(f: VectorField, pair: PairLD, r: float, cal: float | None = None,
                    guard: float = GUARD_BAND) -> VerifyReport:
     """L^2 implication: sup_x ||f||_{L^2(B_r(x))} <= c* r^(5/2) ||curl f||_inf
@@ -142,15 +157,8 @@ def check_lemma_l2(f: VectorField, pair: PairLD, r: float, cal: float | None = N
     lhs = state.premise_lhs(r)
     rhs = cstar(pair, cal) * r**2.5 * state.omega_sup
     params = {"lambda": pair.lam, "delta": pair.delta, "r": r, "mode": "l2"}
-    if state.omega_sup == 0.0:
-        # curl-free field: nothing to threshold; report a degenerate pass
-        return VerifyReport(lhs, rhs, lhs <= rhs, True, (0.0,) * 6, params,
-                            degenerate=True)
-    densities = max_densities(state.mask_spectra(pair.lam), kappa(pair) * r)
-    conclusion = all(d <= pair.delta for d in densities)
-    holds = lhs <= rhs
-    marginal = holds and lhs > (1.0 - guard) * rhs
-    return VerifyReport(lhs, rhs, holds, conclusion, densities, params, marginal=marginal)
+    return _report(lhs, rhs, state.omega_sup, lambda: state.mask_spectra(pair.lam),
+                   kappa(pair) * r, pair.delta, params, guard)
 
 
 def check_lemma_gm(f: VectorField, pair: PairLD, p: float, theta: float, alpha: float,
@@ -182,15 +190,11 @@ def check_lemma_gm(f: VectorField, pair: PairLD, p: float, theta: float, alpha: 
                 * r ** shell_exponent(p, mode) * base_sup)
     params = {"lambda": pair.lam, "delta": pair.delta, "r": r, "p": p,
               "theta": theta, "alpha": alpha, "rho": rho, "mode": mode}
-    if base_sup == 0.0:
-        return VerifyReport(lhs, rhs, lhs <= rhs, True, (0.0,) * 6, params,
-                            degenerate=True)
-    spectra = state.mask_spectra(pair.lam) if state else superlevel_spectra(f, pair.lam)
-    densities = max_densities(spectra, r)
-    conclusion = all(d <= pair.delta for d in densities)
-    holds = lhs <= rhs
-    marginal = holds and lhs > (1.0 - guard) * rhs
-    return VerifyReport(lhs, rhs, holds, conclusion, densities, params, marginal=marginal)
+
+    def spectra():
+        return state.mask_spectra(pair.lam) if state else superlevel_spectra(f, pair.lam)
+
+    return _report(lhs, rhs, base_sup, spectra, r, pair.delta, params, guard)
 
 
 class ScaleTooSmallError(ValueError):
@@ -259,7 +263,6 @@ class SweepSummary:
     marginal: int = 0
     violations: int = 0
     marginal_violations: int = 0
-    reports: list[VerifyReport] = field(default_factory=list)
 
 
 def sweep(config: SweepConfig, threads: int = 1) -> list[VerifyReport]:
@@ -316,8 +319,7 @@ def sweep(config: SweepConfig, threads: int = 1) -> list[VerifyReport]:
 
 
 def summarize(reports: list[VerifyReport]) -> SweepSummary:
-    s = SweepSummary(reports=list(reports))
-    s.total = len(reports)
+    s = SweepSummary(total=len(reports))
     for rep in reports:
         s.premise_holding += rep.premise_holds and not rep.degenerate
         s.degenerate += rep.degenerate

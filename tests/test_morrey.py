@@ -321,3 +321,71 @@ def test_shared_shells_match_per_scale_reference(grid32, monkeypatch, theta, nu)
     assert shared == gm_norm(f, params)
     assert shared_cm == [classical_morrey(f, p, a, scales[0], 1.0, scales=scales)
                          for p, a in ((2.0, 1.0), (1.0, -0.5))]
+
+
+# ---------------------------------------------------------------------------
+# the streaming scale fold
+# ---------------------------------------------------------------------------
+
+
+def _log_space_reduce(stack, scales, theta):
+    """Reference L^theta reduction over axis 0 of a (scales, ...) stack: the
+    log-r trapezoid sum taken as a max-shifted log-sum-exp."""
+    coeffs = morrey_module._trapezoid_logr_coeffs(np.asarray(scales))
+    with np.errstate(divide="ignore"):
+        terms = theta * np.log(stack) + np.log(coeffs).reshape((-1,) + (1,) * (stack.ndim - 1))
+    peak = terms.max(axis=0)
+    with np.errstate(invalid="ignore"):
+        total = peak + np.log(np.exp(terms - peak).sum(axis=0))
+    return np.where(np.isfinite(peak), np.exp(total / theta), 0.0)
+
+
+@pytest.mark.parametrize("theta", [1.5, 2.0, 3.0, 1e6])
+def test_fold_matches_log_space_reference(grid16, theta):
+    f = random_field(grid16, seed=31)
+    scales = np.geomspace(2.0 * grid16.spacing, 1.0, 24)
+    params = MorreyParams(3.0, WeightSpec(nu=0.75, rho=0.0, theta=theta), tuple(scales))
+    wvals = params.weight.value(scales)
+    stack = np.array([w * power ** (1.0 / 3.0) for w, (_, power)
+                      in zip(wvals, grid_module.sliding_ball_power_multi(f, 3.0, scales))])
+    expect = _log_space_reduce(stack, scales, theta).max()
+    assert gm_norm(f, params).value == pytest.approx(expect, rel=1e-13, abs=0.0)
+    for center in ((0, 0, 0), (5, 11, 2)):
+        ball, total = morrey_module._ball_power_profile(f, 3.0, center, scales)
+        lm = _log_space_reduce(wvals * ball ** (1.0 / 3.0), scales, theta)
+        clm = _log_space_reduce(wvals * np.maximum(total - ball, 0.0) ** (1.0 / 3.0), scales, theta)
+        assert lm_norm(f, params, center) == pytest.approx(float(lm), rel=1e-13, abs=0.0)
+        assert clm_norm(f, params, center) == pytest.approx(float(clm), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("theta", [math.inf, 2.0, 1e6])
+@pytest.mark.parametrize("amplitude", [1e-100, 1e100])
+def test_norms_homogeneous_at_extreme_amplitudes(grid16, amplitude, theta):
+    # every power the fold raises is a ratio <= 1, so nothing overflows or
+    # flushes to zero however large or small the field is
+    f = random_field(grid16, seed=37)
+    g = VectorField(grid16, amplitude * f.data)
+    params = MorreyParams(2.0, WeightSpec(nu=0.5, rho=0.45, theta=theta),
+                          tuple(np.geomspace(0.45, 1.0, 16)))
+    center = (3, 8, 13)
+    for norm in (lambda h: gm_norm(h, params).value, lambda h: lm_norm(h, params, center),
+                 lambda h: clm_norm(h, params, center)):
+        assert norm(g) == pytest.approx(amplitude * norm(f), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("theta", [math.inf, 2.0])
+def test_gm_norm_allocation_independent_of_node_count(grid32, theta):
+    # the fold keeps a few n^3 arrays; a (scales, n^3) stack of the 32 nodes
+    # would hold 32 of them
+    import tracemalloc
+
+    f = random_field(grid32, seed=41, kmax=8)
+    params = MorreyParams.default(grid32, WeightSpec(nu=0.5, rho=0.1, theta=theta), count=32)
+    gm_norm(f, params)  # warm the ball-spectrum cache
+    tracemalloc.start()
+    try:
+        gm_norm(f, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * grid32.n**3

@@ -205,13 +205,16 @@ def test_predual_constant_field_global_term():
     assert res.global_term == pytest.approx(math.sqrt(g.box_len**3) * 0.5, rel=1e-12)
 
 
-def test_predual_homogeneity():
+@pytest.mark.parametrize("scale", [3.0, 1e-5])
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_predual_homogeneity(p, scale):
+    # the support cut must not move with the amplitude of f, also for p' != 2
     g = Grid3(24)
     f = localized_field(g, kmax=4, seed=9, radius=0.8)
     w = WeightSpec(nu=1.0, rho=0.1, theta=2.0)
-    a = predual_bound(f, 2.0, w)
-    b = predual_bound(VectorField(g, 3.0 * f.data), 2.0, w)
-    assert b.value == pytest.approx(3.0 * a.value, rel=1e-9)
+    a = predual_bound(f, p, w)
+    b = predual_bound(VectorField(g, scale * f.data), p, w)
+    assert b.value == pytest.approx(scale * a.value, rel=1e-9)
 
 
 @pytest.mark.parametrize("theta", [math.inf, 2.0])
