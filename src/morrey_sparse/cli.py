@@ -339,7 +339,7 @@ def cmd_verify(args) -> int:
                       scales=tuple(args.scales), seeds=tuple(range(args.seeds)),
                       kmax=args.kmax, adversarial=args.adversarial, p=args.p,
                       thetas=thetas, alphas=tuple(args.alphas), rho=args.rho,
-                      modes=modes)
+                      modes=modes, densities=True)
     reports = sweep(cfg, threads=args._threads)
     summary = summarize(reports)
     rows = [{"premise_lhs": r.premise_lhs, "premise_rhs": r.premise_rhs,
@@ -351,7 +351,10 @@ def cmd_verify(args) -> int:
         "summary": {"total": summary.total, "premise_holding": summary.premise_holding,
                     "degenerate": summary.degenerate, "marginal": summary.marginal,
                     "violations": summary.violations,
-                    "marginal_violations": summary.marginal_violations},
+                    "marginal_violations": summary.marginal_violations,
+                    "tightest_premise_ratio": summary.tightest_premise_ratio,
+                    "min_density_slack": summary.min_density_slack,
+                    "closest_near_miss": summary.closest_near_miss},
         "reports": rows})
     csv_path = outdir / "verify_reports.csv"
     with open(csv_path, "w") as fh:

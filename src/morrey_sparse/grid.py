@@ -432,16 +432,23 @@ def ball_power_from_spectrum(grid: Grid3, power_hat: np.ndarray, r: float) -> np
     return sums * grid.voxel_volume
 
 
+def shell_openers(grid: Grid3, scales) -> np.ndarray:
+    """Per ascending scale, whether it opens a new lattice shell: the scales
+    from one opener to the next have one voxel ball."""
+    rank = _shell_rank(grid, np.asarray(scales, dtype=np.float64))
+    return np.diff(rank, prepend=-1) != 0
+
+
 def sliding_ball_power_multi(f: Field, p: float, scales):
-    """Yield (r, ball power integral field) per scale, one field FFT total;
-    consecutive scales with one voxel ball share one read-only array."""
+    """Yield (r, ball power integral field) per ascending scale, one field FFT
+    total; the scales of one :func:`shell_openers` run share one read-only
+    array."""
     spec = _rfftn(magnitude_power(f, p))
-    last = power = None
-    for r in scales:
+    power = None
+    for r, opens in zip(scales, shell_openers(f.grid, scales)):
         r = float(r)
-        shell = _power_shell(f.grid, r)
-        if shell != last:
-            last, power = shell, ball_power_from_spectrum(f.grid, spec, r)
+        if opens:
+            power = ball_power_from_spectrum(f.grid, spec, r)
             power.setflags(write=False)
         yield r, power
 

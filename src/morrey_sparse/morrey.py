@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Field, Grid3, _shell_rank, magnitude_power, radial_shells, sliding_ball_power_multi
+from .grid import (Field, Grid3, _shell_rank, magnitude_power, radial_shells, shell_openers,
+                   sliding_ball_power_multi)
 
 
 @dataclass(frozen=True)
@@ -135,18 +136,17 @@ def _supported_scales(params: MorreyParams) -> np.ndarray:
     return sc
 
 
-def _fold_scales(layers, scales: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+def _fold_scales(layers, coeffs: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Reduce the w(r_i)*v(r_i) layers, one per scale node and all of one
     shape, over the nodes per L^theta; returns the reduced values and, per
-    point, the first node index that reaches the running max m.
+    point, the first layer index that reaches the running max m.
 
     theta = inf keeps m.  Finite theta also keeps s = sum_i c_i (x_i / m)^theta
-    with the log-r trapezoid coefficients c_i, rescaled by (m_old / m_new)^theta
-    when m rises, so every ratio is <= 1 and no power can overflow; the
-    result is m * s^(1/theta), which is 0 where m = 0.
+    with the quadrature coefficients ``coeffs`` (one per layer), rescaled by
+    (m_old / m_new)^theta when m rises, so every ratio is <= 1 and no power
+    can overflow; the result is m * s^(1/theta), which is 0 where m = 0.
     """
     finite = math.isfinite(theta)
-    coeffs = _trapezoid_logr_coeffs(scales)
     layers = iter(layers)
     m = np.array(next(layers), dtype=np.float64)
     first = np.zeros(m.shape, dtype=np.int32)
@@ -194,7 +194,8 @@ def lm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> flo
     scales = _supported_scales(params)
     ball, _ = _ball_power_profile(f, params.p, center, scales)
     weighted = params.weight.value(scales) * ball ** (1.0 / params.p)
-    return float(_fold_scales(weighted[:, None], scales, params.weight.theta)[0][0])
+    return float(_fold_scales(weighted[:, None], _trapezoid_logr_coeffs(scales),
+                              params.weight.theta)[0][0])
 
 
 def clm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> float:
@@ -203,28 +204,38 @@ def clm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> fl
     ball, total = _ball_power_profile(f, params.p, center, scales)
     comp = np.maximum(total - ball, 0.0) ** (1.0 / params.p)
     weighted = params.weight.value(scales) * comp
-    return float(_fold_scales(weighted[:, None], scales, params.weight.theta)[0][0])
+    return float(_fold_scales(weighted[:, None], _trapezoid_logr_coeffs(scales),
+                              params.weight.theta)[0][0])
 
 
 def gm_norm(f: Field, params: MorreyParams) -> GmNorm:
     """Global Morrey-type quasi-norm: sup over all voxel centers.
 
     One sliding ball pass per lattice shell among the scale nodes; never n^3
-    independent local norms.
+    independent local norms.  The nodes of one shell share one ball power
+    and the weight is nonincreasing, so a shell's later nodes can never
+    raise the max: each shell folds as its first node, whose finite-theta
+    coefficient is sum_k c_k (w_k / w_first)^theta over the shell's nodes.
     """
     scales = _supported_scales(params)
     wvals = params.weight.value(scales)
     theta = params.weight.theta
+    first = shell_openers(f.grid, scales)
+    starts = np.flatnonzero(first)
+    coeffs = None
+    if math.isfinite(theta):
+        w_first = np.repeat(wvals[starts], np.diff(starts, append=scales.size))
+        coeffs = np.add.reduceat(_trapezoid_logr_coeffs(scales) * (wvals / w_first) ** theta,
+                                 starts)
 
     def layers():
-        last = root = None
-        for w, (_, power) in zip(wvals, sliding_ball_power_multi(f, params.p, scales)):
-            if power is not last:  # nodes in one lattice shell share one array
-                last, root = power, power ** (1.0 / params.p)
-            yield w * root
+        for w, new_shell, (_, power) in zip(wvals, first,
+                                            sliding_ball_power_multi(f, params.p, scales)):
+            if new_shell:
+                yield w * power ** (1.0 / params.p)
 
-    value, center, node = _witness(*_fold_scales(layers(), scales, theta))
-    return GmNorm(value, center, float(scales[node]) if math.isinf(theta) else None)
+    value, center, layer = _witness(*_fold_scales(layers(), coeffs, theta))
+    return GmNorm(value, center, float(scales[starts[layer]]) if math.isinf(theta) else None)
 
 
 def classical_morrey(f: Field, p: float, alpha: float, r_min: float, r_max: float,
@@ -243,5 +254,5 @@ def classical_morrey(f: Field, p: float, alpha: float, r_min: float, r_max: floa
         if scales.size == 0 or scales[0] < r_min - 1e-12 or scales[-1] > r_max + 1e-12:
             raise ValueError("explicit scales must be non-empty and lie in [r_min, r_max]")
     layers = (power * r ** (-alpha) for r, power in sliding_ball_power_multi(f, p, scales))
-    value, center, node = _witness(*_fold_scales(layers, scales, math.inf))
+    value, center, node = _witness(*_fold_scales(layers, None, math.inf))
     return ClassicalMorrey(value, center, float(scales[node]))

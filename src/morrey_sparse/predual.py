@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,21 +136,38 @@ def dual_weight_power_law(nu: float, theta: float, t: float, variant: str = "til
 SUPPORT_RTOL = 1e-12
 
 
-def _complement_profile(f: Field, pprime: float, center: tuple[int, int, int]):
+class _Magnitudes(NamedTuple):
+    """What the complement profiles of f at every center share: p', the
+    values taken per shell (|f|^p', or |f| for a shell max at p' = inf) and
+    the non-dust support mask."""
+
+    pprime: float
+    values: np.ndarray
+    support: np.ndarray
+
+
+def _magnitudes(f: Field, p: float) -> _Magnitudes:
+    pprime = _conjugate(p)
+    mag = magnitude_power(f, 1.0)
+    values = magnitude_power(f, pprime) if math.isfinite(pprime) else mag
+    # |f| against sup |f|, so the cut does not move with the amplitude of f
+    return _Magnitudes(pprime, values, mag > SUPPORT_RTOL * mag.max())
+
+
+def _complement_profile(f: Field, mags: _Magnitudes, center: tuple[int, int, int]):
     """||f||_{L^p'} outside balls around one center, by lattice shell: the
     shell radii h sqrt(m), ``beyond[i]`` = the norm outside the first i shells
     (a step function of the radius), and the support radius, the largest
     shell radius carrying non-dust mass."""
     grid = f.grid
-    mag = magnitude_power(f, 1.0)
-    if math.isfinite(pprime):
-        mass = radial_shells(magnitude_power(f, pprime), grid, center) * grid.voxel_volume
-        beyond = np.cumsum(mass[::-1])[::-1] ** (1.0 / pprime)
+    if math.isfinite(mags.pprime):
+        mass = radial_shells(mags.values, grid, center) * grid.voxel_volume
+        beyond = np.cumsum(mass[::-1])[::-1] ** (1.0 / mags.pprime)
     else:
-        beyond = np.maximum.accumulate(radial_shells(mag, grid, center, peak=True)[::-1])[::-1]
+        peaks = radial_shells(mags.values, grid, center, peak=True)
+        beyond = np.maximum.accumulate(peaks[::-1])[::-1]
     radii = grid.spacing * np.sqrt(shell_table(grid).index)
-    # |f| against sup |f|, so the cut does not move with the amplitude of f
-    carried = np.flatnonzero(radial_shells(mag > SUPPORT_RTOL * mag.max(), grid, center))
+    carried = np.flatnonzero(radial_shells(mags.support, grid, center))
     return radii, np.append(beyond, 0.0), float(radii[carried[-1]]) if carried.size else 0.0
 
 
@@ -191,8 +209,14 @@ def stieltjes_predual_integral(f: Field, p: float, w: WeightSpec,
     when f carries mass at distance >= 1 from the center (the measure is not
     integrable against a non-vanishing integrand there).
     """
+    return _stieltjes(f, _magnitudes(f, p), w, center)
+
+
+def _stieltjes(f: Field, mags: _Magnitudes, w: WeightSpec,
+               center: tuple[int, int, int]) -> float:
+    """:func:`stieltjes_predual_integral` from the field's :func:`_magnitudes`."""
     thetaprime = _conjugate(w.theta)
-    radii, beyond, support = _complement_profile(f, _conjugate(p), center)
+    radii, beyond, support = _complement_profile(f, mags, center)
     if beyond[0] == 0.0:
         return 0.0
     if support >= 1.0 and math.isfinite(w.theta):
@@ -260,15 +284,15 @@ def predual_bound(f: Field, p: float, w: WeightSpec,
     wtotal = total_weight_norm(w)
     if wtotal == 0.0:
         raise ValueError("degenerate weight (zero total norm)")
-    pprime = _conjugate(p)
-    if math.isfinite(pprime):
-        fnorm = float((magnitude_power(f, pprime).sum() * f.grid.voxel_volume) ** (1.0 / pprime))
+    mags = _magnitudes(f, p)
+    if math.isfinite(mags.pprime):
+        fnorm = float((mags.values.sum() * f.grid.voxel_volume) ** (1.0 / mags.pprime))
     else:
         fnorm = sup_norm(f)
     global_term = 0.0 if math.isinf(wtotal) else fnorm / wtotal
     if centers is None:
         centers = candidate_centers(f)
-    vals = [stieltjes_predual_integral(f, p, w, c) for c in centers]
+    vals = [_stieltjes(f, mags, w, c) for c in centers]
     best = int(np.argmin(vals))
     st = vals[best] ** (1.0 / _conjugate(w.theta))
     return PredualBound(st + global_term, centers[best], st, global_term)

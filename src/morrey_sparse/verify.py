@@ -59,12 +59,17 @@ GUARD_BAND = 0.05
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of one implication check."""
+    """Outcome of one implication check.
+
+    A check whose premise fails has its verdict without the conclusion, so
+    unless densities were requested it skips them: ``conclusion_holds`` is
+    None and ``per_set_densities`` is empty.
+    """
 
     premise_lhs: float
     premise_rhs: float
     premise_holds: bool
-    conclusion_holds: bool
+    conclusion_holds: bool | None
     per_set_densities: tuple[float, ...]
     params: dict
     marginal: bool = False
@@ -76,26 +81,38 @@ class VerifyReport:
         return (not self.premise_holds) or self.conclusion_holds
 
 
-class _L2State:
+class _FieldState:
     """What the implication checks need of one field, built once and shared
-    by consecutive calls on it: the vorticity and its sup norm, the spectrum
-    of |f|^2 (on first use) with the premise value per scale, and the
-    super-level mask spectra of the last threshold.  A copy of the data
-    detects in-place edits."""
+    by consecutive calls on it: the thresholded field of each mode (curl f,
+    or f itself) and its sup norm, the spectrum of |f|^2 (on first use) with
+    the premise value per scale, and per mode the super-level mask spectra
+    of the last threshold.  A copy of the data detects in-place edits."""
 
     def __init__(self, f: VectorField):
         self.field = weakref.ref(f)
         self.grid = f.grid
         self.data = f.data.copy()
-        self.omega = curl(f)
-        self.omega_sup = sup_norm(self.omega)
+        self.omega: VectorField | None = None
+        self.sups: dict[str, float] = {}
         self.power_hat = None
         self.lhs: dict[float, float] = {}
-        self.lam: float | None = None
-        self.spectra: list[MaskSpectra] = []
+        self.spectra: dict[str, tuple[float, list[MaskSpectra]]] = {}
 
     def matches(self, f: VectorField) -> bool:
         return self.field() is f and np.array_equal(self.data, f.data)
+
+    def thresholded(self, mode: str) -> VectorField:
+        """curl f (mode "curl", computed once) or f ("identity")."""
+        if mode == "identity":
+            return self.field()
+        if self.omega is None:
+            self.omega = curl(self.field())
+        return self.omega
+
+    def sup(self, mode: str) -> float:
+        if mode not in self.sups:
+            self.sups[mode] = sup_norm(self.thresholded(mode))
+        return self.sups[mode]
 
     def premise_lhs(self, r: float) -> float:
         """sup_x ||f||_{L^2(B_r(x))}, as ``sliding_ball_lp(f, 2, r)`` computes it."""
@@ -107,66 +124,80 @@ class _L2State:
             self.lhs[r] = float(power.max())
         return self.lhs[r]
 
-    def mask_spectra(self, lam: float) -> list[MaskSpectra]:
-        if lam != self.lam:
-            self.spectra = []  # free the old spectra before building new ones
-            self.spectra = superlevel_spectra(self.omega, lam)
-            self.lam = lam
-        return self.spectra
+    def mask_spectra(self, mode: str, lam: float) -> list[MaskSpectra]:
+        kept = self.spectra.get(mode)
+        if kept is None or kept[0] != lam:
+            self.spectra.pop(mode, None)  # free the old spectra before building new ones
+            kept = self.spectra[mode] = (lam, superlevel_spectra(self.thresholded(mode), lam))
+        return kept[1]
 
 
-#: one _L2State per thread, for the field it saw last
-_l2_memo = threading.local()
+#: one _FieldState per thread, for the field it saw last
+_field_memo = threading.local()
 
 
-def _l2_state(f: VectorField) -> _L2State:
-    state = getattr(_l2_memo, "state", None)
+def _field_state(f: VectorField) -> _FieldState:
+    state = getattr(_field_memo, "state", None)
     if state is not None and state.matches(f):
         return state
-    state = _l2_memo.state = None  # free the old entry before building the new one
-    _l2_memo.state = state = _L2State(f)
+    state = _field_memo.state = None  # free the old entry before building the new one
+    _field_memo.state = state = _FieldState(f)
     return state
 
 
-def _report(lhs: float, rhs: float, sup: float, spectra, radius: float, delta: float,
-            params: dict, guard: float) -> VerifyReport:
-    """The report of one implication check from its premise sides: a
-    degenerate pass when the thresholded field vanishes (nothing to
-    threshold), else the six super-level densities at ``radius``, from the
-    mask spectra that ``spectra()`` returns, against ``delta``."""
+def _report(lhs: float, rhs: float, state: _FieldState, mode: str, lam: float,
+            radius: float, delta: float, params: dict, guard: float,
+            densities: bool) -> VerifyReport:
+    """The report of one implication check from its premise sides, premise
+    first: a degenerate pass when the thresholded field vanishes (nothing to
+    threshold); else, when the premise holds or ``densities`` asks for them,
+    the six super-level densities at ``radius`` against ``delta``; else no
+    conclusion, since a failed premise already passes the implication."""
     holds = lhs <= rhs
-    if sup == 0.0:
+    if state.sup(mode) == 0.0:
         return VerifyReport(lhs, rhs, holds, True, (0.0,) * 6, params, degenerate=True)
-    densities = max_densities(spectra(), radius)
-    conclusion = all(d <= delta for d in densities)
+    if not (holds or densities):
+        return VerifyReport(lhs, rhs, holds, None, (), params)
+    per_set = max_densities(state.mask_spectra(mode, lam), radius)
+    conclusion = all(d <= delta for d in per_set)
     marginal = holds and lhs > (1.0 - guard) * rhs
-    return VerifyReport(lhs, rhs, holds, conclusion, densities, params, marginal=marginal)
+    return VerifyReport(lhs, rhs, holds, conclusion, per_set, params, marginal=marginal)
 
 
 def check_lemma_l2(f: VectorField, pair: PairLD, r: float, cal: float | None = None,
-                   guard: float = GUARD_BAND) -> VerifyReport:
+                   guard: float = GUARD_BAND, densities: bool = False) -> VerifyReport:
     """L^2 implication: sup_x ||f||_{L^2(B_r(x))} <= c* r^(5/2) ||curl f||_inf
     forces every super-level set of curl f to be (kappa r)-semi-mixed with
     ratio delta.
 
-    Work that depends only on the field (or on the field and lambda) is kept
-    for the next call on the same field object, so loop field-major."""
+    Premise first: the six super-level densities are measured only when the
+    premise holds, the vorticity vanishes (a degenerate pass), or
+    ``densities`` is true; otherwise the report has ``conclusion_holds``
+    None and no densities.  Work that depends only on the field (or on the
+    field and lambda) is kept for the next call on the same field object,
+    so loop field-major."""
     if not 0.0 < r <= 1.0:
         raise ValueError(f"scale must lie in (0, 1], got {r}")
-    state = _l2_state(f)
+    state = _field_state(f)
     lhs = state.premise_lhs(r)
-    rhs = cstar(pair, cal) * r**2.5 * state.omega_sup
+    rhs = cstar(pair, cal) * r**2.5 * state.sup("curl")
     params = {"lambda": pair.lam, "delta": pair.delta, "r": r, "mode": "l2"}
-    return _report(lhs, rhs, state.omega_sup, lambda: state.mask_spectra(pair.lam),
-                   kappa(pair) * r, pair.delta, params, guard)
+    return _report(lhs, rhs, state, "curl", pair.lam, kappa(pair) * r, pair.delta,
+                   params, guard, densities)
 
 
 def check_lemma_gm(f: VectorField, pair: PairLD, p: float, theta: float, alpha: float,
                    rho: float, r: float, mode: str = "curl", cal: float | None = None,
-                   guard: float = GUARD_BAND, scale_count: int = 32) -> VerifyReport:
+                   guard: float = GUARD_BAND, scale_count: int = 32,
+                   densities: bool = False) -> VerifyReport:
     """Morrey-type implication: a small global weighted norm of f forces every
     super-level set of curl f (mode "curl") or of f itself (mode "identity")
-    to be r-semi-mixed with ratio delta."""
+    to be r-semi-mixed with ratio delta.
+
+    Premise first, as :func:`check_lemma_l2`: densities only when the
+    premise holds, the thresholded field vanishes, or ``densities`` is
+    true.  The thresholded field, its sup norm and its mask spectra are kept
+    per field object and mode."""
     if mode not in ("curl", "identity"):
         raise ValueError(f"mode must be 'curl' or 'identity', got {mode!r}")
     if not 0.0 < r <= 1.0:
@@ -180,21 +211,16 @@ def check_lemma_gm(f: VectorField, pair: PairLD, p: float, theta: float, alpha: 
                          "weight support)")
     if not p > 1.0:
         raise ValueError("p must exceed 1")
-    state = _l2_state(f) if mode == "curl" else None
-    base_sup = state.omega_sup if state else sup_norm(f)
+    state = _field_state(f)
     weight = WeightSpec(nu=alpha, rho=rho, theta=theta)
     params_obj = MorreyParams(p, weight, log_scale_nodes(f.grid, rho, 1.0, scale_count))
     lhs = gm_norm(f, params_obj).value
     eps = eps_const(pair, p, theta, alpha, cal=cal, rho=rho)
     rhs = float(eps * max(r, rho) ** -decay_exponent(alpha, theta)
-                * r ** shell_exponent(p, mode) * base_sup)
+                * r ** shell_exponent(p, mode) * state.sup(mode))
     params = {"lambda": pair.lam, "delta": pair.delta, "r": r, "p": p,
               "theta": theta, "alpha": alpha, "rho": rho, "mode": mode}
-
-    def spectra():
-        return state.mask_spectra(pair.lam) if state else superlevel_spectra(f, pair.lam)
-
-    return _report(lhs, rhs, base_sup, spectra, r, pair.delta, params, guard)
+    return _report(lhs, rhs, state, mode, pair.lam, r, pair.delta, params, guard, densities)
 
 
 class ScaleTooSmallError(ValueError):
@@ -233,7 +259,8 @@ class SweepConfig:
 
     ``lemma`` selects the premise family ("l2" or "gm"); gm sweeps also take
     exponent lists.  ``adversarial`` appends one counterexample field per
-    (delta, scale) cell.
+    (delta, scale) cell.  ``densities`` measures the six super-level
+    densities of every case, not only of the premise-holding ones.
     """
 
     lemma: str = "l2"
@@ -249,6 +276,7 @@ class SweepConfig:
     rho: float = 0.05
     adversarial: bool = False
     box_len: float = 2.0 * math.pi
+    densities: bool = False
 
     def __post_init__(self) -> None:
         if self.lemma not in ("l2", "gm"):
@@ -257,12 +285,23 @@ class SweepConfig:
 
 @dataclass
 class SweepSummary:
+    """Counts over a sweep and how close it came to a violation.
+
+    The margins are None when no report qualifies: ``tightest_premise_ratio``
+    is the largest premise lhs/rhs among non-degenerate premise-holding
+    reports, ``min_density_slack`` the smallest delta minus max density
+    among reports that carry densities, and ``closest_near_miss`` the
+    smallest lhs/rhs among non-degenerate premise-failed reports."""
+
     total: int = 0
     premise_holding: int = 0
     degenerate: int = 0
     marginal: int = 0
     violations: int = 0
     marginal_violations: int = 0
+    tightest_premise_ratio: float | None = None
+    min_density_slack: float | None = None
+    closest_near_miss: float | None = None
 
 
 def sweep(config: SweepConfig, threads: int = 1) -> list[VerifyReport]:
@@ -299,10 +338,11 @@ def sweep(config: SweepConfig, threads: int = 1) -> list[VerifyReport]:
         out = []
         for i, pair, r, variant in cells:
             if variant is None:
-                rep = check_lemma_l2(f, pair, r)
+                rep = check_lemma_l2(f, pair, r, densities=config.densities)
             else:
                 theta, alpha, mode = variant
-                rep = check_lemma_gm(f, pair, config.p, theta, alpha, config.rho, r, mode)
+                rep = check_lemma_gm(f, pair, config.p, theta, alpha, config.rho, r, mode,
+                                     densities=config.densities)
             out.append((i, rep))
         return out
 
@@ -318,8 +358,15 @@ def sweep(config: SweepConfig, threads: int = 1) -> list[VerifyReport]:
     return [rep for _, rep in indexed]
 
 
+def _extreme(values: list[float], pick) -> float | None:
+    """``pick`` (min or max) of the finite values, None when there are none."""
+    finite = [v for v in values if math.isfinite(v)]
+    return float(pick(finite)) if finite else None
+
+
 def summarize(reports: list[VerifyReport]) -> SweepSummary:
     s = SweepSummary(total=len(reports))
+    held, missed, slack = [], [], []
     for rep in reports:
         s.premise_holding += rep.premise_holds and not rep.degenerate
         s.degenerate += rep.degenerate
@@ -329,4 +376,12 @@ def summarize(reports: list[VerifyReport]) -> SweepSummary:
                 s.marginal_violations += 1
             else:
                 s.violations += 1
+        if rep.per_set_densities:
+            slack.append(rep.params["delta"] - max(rep.per_set_densities))
+        if not rep.degenerate and rep.premise_rhs > 0.0:
+            ratio = rep.premise_lhs / rep.premise_rhs
+            (held if rep.premise_holds else missed).append(ratio)
+    s.tightest_premise_ratio = _extreme(held, max)
+    s.min_density_slack = _extreme(slack, min)
+    s.closest_near_miss = _extreme(missed, min)
     return s

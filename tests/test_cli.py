@@ -90,6 +90,16 @@ def test_verify_command(tmp_path):
     report = json.loads((out / "verify_reports.json").read_text())
     assert report["summary"]["violations"] == 0
     assert (out / "verify_reports.csv").read_text().count("\n") == report["summary"]["total"] + 1
+    # verify measures every case's densities, premise or not
+    rows = [r for r in report["reports"] if not r["degenerate"]]
+    assert rows and all(len(r["per_set_densities"]) == 6 for r in rows)
+    assert all(isinstance(r["conclusion_holds"], bool) for r in rows)
+    ratios = [r["premise_lhs"] / r["premise_rhs"] for r in rows]
+    summary = report["summary"]
+    assert summary["tightest_premise_ratio"] is None  # no case holds the premise
+    assert summary["closest_near_miss"] == min(ratios)
+    assert summary["min_density_slack"] == min(r["params"]["delta"] - max(r["per_set_densities"])
+                                                for r in report["reports"])
 
 
 def test_simulate_and_criterion(traj_dir, tmp_path):

@@ -48,6 +48,17 @@ def test_weight_value_support():
     assert w.value(0.5) == pytest.approx(0.5**-0.5)
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5])
+def test_weight_value_nonincreasing_on_support(nu):
+    # gm_norm folds each lattice shell as its first scale node: a later node
+    # of the shell shares its ball power, so it cannot raise the max only if
+    # its weight is no larger
+    s = np.sort(np.concatenate([np.geomspace(0.2, 1.0, 500), [0.2, 0.2 + 1e-15, 1.0]]))
+    w = WeightSpec(nu=nu, rho=0.2).value(s)
+    assert (w > 0.0).all()
+    assert (np.diff(w) <= 0.0).all()
+
+
 # ---------------------------------------------------------------------------
 # lm norm
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from morrey_sparse.sparseness import (
     kappa,
     semi_mixed,
     superlevel_sets,
+    superlevel_spectra,
 )
 from morrey_sparse.verify import (
     GUARD_BAND,
@@ -71,15 +72,19 @@ def test_l2_random_ensemble_soundness():
 def test_l2_verdict_scale_invariant():
     grid = Grid3(32)
     f = random_field(grid, seed=77, kmax=8)
-    rep1 = check_lemma_l2(f, PAIR, 0.5)
+    # densities=True: the premise fails here, and the conclusion must still
+    # be computed to compare it across amplitudes
+    rep1 = check_lemma_l2(f, PAIR, 0.5, densities=True)
     # power-of-two amplitude: every comparison scales exactly
-    rep4 = check_lemma_l2(VectorField(grid, 4.0 * f.data), PAIR, 0.5)
+    rep4 = check_lemma_l2(VectorField(grid, 4.0 * f.data), PAIR, 0.5, densities=True)
     assert rep1.premise_holds == rep4.premise_holds
+    assert isinstance(rep1.conclusion_holds, bool)
     assert rep1.conclusion_holds == rep4.conclusion_holds
+    assert rep1.per_set_densities == rep4.per_set_densities
     assert rep1.verdict == rep4.verdict
     assert rep4.premise_lhs == pytest.approx(4.0 * rep1.premise_lhs, rel=1e-12)
     assert rep4.premise_rhs == pytest.approx(4.0 * rep1.premise_rhs, rel=1e-12)
-    rep3 = check_lemma_l2(VectorField(grid, 3.0 * f.data), PAIR, 0.5)
+    rep3 = check_lemma_l2(VectorField(grid, 3.0 * f.data), PAIR, 0.5, densities=True)
     assert rep1.verdict == rep3.verdict
 
 
@@ -123,12 +128,23 @@ def test_l2_warm_calls_match_fresh_field(kind):
     else:
         grid = Grid3(32)
         f = random_field(grid, seed=3, kmax=8)
-    warm = [check_lemma_l2(f, pair, r) for pair, r in CELLS]
-    fresh = [check_lemma_l2(VectorField(grid, f.data.copy()), pair, r) for pair, r in CELLS]
+    warm = [check_lemma_l2(f, pair, r, densities=True) for pair, r in CELLS]
+    fresh = [check_lemma_l2(VectorField(grid, f.data.copy()), pair, r, densities=True)
+             for pair, r in CELLS]
     assert warm == fresh
     assert warm == [_reference_l2(f, pair, r) for pair, r in CELLS]
-    if kind == "blob":
-        assert any(rep.premise_holds for rep in warm)
+    # premise first: without densities a failed premise skips the conclusion
+    # and passes; every other report is the full one
+    for full, lean in zip(warm, [check_lemma_l2(f, pair, r) for pair, r in CELLS]):
+        if full.premise_holds:
+            assert lean == full
+        else:
+            assert lean.conclusion_holds is None and lean.per_set_densities == ()
+            assert lean.verdict is True
+            assert lean == VerifyReport(full.premise_lhs, full.premise_rhs, False, None, (),
+                                        full.params)
+    assert any(not rep.premise_holds for rep in warm)
+    assert any(rep.premise_holds for rep in warm) == (kind == "blob")
 
 
 def test_l2_in_place_edit_is_seen():
@@ -142,13 +158,15 @@ def test_l2_in_place_edit_is_seen():
 
 
 def test_l2_transforms_per_field(monkeypatch):
-    # field-only work once, mask spectra once per lambda, then one inverse
-    # transform per premise scale and per (set, cell)
+    # field-only work once (curl: 6, |f|^2: 1) and one inverse transform per
+    # premise scale; the random fields never hold the premise, so without
+    # densities no mask is transformed, and with them the mask spectra come
+    # once per lambda plus one inverse per (set, cell)
     grid = Grid3(32)
-    warm, f = random_field(grid, seed=5, kmax=8), random_field(grid, seed=6, kmax=8)
+    warm, lean, full = (random_field(grid, seed=seed, kmax=8) for seed in (5, 6, 7))
     for pair, r in CELLS:  # fill the ball-spectrum cache
-        check_lemma_l2(warm, pair, r)
-    count = [0]
+        check_lemma_l2(warm, pair, r, densities=True)
+    count, masks = [0], [0]
 
     def counting(fn):
         def wrapper(a, *args, **kwargs):
@@ -156,14 +174,24 @@ def test_l2_transforms_per_field(monkeypatch):
             return fn(a, *args, **kwargs)
         return wrapper
 
+    def counting_spectra(*args):
+        masks[0] += 1
+        return superlevel_spectra(*args)
+
     # count at both backends: the mask counts run on scipy.fft
     for backend in (np.fft, scipy.fft):
         for name in ("rfftn", "irfftn"):
             monkeypatch.setattr(backend, name, counting(getattr(backend, name)))
-    for pair, r in CELLS:
-        check_lemma_l2(f, pair, r)
+    monkeypatch.setattr(verify_module, "superlevel_spectra", counting_spectra)
     n_lam = len({pair.lam for pair, _ in CELLS})
     n_r = len({r for _, r in CELLS})
+    reports = [check_lemma_l2(lean, pair, r) for pair, r in CELLS]
+    assert not any(rep.premise_holds for rep in reports)
+    assert (masks[0], count[0]) == (0, 7 + n_r)
+    count[0] = 0
+    for pair, r in CELLS:
+        check_lemma_l2(full, pair, r, densities=True)
+    assert masks[0] == n_lam
     assert count[0] <= 7 + n_r + 6 * n_lam + 6 * len(CELLS)
 
 
@@ -299,21 +327,30 @@ def test_sweep_gm_mode():
 
 
 def test_sweep_gm_shares_field_work_with_fresh_reference(monkeypatch):
-    # curl mode takes the vorticity and mask spectra from the per-field state;
-    # every report equals one computed alone on a fresh copy of its field
+    # both modes take the thresholded field and its mask spectra from the
+    # per-field state; every report equals one computed alone on a fresh
+    # copy of its field
     cfg = SweepConfig(lemma="gm", n=16, deltas=(0.75, 0.85), scales=(0.5, 0.8),
                       seeds=(0, 1), kmax=4, thetas=(math.inf, 2.0), alphas=(1.0,),
-                      rho=0.45, modes=("curl", "identity"))
+                      rho=0.45, modes=("curl", "identity"), densities=True)
     grid = Grid3(cfg.n)
-    curls = [0]
+    curls, masks = [0], [0]
 
     def counting_curl(f):
         curls[0] += 1
         return curl(f)
 
+    def counting_spectra(*args):
+        masks[0] += 1
+        return superlevel_spectra(*args)
+
     monkeypatch.setattr(verify_module, "curl", counting_curl)
+    monkeypatch.setattr(verify_module, "superlevel_spectra", counting_spectra)
     reports = sweep(cfg)
     assert curls[0] == len(cfg.seeds)  # one vorticity per field for 16 curl-mode cells
+    # one set of mask spectra per (field, mode, lambda), not per variant
+    assert masks[0] == len(cfg.seeds) * len(cfg.modes) * len(cfg.deltas)
+    assert all(len(rep.per_set_densities) == 6 for rep in reports)
     fields = {seed: random_solenoidal_field(grid, cfg.kmax, seed) for seed in cfg.seeds}
     reference = []
     for delta in cfg.deltas:
@@ -323,6 +360,41 @@ def test_sweep_gm_shares_field_work_with_fresh_reference(monkeypatch):
                     for mode in cfg.modes:
                         fresh = VectorField(grid, fields[seed].data.copy())
                         reference.append(check_lemma_gm(fresh, admissible_pair(delta), cfg.p,
-                                                        theta, 1.0, cfg.rho, r, mode))
+                                                        theta, 1.0, cfg.rho, r, mode,
+                                                        densities=True))
     assert reports == reference
     assert len(reports) == 32
+
+
+def test_summary_margins():
+    params = {"delta": 0.75}
+
+    def rep(lhs, rhs, densities=(), degenerate=False):
+        return VerifyReport(lhs, rhs, lhs <= rhs, None if not densities else True,
+                            densities, params, degenerate=degenerate)
+
+    s = summarize([rep(1.0, 4.0, (0.1,) * 6), rep(3.0, 4.0, (0.5, 0.25, 0, 0, 0, 0)),
+                   rep(9.0, 3.0), rep(5.0, 2.0), rep(1.0, 0.0, (0.0,) * 6, degenerate=True)])
+    assert s.tightest_premise_ratio == 0.75
+    assert s.min_density_slack == 0.25
+    assert s.closest_near_miss == 2.5
+    empty = summarize([])
+    assert (empty.tightest_premise_ratio, empty.min_density_slack, empty.closest_near_miss) \
+        == (None, None, None)
+
+
+@pytest.mark.parametrize("densities", [True, False])
+def test_sweep_summary_margins(densities):
+    cfg = SweepConfig(n=16, deltas=(0.75, 0.85), scales=(0.9,), seeds=(0, 1, 2), kmax=4,
+                      densities=densities)
+    reports = sweep(cfg)
+    s = summarize(reports)
+    assert s.premise_holding == 0 and s.tightest_premise_ratio is None
+    assert s.closest_near_miss == min(r.premise_lhs / r.premise_rhs for r in reports) > 1.0
+    if densities:
+        assert s.min_density_slack == min(r.params["delta"] - max(r.per_set_densities)
+                                          for r in reports)
+        assert math.isfinite(s.min_density_slack)
+    else:
+        assert s.min_density_slack is None
+        assert all(r.per_set_densities == () for r in reports)
