@@ -4,7 +4,7 @@ sweeps, decaying-flow simulation, and criterion evaluation.
 Every command writes a run manifest next to its outputs.  All numeric output
 is serialized with 17 significant digits (lossless float round trip); rerun
 with identical arguments and seeds reproduces byte-identical reports (the
-manifest is the one exception: it carries the wall time).
+manifest is the one exception: it carries the wall time and peak RSS).
 
 Exit codes: 0 success, 1 computation error (a solver instability included),
 2 usage, 3 bad input file, 4 scheduling (criterion window too sparse).
@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -36,7 +37,6 @@ from .nse import (
     detect_escape_times,
     evaluate_criteria,
     load_trajectory,
-    save_trajectory,
     simulate,
 )
 from .sparseness import (
@@ -107,6 +107,8 @@ def _write_manifest(outdir: Path, command: str, params: dict, inputs: list,
         "input_hashes": {str(p): _sha256(Path(p)) for p in inputs if Path(p).is_file()},
         "outputs": sorted(str(p) for p in outputs),
         "wall_time_s": time.time() - t0,
+        # the process high-water mark: an in-process caller's earlier work counts too
+        "profile": {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0},
         "numpy": np.__version__, "scipy": scipy.__version__, "fft": "scipy.fft",
     }
     _write_json(outdir / "manifest.json", manifest)
@@ -380,9 +382,11 @@ def cmd_simulate(args) -> int:
     cfg = SolverConfig(n=args.n, dt=args.dt, t_end=args.t_end, ic=args.ic,
                        ic_params={"amplitude": args.amplitude, "kmax": args.kmax},
                        snapshot_every=args.snapshot_every, seed=args.seed)
-    traj = simulate(cfg)
-    written = save_trajectory(traj, outdir)
-    _write_manifest(outdir, "simulate", vars_no_private(args), [], written, t0)
+    # the run overwrites the directory's snapshots as it goes: an earlier
+    # run's manifest would describe files it no longer holds
+    (outdir / "manifest.json").unlink(missing_ok=True)
+    traj = simulate(cfg, out=outdir)
+    _write_manifest(outdir, "simulate", vars_no_private(args), [], traj.files, t0)
     print(f"simulated {args.ic} to t={args.t_end} ({len(traj.snapshots)} snapshots)")
     return EXIT_OK
 

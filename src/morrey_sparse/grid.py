@@ -19,10 +19,17 @@ indicator, checked against a transform-free brute force over the same ball.
 Every 3-D transform of the package runs on ``scipy.fft`` through
 :func:`_rfftn`/:func:`_irfftn`, and the spectral-space operators
 (:func:`curl_hat`, :func:`project_hat`) are shared by the field operators and
-the solver.  Ball counts of 0/1 masks run in float32 and are rounded back to
-integers.  The float32 error grows to about vc * 2^-22 for a ball of
-vc voxels (measured 4.9e-4 at n=64, r=1; 0.031 at vc = 131 059), far inside
-the 0.5 that rounding tolerates; balls above 2^17 voxels count in float64.
+the solver.
+
+Every voxel ball is symmetric under the min-image reflection y -> -y, so its
+spectrum is real: the imaginary parts the transform leaves are rounding (at
+most 1.7e-16 of the largest entry for radii <= 1 at n=64).  The ball-spectrum
+cache therefore stores the real part alone, in float64 or float32, half the
+bytes of a complex array.  Ball counts of 0/1 masks run in float32 and are
+rounded back to integers.  The float32 error grows to about vc * 2^-22 for a
+ball of vc voxels (measured 4.9e-4 at n=64, r=1; 0.031 at vc = 131 059), far
+inside the 0.5 that rounding tolerates; balls above 2^17 voxels count in
+float64.
 """
 
 from __future__ import annotations
@@ -313,13 +320,15 @@ def _shell(grid: Grid3, radius: float) -> int:
     return int(shell_table(grid).index[_shell_rank(grid, radius)])
 
 
-def radial_shells(values: np.ndarray, grid: Grid3, center: tuple[int, int, int],
+def radial_shells(values: np.ndarray, grid: Grid3, index: np.ndarray,
                   peak: bool = False) -> np.ndarray:
-    """Per attained shell around ``center``, in :func:`shell_table` order, the
+    """Per attained shell around a center, in :func:`shell_table` order, the
     sum of ``values`` over its voxels, or their max (``values`` >= 0) with
-    ``peak``; cumulative sums give the integral over every ball."""
+    ``peak``; ``index`` is the center's :meth:`Grid3.shell_index`, so one map
+    serves every profile of a center.  Cumulative sums give the integral over
+    every ball."""
     shells = shell_table(grid).index
-    index = grid.shell_index(center).ravel()
+    index = index.ravel()
     if peak:
         out = np.zeros(shells[-1] + 1)
         np.maximum.at(out, index, values.ravel())
@@ -370,11 +379,10 @@ def _ball_mask(grid: Grid3, shell: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _ball_spectrum_cached(grid: Grid3, shell: int, dtype: type) -> np.ndarray:
-    """Spectrum of the ball {shell index <= shell}, a :func:`_shell` key; for
-    float32 mask counts, the float64 transform rounded once to complex64."""
-    spec = _rfftn((grid.shell_index() <= shell).astype(np.float64))
-    if dtype == np.float32:
-        spec = spec.astype(np.complex64)
+    """Real spectrum of the ball {shell index <= shell}, a :func:`_shell` key,
+    in ``dtype``: the real part of the float64 transform, rounded once to
+    float32 for float32 mask counts."""
+    spec = _rfftn((grid.shell_index() <= shell).astype(np.float64)).real.astype(dtype)
     spec.setflags(write=False)
     return spec
 

@@ -180,7 +180,8 @@ def _ball_power_profile(f: Field, p: float, center: tuple[int, int, int],
                         scales: np.ndarray) -> tuple[np.ndarray, float]:
     """integral of |f|^p over B_r(center) for every r in ``scales``, and over
     the whole torus, from per-shell sums around the center."""
-    masses = np.cumsum(radial_shells(magnitude_power(f, p), f.grid, center)) * f.grid.voxel_volume
+    masses = np.cumsum(radial_shells(magnitude_power(f, p), f.grid, f.grid.shell_index(center)))
+    masses *= f.grid.voxel_volume
     return masses[_shell_rank(f.grid, scales)], float(masses[-1])
 
 

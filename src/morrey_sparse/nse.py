@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -79,18 +80,49 @@ class SolverConfig:
             raise ValueError("snapshot_every must be >= 1")
 
 
+class SnapshotFiles(Sequence):
+    """The snapshots of a trajectory directory as a sequence of (t, field)
+    pairs.  The times are known up front; indexing reads that one snapshot's
+    file, so a caller holds no more fields than it keeps."""
+
+    def __init__(self, directory, entries: list[tuple[float, str]]):
+        self.directory = Path(directory)
+        self.entries = entries  # (t, file name) per snapshot
+
+    def paths(self) -> list[Path]:
+        return [self.directory / name for _, name in self.entries]
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, i: int) -> tuple[float, VectorField]:
+        t, name = self.entries[i]
+        return t, load_field(self.directory / name)
+
+
 @dataclass
 class Trajectory:
-    """Solver output: periodic snapshots plus per-step norm series."""
+    """Solver output: periodic snapshots plus per-step norm series.
+
+    ``snapshots`` is a list of (t, field) pairs for a run held in memory, or
+    the :class:`SnapshotFiles` of a run streamed to or loaded from a
+    directory; ``files`` then lists the run's files (series.csv, the
+    snapshot files, meta.json)."""
 
     grid: Grid3
     series: dict[str, np.ndarray]
-    snapshots: list[tuple[float, VectorField]]
+    snapshots: Sequence[tuple[float, VectorField]]
+    files: list[Path] = field(default_factory=list)
 
     def series_at(self, t: float, column: str) -> float:
         ts = self.series["t"]
         idx = int(np.argmin(np.abs(ts - t)))
         return float(self.series[column][idx])
+
+    def snapshot_times(self) -> list[float]:
+        """The snapshot times, read without loading any field."""
+        snaps = self.snapshots
+        return [t for t, _ in (snaps.entries if isinstance(snaps, SnapshotFiles) else snaps)]
 
 
 SERIES_COLUMNS = ("t", "u_sup", "omega_sup", "energy", "enstrophy")
@@ -130,16 +162,24 @@ def initial_condition(name: str, grid: Grid3, params: dict | None = None,
     raise ValueError(f"unknown initial condition {name!r}")
 
 
-def simulate(config: SolverConfig) -> Trajectory:
+def simulate(config: SolverConfig, out=None) -> Trajectory:
     """Integrate the incompressible momentum equation from the configured flow.
 
     Integrating-factor RK4 in spectral space; convective term dealiased by the
-    2/3 rule and Leray-projected each evaluation.  Snapshots are stored every
+    2/3 rule and Leray-projected each evaluation.  Snapshots are taken every
     ``snapshot_every`` steps (plus t = 0 and the final time); the norm series
     is recorded at every step.  A step costs 36 transforms: the physical u and
     omega that record a state also feed the next step's first stage.  A
     non-finite initial condition raises ``NonFiniteDataError`` (a ValueError)
     before the first step.
+
+    Without ``out`` the snapshots are kept in memory.  With a directory
+    ``out``, each snapshot file is written as soon as the snapshot is taken,
+    in the :func:`save_trajectory` format, and the returned trajectory reads
+    its snapshots back from there on demand, so memory does not grow with the
+    snapshot count; ``series.csv`` and ``meta.json`` follow at the end.  A run
+    that fails (``SolverInstabilityError``) leaves no ``meta.json``, so its
+    directory does not load as a trajectory.
     """
     grid = Grid3(config.n, config.box_len)
     u0 = initial_condition(config.ic, grid, config.ic_params, config.seed)
@@ -163,6 +203,7 @@ def simulate(config: SolverConfig) -> Trajectory:
     nsteps = int(round(config.t_end / config.dt))
     rows = {name: [] for name in SERIES_COLUMNS}
     snapshots: list[tuple[float, VectorField]] = []
+    writer = None if out is None else _TrajectoryWriter(out)
 
     def record(step: int, t: float, uh_now):
         u_phys, w_phys = _physical(uh_now, grid)
@@ -174,7 +215,11 @@ def simulate(config: SolverConfig) -> Trajectory:
         rows["energy"].append(0.5 * float(umag2.sum()) * grid.voxel_volume)
         rows["enstrophy"].append(0.5 * float(wmag2.sum()) * grid.voxel_volume)
         if step % config.snapshot_every == 0 or step == nsteps:
-            snapshots.append((t, VectorField(grid, u_phys)))
+            snap = VectorField(grid, u_phys)
+            if writer is None:
+                snapshots.append((t, snap))
+            else:
+                writer.snapshot(t, snap)
         return u_phys, w_phys
 
     def stage(uh_stage):
@@ -195,7 +240,10 @@ def simulate(config: SolverConfig) -> Trajectory:
         u_w = record(step, t, uh)
 
     series = {name: np.asarray(vals) for name, vals in rows.items()}
-    return Trajectory(grid, series, snapshots)
+    if writer is None:
+        return Trajectory(grid, series, snapshots)
+    files = writer.finish(grid, series)
+    return Trajectory(grid, series, writer.snapshots, files)
 
 
 def _physical(uh, grid: Grid3):
@@ -423,9 +471,12 @@ def evaluate_criteria(traj: Trajectory, times, spec: CriterionSpec) -> list[Crit
     A window's report takes the min over its snapshots of the weighted global
     norm of the measured field (weight cutoff at the dynamic dissipation
     scale) against eps0 times the reference norm to the criterion exponent.
-    Every time and window is checked before any norm is computed, and each
-    snapshot's row is computed once, shared by the windows that hold it."""
+    Every time and window is checked before any norm is computed.  Windows
+    pick their snapshots by time alone, so a field outside every window is
+    never read; each window snapshot is indexed once and its row is shared
+    by the windows that hold it."""
     ts = traj.series["t"]
+    snapshot_times = traj.snapshot_times()
     windows = []
     for t_ref in times:
         if not (ts[0] - 1e-12 <= t_ref <= ts[-1] + 1e-12):
@@ -433,8 +484,7 @@ def evaluate_criteria(traj: Trajectory, times, spec: CriterionSpec) -> list[Crit
         scale = (spec.c0 * traj.series_at(t_ref, "omega_sup") if spec.window_mode == "vorticity"
                  else (spec.c0 * traj.series_at(t_ref, "u_sup")) ** 2)
         w_lo, w_hi = t_ref + 1.0 / (4.0 * scale), t_ref + 1.0 / scale
-        idx = [i for i, (t, _) in enumerate(traj.snapshots)
-               if w_lo - 1e-12 <= t <= w_hi + 1e-12]
+        idx = [i for i, t in enumerate(snapshot_times) if w_lo - 1e-12 <= t <= w_hi + 1e-12]
         if len(idx) < 3:
             raise SchedulingError(
                 f"{len(idx)} snapshots in window [{w_lo:.4f}, {w_hi:.4f}]; need >= 3 "
@@ -483,48 +533,74 @@ def evaluate_criteria(traj: Trajectory, times, spec: CriterionSpec) -> list[Crit
 # ---------------------------------------------------------------------------
 
 
+class _TrajectoryWriter:
+    """The one writer of the trajectory directory format: a field file per
+    snapshot (time in the name) as each comes, then ``series.csv`` and
+    ``meta.json``.  ``meta.json`` indexes the run and is written last, and an
+    old one is removed first, so a run that stops early leaves no directory
+    that loads as a trajectory."""
+
+    def __init__(self, outdir):
+        self.outdir = Path(outdir)
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        (self.outdir / "meta.json").unlink(missing_ok=True)
+        self.snapshots = SnapshotFiles(self.outdir, [])  # the files written so far
+
+    def snapshot(self, t: float, f: VectorField) -> None:
+        name = f"u_t{t:.9f}.fld"
+        save_field(f, self.outdir / name)
+        self.snapshots.entries.append((t, name))
+
+    def finish(self, grid: Grid3, series: dict[str, np.ndarray]) -> list[Path]:
+        """Write series.csv and meta.json; return every file of the run:
+        series.csv, the snapshot files, meta.json."""
+        series_path = self.outdir / "series.csv"
+        with open(series_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(SERIES_COLUMNS + ("eta", "criterion_lhs", "criterion_rhs",
+                                              "satisfied"))
+            for i in range(series["t"].size):
+                writer.writerow([format(series[c][i], ".17g") for c in SERIES_COLUMNS]
+                                + ["", "", "", ""])
+        meta = {
+            "n": grid.n,
+            "box_len": grid.box_len,
+            "snapshots": [{"t": t, "file": name} for t, name in self.snapshots.entries],
+            "series": series_path.name,
+        }
+        meta_path = self.outdir / "meta.json"
+        meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        return [series_path, *self.snapshots.paths(), meta_path]
+
+
 def save_trajectory(traj: Trajectory, outdir) -> list[Path]:
     """Write series.csv, snapshot field files (time in the name), meta.json."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    series_path = outdir / "series.csv"
-    with open(series_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SERIES_COLUMNS + ("eta", "criterion_lhs", "criterion_rhs", "satisfied"))
-        for i in range(traj.series["t"].size):
-            writer.writerow([format(traj.series[c][i], ".17g") for c in SERIES_COLUMNS]
-                            + ["", "", "", ""])
-    written.append(series_path)
-    snap_files = []
+    writer = _TrajectoryWriter(outdir)
     for t, f in traj.snapshots:
-        path = outdir / f"u_t{t:.9f}.fld"
-        save_field(f, path)
-        written.append(path)
-        snap_files.append({"t": t, "file": path.name})
-    meta = {
-        "n": traj.grid.n,
-        "box_len": traj.grid.box_len,
-        "snapshots": snap_files,
-        "series": series_path.name,
-    }
-    meta_path = outdir / "meta.json"
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    written.append(meta_path)
-    return written
+        writer.snapshot(t, f)
+    return writer.finish(traj.grid, traj.series)
 
 
 def load_trajectory(indir) -> Trajectory:
+    """A saved trajectory whose snapshots load on demand (:class:`SnapshotFiles`).
+
+    The series is read now.  Every listed snapshot file must exist, so a
+    missing one raises ``FileNotFoundError`` here; a corrupt one raises
+    ``FieldFileError`` when it is first indexed."""
     indir = Path(indir)
-    meta = json.loads((indir / "meta.json").read_text())
+    meta_path = indir / "meta.json"
+    meta = json.loads(meta_path.read_text())
     grid = Grid3(int(meta["n"]), float(meta["box_len"]))
     series: dict[str, list[float]] = {c: [] for c in SERIES_COLUMNS}
-    with open(indir / meta["series"], newline="") as fh:
+    series_path = indir / meta["series"]
+    with open(series_path, newline="") as fh:
         for row in csv.DictReader(fh):
             for c in SERIES_COLUMNS:
                 series[c].append(float(row[c]))
-    snapshots = []
-    for entry in meta["snapshots"]:
-        f = load_field(indir / entry["file"])
-        snapshots.append((float(entry["t"]), f))
-    return Trajectory(grid, {c: np.asarray(v) for c, v in series.items()}, snapshots)
+    snapshots = SnapshotFiles(indir, [(float(e["t"]), e["file"]) for e in meta["snapshots"]])
+    snaps = snapshots.paths()
+    for path in snaps:
+        if not path.is_file():
+            raise FileNotFoundError(f"snapshot file {path} listed in {meta_path} is missing")
+    return Trajectory(grid, {c: np.asarray(v) for c, v in series.items()}, snapshots,
+                      [series_path, *snaps, meta_path])

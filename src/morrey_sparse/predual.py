@@ -160,15 +160,17 @@ def _complement_profile(f: Field, mags: _Magnitudes, center: tuple[int, int, int
     (a step function of the radius), and the support radius, the largest
     shell radius carrying non-dust mass."""
     grid = f.grid
+    index = grid.shell_index(center)
     if math.isfinite(mags.pprime):
-        mass = radial_shells(mags.values, grid, center) * grid.voxel_volume
+        mass = radial_shells(mags.values, grid, index) * grid.voxel_volume
         beyond = np.cumsum(mass[::-1])[::-1] ** (1.0 / mags.pprime)
     else:
-        peaks = radial_shells(mags.values, grid, center, peak=True)
+        peaks = radial_shells(mags.values, grid, index, peak=True)
         beyond = np.maximum.accumulate(peaks[::-1])[::-1]
     radii = grid.spacing * np.sqrt(shell_table(grid).index)
-    carried = np.flatnonzero(radial_shells(mags.support, grid, center))
-    return radii, np.append(beyond, 0.0), float(radii[carried[-1]]) if carried.size else 0.0
+    outer = int(np.max(index, where=mags.support, initial=-1))  # outermost carrying shell
+    support = float(grid.spacing * np.sqrt(outer)) if outer >= 0 else 0.0
+    return radii, np.append(beyond, 0.0), support
 
 
 def _conjugate(p: float) -> float:

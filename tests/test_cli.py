@@ -1,4 +1,9 @@
+import contextlib
+import io
 import json
+import math
+import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ import scipy
 from morrey_sparse import cli as cli_module
 from morrey_sparse import nse as nse_module
 from morrey_sparse.cli import dumps_17g, main
-from morrey_sparse.grid import Grid3, save_field
+from morrey_sparse.grid import Grid3, load_field, save_field
 from morrey_sparse.fields import random_solenoidal_field
 
 
@@ -238,6 +243,8 @@ def test_manifest_is_strict_json(field_file, tmp_path):
     assert manifest["params"]["theta"] == "inf"
     assert manifest["numpy"] == np.__version__ and manifest["scipy"] == scipy.__version__
     assert manifest["fft"] == "scipy.fft" and manifest["wall_time_s"] >= 0.0
+    peak = manifest["profile"]["peak_rss_mb"]
+    assert math.isfinite(peak) and peak > 0.0
 
 
 def test_simulate_nonfinite_amplitude_is_usage_error(tmp_path):
@@ -247,8 +254,95 @@ def test_simulate_nonfinite_amplitude_is_usage_error(tmp_path):
     assert not (tmp_path / "manifest.json").exists()
 
 
+def _simulate_tg(out, steps: int) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(["simulate", "--n", "16", "--dt", "1e-3", "--t-end", repr(steps * 1e-3),
+                     "--snapshot-every", "1", "--out", str(out)])
+
+
+def test_simulate_memory_flat_in_snapshot_count(tmp_path):
+    # snapshots stream to disk: the traced peak of a 200-snapshot run stays
+    # within two n=16 vector fields of a 20-snapshot run (keeping every
+    # snapshot would add 180 of them)
+    def traced_peak(out, steps):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert _simulate_tg(out, steps) == 0
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        traced_peak(tmp_path / "warm", 5)  # fill the per-grid caches
+        few, many = traced_peak(tmp_path / "few", 20), traced_peak(tmp_path / "many", 200)
+    finally:
+        tracemalloc.stop()
+    assert len(list((tmp_path / "many").glob("*.fld"))) == 201
+    assert many - few < 2 * 3 * 16**3 * 8, (few, many)
+
+
+def _window_args(traj_dir, out, at="0.0,0.02,0.04"):
+    return CRITERION + ["--traj", str(traj_dir), "--at", at, "--out", str(out)]
+
+
+def test_criterion_reads_only_window_snapshots(traj_dir, tmp_path, monkeypatch):
+    loaded = []
+
+    def spy(path):
+        loaded.append(path.name)
+        return load_field(path)
+
+    monkeypatch.setattr(nse_module, "load_field", spy)
+    assert main(_window_args(traj_dir, tmp_path / "c")) == 0
+    rows = (tmp_path / "c" / "criterion.csv").read_text().splitlines()[1:]
+    in_windows = {float(row.split(",")[1]) for row in rows}
+    meta = json.loads((traj_dir / "meta.json").read_text())
+    assert len(in_windows) < len(rows) and len(in_windows) < len(meta["snapshots"])
+    # each distinct window snapshot is read once, and nothing else
+    assert sorted(loaded) == sorted(e["file"] for e in meta["snapshots"] if e["t"] in in_windows)
+
+
+def test_criterion_missing_snapshot_is_input_error(traj_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(traj_dir, run)
+    last = json.loads((run / "meta.json").read_text())["snapshots"][-1]["file"]
+    (run / last).unlink()  # outside every window at --at 0.0, still an input error
+    assert main(_window_args(run, tmp_path / "c", at="0.0")) == 3
+    assert last in capsys.readouterr().err
+
+
+def test_criterion_corrupt_window_snapshot_is_input_error(traj_dir, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(traj_dir, run)
+    assert main(_window_args(run, tmp_path / "ok")) == 0
+    s = float((tmp_path / "ok" / "criterion.csv").read_text().splitlines()[1].split(",")[1])
+    entry = [e for e in json.loads((run / "meta.json").read_text())["snapshots"] if e["t"] == s]
+    path = run / entry[0]["file"]
+    path.write_bytes(path.read_bytes()[:-8])  # truncated payload
+    assert main(_window_args(run, tmp_path / "c")) == 3
+
+
+def test_failed_simulate_leaves_no_trajectory(tmp_path, monkeypatch, capsys):
+    # a finished 2-step run's directory, then a run into it that blows up at
+    # step 4: its snapshots so far are on disk, but no meta.json names them
+    run = tmp_path / "run"
+    assert _simulate_tg(run, 2) == 0
+    real, calls = nse_module._nonlinear, []
+
+    def nonlinear(*args):  # four calls per step: step 4 goes non-finite
+        calls.append(1)
+        return real(*args) * (np.nan if len(calls) > 12 else 1.0)
+
+    monkeypatch.setattr(nse_module, "_nonlinear", nonlinear)
+    assert _simulate_tg(run, 10) == 1
+    assert "last good time t=0.003000" in capsys.readouterr().err
+    assert (run / "u_t0.003000000.fld").exists()
+    assert not (run / "meta.json").exists() and not (run / "manifest.json").exists()
+    monkeypatch.undo()
+    assert main(_window_args(run, tmp_path / "c", at="0.0")) == 3
+
+
 def test_solver_instability_is_computation_error(tmp_path, monkeypatch, capsys):
-    def unstable(config):
+    def unstable(config, out=None):
         raise nse_module.SolverInstabilityError(
             "non-finite state at t=0.003000 (last good time t=0.002000)", 0.002)
 

@@ -28,6 +28,7 @@ from morrey_sparse.nse import (
     BalanceError,
     CriterionSpec,
     SchedulingError,
+    SnapshotFiles,
     SolverConfig,
     TimeRangeError,
     criterion_exponent,
@@ -429,11 +430,39 @@ def test_spec_validation():
 
 
 def test_trajectory_roundtrip(tmp_path, tg_traj):
-    save_trajectory(tg_traj, tmp_path / "run")
+    written = save_trajectory(tg_traj, tmp_path / "run")
     back = load_trajectory(tmp_path / "run")
+    assert back.files == written
     assert back.grid == tg_traj.grid
     assert np.array_equal(back.series["t"], tg_traj.series["t"])
     assert np.allclose(back.series["energy"], tg_traj.series["energy"], rtol=0, atol=0)
     assert len(back.snapshots) == len(tg_traj.snapshots)
+    assert back.snapshot_times() == tg_traj.snapshot_times()
     t0, f0 = back.snapshots[-1]
     assert np.array_equal(f0.data, tg_traj.snapshots[-1][1].data)
+    # snapshots read from disk give the reports of the run held in memory
+    spec = SPECS["theta_inf"]
+    assert evaluate_criteria(back, OVERLAPPING, spec) == \
+        evaluate_criteria(tg_traj, OVERLAPPING, spec)
+
+
+def test_streamed_run_matches_saved_run(tmp_path):
+    cfg = SolverConfig(n=16, dt=1e-3, t_end=0.01, ic="taylor-green", snapshot_every=3)
+    streamed = simulate(cfg, out=tmp_path / "streamed")
+    held = simulate(cfg)
+    saved = save_trajectory(held, tmp_path / "saved")
+    assert [p.name for p in streamed.files] == [p.name for p in saved]
+    names = sorted(p.name for p in (tmp_path / "saved").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "streamed").iterdir())
+    assert {"series.csv", "meta.json"} < set(names)
+    assert sum(name.endswith(".fld") for name in names) == 5  # steps 0, 3, 6, 9, 10
+    for name in names:
+        assert (tmp_path / "streamed" / name).read_bytes() == \
+            (tmp_path / "saved" / name).read_bytes(), name
+    # the streamed run reads its snapshots back from its files
+    assert isinstance(streamed.snapshots, SnapshotFiles)
+    assert streamed.snapshots.paths() == streamed.files[1:-1]
+    assert len(streamed.snapshots) == len(held.snapshots)
+    for (ts, fs), (th, fh) in zip(streamed.snapshots, held.snapshots):
+        assert ts == th and np.array_equal(fs.data, fh.data)
+    assert streamed.snapshot_times() == held.snapshot_times()
