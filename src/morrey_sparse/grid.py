@@ -173,8 +173,11 @@ def magnitude_power(f: Field, p: float) -> np.ndarray:
 
 
 def sup_norm(f: Field) -> float:
-    """Max over voxels of the pointwise Euclidean magnitude."""
-    return float(magnitude_power(f, 1.0).max())
+    """Max over voxels of the pointwise Euclidean magnitude; a vector field
+    takes the root after the max (sqrt is monotone and correctly rounded)."""
+    if isinstance(f, ScalarField):
+        return float(np.abs(f.data).max())
+    return math.sqrt(np.einsum("cijk,cijk->ijk", f.data, f.data).max())
 
 
 # ---------------------------------------------------------------------------
@@ -509,42 +512,54 @@ def save_field(f: Field, path) -> None:
         fh.write(payload.tobytes())
 
 
-def load_field(path) -> Field:
-    """Read a field file; byte-exact inverse of :func:`save_field`.
+def read_field_header(fh) -> tuple[Grid3, int]:
+    """Validate the header line of a field file open in binary mode; return
+    its grid and component count, leaving ``fh`` at the payload.
 
     Raises
     ------
     FieldHeaderError
         missing/malformed header line, unsupported layout values or an
         invalid grid (odd or too small n, box side not above 2)
+    """
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        raise FieldHeaderError("missing newline-terminated header line")
+    try:
+        header = json.loads(line.decode("ascii"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FieldHeaderError(f"malformed header: {exc}") from exc
+    if not isinstance(header, dict) or set(header) != set(_HEADER_KEYS):
+        raise FieldHeaderError(f"header must carry exactly the keys {_HEADER_KEYS}")
+    if header["version"] != 1:
+        raise FieldHeaderError(f"unsupported version {header['version']}")
+    if header["dtype"] != "f64le" or header["order"] != "zyx-c":
+        raise FieldHeaderError("unsupported dtype/order declaration")
+    n, ncomp = header["n"], header["ncomp"]
+    if not (isinstance(n, int) and isinstance(ncomp, int) and ncomp in (1, 3)):
+        raise FieldHeaderError("n must be int and ncomp must be 1 or 3")
+    try:
+        return Grid3(n, float(header["box_len"])), ncomp
+    except (TypeError, ValueError) as exc:
+        raise FieldHeaderError(f"header declares an invalid grid: {exc}") from exc
+
+
+def load_field(path) -> Field:
+    """Read a field file; byte-exact inverse of :func:`save_field`.
+
+    Raises
+    ------
+    FieldHeaderError
+        see :func:`read_field_header`
     FieldSizeError
         payload byte count disagrees with the declared shape
     NonFiniteDataError
         payload contains NaN or infinity
     """
     with open(path, "rb") as fh:
-        line = fh.readline()
-        if not line.endswith(b"\n"):
-            raise FieldHeaderError("missing newline-terminated header line")
-        try:
-            header = json.loads(line.decode("ascii"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FieldHeaderError(f"malformed header: {exc}") from exc
-        if not isinstance(header, dict) or set(header) != set(_HEADER_KEYS):
-            raise FieldHeaderError(f"header must carry exactly the keys {_HEADER_KEYS}")
-        if header["version"] != 1:
-            raise FieldHeaderError(f"unsupported version {header['version']}")
-        if header["dtype"] != "f64le" or header["order"] != "zyx-c":
-            raise FieldHeaderError("unsupported dtype/order declaration")
-        n, ncomp = header["n"], header["ncomp"]
-        if not (isinstance(n, int) and isinstance(ncomp, int) and ncomp in (1, 3)):
-            raise FieldHeaderError("n must be int and ncomp must be 1 or 3")
-        try:
-            grid = Grid3(n, float(header["box_len"]))
-        except (TypeError, ValueError) as exc:
-            raise FieldHeaderError(f"header declares an invalid grid: {exc}") from exc
+        grid, ncomp = read_field_header(fh)
         payload = fh.read()
-    expected = ncomp * n**3 * 8
+    expected = ncomp * grid.n**3 * 8
     if len(payload) != expected:
         raise FieldSizeError(f"payload holds {len(payload)} bytes, header implies {expected}")
     data = np.frombuffer(payload, dtype="<f8").astype(np.float64)

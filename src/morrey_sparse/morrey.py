@@ -4,11 +4,17 @@ The scale weight is the truncated power law ``w(s) = s^(-nu)`` on ``[rho, 1]``
 and zero elsewhere.  Norms take an L^theta average (or sup, theta = inf) in
 the scale variable of weighted local L^p ball norms.  The L^theta(0, inf)
 integral truncates exactly to the weight support; quadrature over the scale
-nodes is trapezoidal in log r.  Every norm reduces its scale axis through
-one streaming fold (``_fold_scales``): the sup keeps a running max, and a
-finite theta also keeps the quadrature sum relative to that max, rescaled
-whenever the max rises, so no power overflows for any theta and no per-scale
-stack is built.
+nodes is trapezoidal in log r.  The local norms and finite theta reduce the
+scale axis through one streaming fold (``_fold_scales``): a running max and
+the quadrature sum relative to it, rescaled when the max rises, so no power
+overflows and no per-scale stack is built.  The sups over all centers
+(``gm_norm`` at theta = inf, ``classical_morrey``) take each lattice shell's
+largest ball integral M_K and search the shells best first
+(``_shell_search``).  Two bounds on M_K are exact: balls are nested, so M_K
+is at most the M of any larger shell (or the torus mass), and |B_K| voxels
+hold at most |B_K| h^3 max|f|^p.  A shell whose layer at the smaller bound,
+widened by 1e-12 of the torus mass for rounding, stays below the best value
+lies strictly below the sup and is never transformed.
 
 Caveat: fields live on a torus, so complement-of-ball norms count everything
 in one fundamental cell outside the ball.  For fields that are not compactly
@@ -23,7 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (Field, Grid3, _shell_rank, magnitude_power, radial_shells, shell_openers,
+from .grid import (Field, Grid3, _ball_spectrum_cached, _irfftn, _power_shell, _rfftn, _shell_rank,
+                   magnitude_power, radial_shells, shell_openers, shell_table,
                    sliding_ball_power_multi)
 
 
@@ -136,20 +143,19 @@ def _supported_scales(params: MorreyParams) -> np.ndarray:
     return sc
 
 
-def _fold_scales(layers, coeffs: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+def _fold_scales(layers, coeffs: np.ndarray, theta: float) -> np.ndarray:
     """Reduce the w(r_i)*v(r_i) layers, one per scale node and all of one
-    shape, over the nodes per L^theta; returns the reduced values and, per
-    point, the first layer index that reaches the running max m.
+    shape, over the nodes per L^theta.
 
-    theta = inf keeps m.  Finite theta also keeps s = sum_i c_i (x_i / m)^theta
-    with the quadrature coefficients ``coeffs`` (one per layer), rescaled by
-    (m_old / m_new)^theta when m rises, so every ratio is <= 1 and no power
-    can overflow; the result is m * s^(1/theta), which is 0 where m = 0.
+    theta = inf keeps the running max m.  Finite theta also keeps
+    s = sum_i c_i (x_i / m)^theta with the quadrature coefficients ``coeffs``
+    (one per layer), rescaled by (m_old / m_new)^theta when m rises, so every
+    ratio is <= 1 and no power can overflow; the result is m * s^(1/theta),
+    which is 0 where m = 0.
     """
     finite = math.isfinite(theta)
     layers = iter(layers)
     m = np.array(next(layers), dtype=np.float64)
-    first = np.zeros(m.shape, dtype=np.int32)
     s = np.full(m.shape, coeffs[0]) if finite else None
     for i, x in enumerate(layers, start=1):
         rise = x > m
@@ -162,18 +168,45 @@ def _fold_scales(layers, coeffs: np.ndarray, theta: float) -> tuple[np.ndarray, 
             np.copyto(q, coeffs[i], where=rise)  # the new max's own term
             s += q
         np.copyto(m, x, where=rise)
-        np.copyto(first, i, where=rise)
     if finite:
         m *= s ** (1.0 / theta)
-    return m, first
+    return m
 
 
-def _witness(values: np.ndarray, first: np.ndarray) -> tuple[float, tuple[int, int, int], int]:
-    """The largest value, its first center in C order, and the node index
-    that reaches it there."""
-    flat = int(np.argmax(values))
-    center = tuple(int(c) for c in np.unravel_index(flat, values.shape))
-    return float(values.reshape(-1)[flat]), center, int(first.reshape(-1)[flat])
+def _shell_search(f: Field, p: float, scales: np.ndarray,
+                  layer) -> tuple[float, tuple[int, int, int], int]:
+    """sup over centers x and nodes i of ``layer(i, v)`` (increasing in v,
+    vectorized), v the integral of |f|^p over B_{scales[i]}(x), with its first
+    center in C order and first node there; exact layers are taken only on
+    the voxels within 1e-12 of a shell's largest ball sum."""
+    grid, h3 = f.grid, f.grid.voxel_volume
+    power = magnitude_power(f, p)
+    spec = _rfftn(power)
+    ranks, openers = np.unique(_shell_rank(grid, scales), return_index=True)
+    keys = [_power_shell(grid, float(scales[i])) for i in openers]
+    shell_of = np.repeat(np.arange(ranks.size), np.diff(openers, append=scales.size))
+    mass = float(spec[0, 0, 0].real) * h3  # the torus integral of |f|^p
+    top = np.minimum(mass, shell_table(grid).ball_count[ranks] * h3 * power.max()) + 1e-12 * mass
+    done = np.zeros(ranks.size, dtype=bool)
+    best, records = -math.inf, []  # (-value, first center, node) per evaluated node
+    while not done.all():
+        bound = np.maximum.reduceat(layer(np.arange(scales.size), top[shell_of]), openers)
+        bound[done] = -math.inf
+        j = int(np.argmax(bound))
+        if bound[j] * (1.0 + 1e-12) < best:
+            break
+        done[j] = True
+        sums = _irfftn(spec * _ball_spectrum_cached(grid, keys[j], np.float64), grid.n).ravel()
+        hi = sums.max()
+        np.minimum(top[:j], max(hi, 0.0) * h3 + 1e-12 * mass, out=top[:j])
+        cand = np.flatnonzero(sums >= hi * (1.0 - 1e-12)) if hi > 0.0 else np.arange(1)
+        v = np.maximum(sums[cand], 0.0) * h3  # hi <= 0: every layer is 0, first at voxel 0
+        for i in np.flatnonzero(shell_of == j):
+            x = layer(i, v)
+            records.append((-x.max(), int(cand[np.argmax(x)]), int(i)))
+            best = max(best, x.max())
+    value, flat, node = min(records)
+    return float(-value), tuple(int(c) for c in np.unravel_index(flat, grid.shape)), node
 
 
 def _ball_power_profile(f: Field, p: float, center: tuple[int, int, int],
@@ -196,7 +229,7 @@ def lm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> flo
     ball, _ = _ball_power_profile(f, params.p, center, scales)
     weighted = params.weight.value(scales) * ball ** (1.0 / params.p)
     return float(_fold_scales(weighted[:, None], _trapezoid_logr_coeffs(scales),
-                              params.weight.theta)[0][0])
+                              params.weight.theta)[0])
 
 
 def clm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> float:
@@ -206,37 +239,34 @@ def clm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> fl
     comp = np.maximum(total - ball, 0.0) ** (1.0 / params.p)
     weighted = params.weight.value(scales) * comp
     return float(_fold_scales(weighted[:, None], _trapezoid_logr_coeffs(scales),
-                              params.weight.theta)[0][0])
+                              params.weight.theta)[0])
 
 
 def gm_norm(f: Field, params: MorreyParams) -> GmNorm:
     """Global Morrey-type quasi-norm: sup over all voxel centers.
 
     One sliding ball pass per lattice shell among the scale nodes; never n^3
-    independent local norms.  The nodes of one shell share one ball power
-    and the weight is nonincreasing, so a shell's later nodes can never
-    raise the max: each shell folds as its first node, whose finite-theta
-    coefficient is sum_k c_k (w_k / w_first)^theta over the shell's nodes.
+    independent local norms.  theta = inf searches the shells
+    (:func:`_shell_search`).  A finite theta folds each shell as its first
+    node (the nodes share one ball power and the weight is nonincreasing),
+    with coefficient sum_k c_k (w_k / w_first)^theta over the shell's nodes.
     """
     scales = _supported_scales(params)
     wvals = params.weight.value(scales)
     theta = params.weight.theta
+    if math.isinf(theta):
+        value, center, node = _shell_search(f, params.p, scales,
+                                            lambda i, v: wvals[i] * v ** (1.0 / params.p))
+        return GmNorm(value, center, float(scales[node]))
     first = shell_openers(f.grid, scales)
     starts = np.flatnonzero(first)
-    coeffs = None
-    if math.isfinite(theta):
-        w_first = np.repeat(wvals[starts], np.diff(starts, append=scales.size))
-        coeffs = np.add.reduceat(_trapezoid_logr_coeffs(scales) * (wvals / w_first) ** theta,
-                                 starts)
-
-    def layers():
-        for w, new_shell, (_, power) in zip(wvals, first,
-                                            sliding_ball_power_multi(f, params.p, scales)):
-            if new_shell:
-                yield w * power ** (1.0 / params.p)
-
-    value, center, layer = _witness(*_fold_scales(layers(), coeffs, theta))
-    return GmNorm(value, center, float(scales[starts[layer]]) if math.isinf(theta) else None)
+    w_first = np.repeat(wvals[starts], np.diff(starts, append=scales.size))
+    coeffs = np.add.reduceat(_trapezoid_logr_coeffs(scales) * (wvals / w_first) ** theta, starts)
+    layers = (w * power ** (1.0 / params.p) for w, new_shell, (_, power)
+              in zip(wvals, first, sliding_ball_power_multi(f, params.p, scales)) if new_shell)
+    values = _fold_scales(layers, coeffs, theta)
+    center = np.unravel_index(np.argmax(values), values.shape)
+    return GmNorm(float(values[center]), tuple(int(c) for c in center), None)
 
 
 def classical_morrey(f: Field, p: float, alpha: float, r_min: float, r_max: float,
@@ -254,6 +284,6 @@ def classical_morrey(f: Field, p: float, alpha: float, r_min: float, r_max: floa
         scales = np.asarray(sorted(float(s) for s in scales))
         if scales.size == 0 or scales[0] < r_min - 1e-12 or scales[-1] > r_max + 1e-12:
             raise ValueError("explicit scales must be non-empty and lie in [r_min, r_max]")
-    layers = (power * r ** (-alpha) for r, power in sliding_ball_power_multi(f, p, scales))
-    value, center, node = _witness(*_fold_scales(layers, None, math.inf))
+    factor = np.array([r ** (-alpha) for r in scales.tolist()])
+    value, center, node = _shell_search(f, p, scales, lambda i, v: v * factor[i])
     return ClassicalMorrey(value, center, float(scales[node]))

@@ -24,6 +24,7 @@ import numpy as np
 from .fields import random_solenoidal_field
 from .grid import (
     TAU,
+    FieldFileError,
     Grid3,
     VectorField,
     _frequencies,
@@ -33,6 +34,7 @@ from .grid import (
     curl_hat,
     load_field,
     project_hat,
+    read_field_header,
     save_field,
     sup_norm,
 )
@@ -57,6 +59,11 @@ class SchedulingError(RuntimeError):
 
 class TimeRangeError(ValueError):
     """Criterion reference time outside the trajectory's time range."""
+
+
+class TrajectoryFileError(FieldFileError):
+    """A malformed ``meta.json`` or ``series.csv``, or a snapshot header that
+    disagrees with ``meta.json``."""
 
 
 @dataclass(frozen=True)
@@ -581,26 +588,63 @@ def save_trajectory(traj: Trajectory, outdir) -> list[Path]:
     return writer.finish(traj.grid, traj.series)
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _check_times(ts: np.ndarray, path: Path) -> None:
+    if not (np.isfinite(ts).all() and (np.diff(ts) > 0.0).all()):
+        raise TrajectoryFileError(f"{path}: times must be finite and strictly increasing")
+
+
 def load_trajectory(indir) -> Trajectory:
     """A saved trajectory whose snapshots load on demand (:class:`SnapshotFiles`).
 
-    The series is read now.  Every listed snapshot file must exist, so a
-    missing one raises ``FileNotFoundError`` here; a corrupt one raises
-    ``FieldFileError`` when it is first indexed."""
+    The series is read now.  ``meta.json`` must hold its keys with their
+    types, the series and snapshot times must be finite and strictly
+    increasing, every series column must be present and finite, and every
+    listed snapshot file must exist and carry a 3-component field on the
+    grid of ``meta.json`` (its header alone is read).  A malformed file
+    raises :class:`TrajectoryFileError`, a missing one ``FileNotFoundError``;
+    a corrupt payload raises ``FieldFileError`` when it is first indexed."""
     indir = Path(indir)
     meta_path = indir / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    grid = Grid3(int(meta["n"]), float(meta["box_len"]))
+    try:
+        meta = json.loads(meta_path.read_text())
+        n, box_len, series_name = meta["n"], meta["box_len"], meta["series"]
+        entries = [(e["t"], e["file"]) for e in meta["snapshots"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise TrajectoryFileError(f"{meta_path} is malformed: {exc!r}") from exc
+    if not (type(n) is int and _is_real(box_len) and isinstance(series_name, str)
+            and all(_is_real(t) and isinstance(name, str) for t, name in entries)):
+        raise TrajectoryFileError(f"{meta_path} holds a key of the wrong type")
+    try:
+        grid = Grid3(n, float(box_len))
+    except ValueError as exc:
+        raise TrajectoryFileError(f"{meta_path} declares an invalid grid: {exc}") from exc
+    snapshots = SnapshotFiles(indir, [(float(t), name) for t, name in entries])
+    _check_times(np.array([t for t, _ in snapshots.entries]), meta_path)
     series: dict[str, list[float]] = {c: [] for c in SERIES_COLUMNS}
-    series_path = indir / meta["series"]
+    series_path = indir / series_name
+    if not series_path.is_file():
+        raise FileNotFoundError(f"series file {series_path} named in {meta_path} is missing")
     with open(series_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            for c in SERIES_COLUMNS:
-                series[c].append(float(row[c]))
-    snapshots = SnapshotFiles(indir, [(float(e["t"]), e["file"]) for e in meta["snapshots"]])
+        try:
+            for row in csv.DictReader(fh):
+                for c in SERIES_COLUMNS:
+                    series[c].append(float(row[c]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise TrajectoryFileError(f"{series_path} is malformed: {exc!r}") from exc
+    arrays = {c: np.asarray(v) for c, v in series.items()}
+    if not (arrays["t"].size and all(np.isfinite(a).all() for a in arrays.values())):
+        raise TrajectoryFileError(f"{series_path} holds no rows or a non-finite value")
+    _check_times(arrays["t"], series_path)
     snaps = snapshots.paths()
     for path in snaps:
         if not path.is_file():
             raise FileNotFoundError(f"snapshot file {path} listed in {meta_path} is missing")
-    return Trajectory(grid, {c: np.asarray(v) for c, v in series.items()}, snapshots,
-                      [series_path, *snaps, meta_path])
+        with open(path, "rb") as fh:
+            if read_field_header(fh) != (grid, 3):
+                raise TrajectoryFileError(f"{path} does not hold a 3-component field on "
+                                          f"the grid of {meta_path} ({grid})")
+    return Trajectory(grid, arrays, snapshots, [series_path, *snaps, meta_path])

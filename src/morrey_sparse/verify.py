@@ -119,9 +119,8 @@ class _FieldState:
         if r not in self.lhs:
             if self.power_hat is None:
                 self.power_hat = _rfftn(magnitude_power(self.field(), 2.0))
-            power = ball_power_from_spectrum(self.grid, self.power_hat, r)
-            power **= 0.5
-            self.lhs[r] = float(power.max())
+            # the root after the max: sqrt is monotone and correctly rounded
+            self.lhs[r] = math.sqrt(ball_power_from_spectrum(self.grid, self.power_hat, r).max())
         return self.lhs[r]
 
     def mask_spectra(self, mode: str, lam: float) -> list[MaskSpectra]:

@@ -321,6 +321,46 @@ def test_criterion_corrupt_window_snapshot_is_input_error(traj_dir, tmp_path):
     assert main(_window_args(run, tmp_path / "c")) == 3
 
 
+def _edit_meta(edit):
+    def mutate(run):
+        meta = json.loads((run / "meta.json").read_text())
+        edit(meta)
+        (run / "meta.json").write_text(json.dumps(meta))
+    return mutate
+
+
+def _edit_series(edit):
+    def mutate(run):
+        lines = (run / "series.csv").read_text().splitlines()
+        lines[3] = edit(lines[3])
+        (run / "series.csv").write_text("\n".join(lines) + "\n")
+    return mutate
+
+
+MALFORMED_RUNS = {
+    "invalid_json": lambda run: (run / "meta.json").write_text("{"),
+    "meta_not_an_object": lambda run: (run / "meta.json").write_text("[]"),
+    "missing_key": _edit_meta(lambda meta: meta.pop("n")),
+    "mistyped_key": _edit_meta(lambda meta: meta.update(n="16")),
+    "reversed_snapshot_times": _edit_meta(lambda meta: meta["snapshots"].reverse()),
+    "nonfinite_snapshot_time": _edit_meta(lambda meta: meta["snapshots"][1].update(t=math.nan)),
+    "series_row_missing_columns": _edit_series(lambda row: ",".join(row.split(",")[:2])),
+    "series_nonfinite_time": _edit_series(lambda row: "nan" + row[row.index(","):]),
+    # the silently wrong result: n=32 declared over n=16 snapshot files
+    "grid_disagrees_with_snapshots": _edit_meta(lambda meta: meta.update(n=32)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RUNS))
+def test_criterion_malformed_trajectory_is_input_error(traj_dir, tmp_path, capsys, case):
+    run = tmp_path / "run"
+    shutil.copytree(traj_dir, run)
+    MALFORMED_RUNS[case](run)
+    assert main(_window_args(run, tmp_path / "c")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+
 def test_failed_simulate_leaves_no_trajectory(tmp_path, monkeypatch, capsys):
     # a finished 2-step run's directory, then a run into it that blows up at
     # step 4: its snapshots so far are on disk, but no meta.json names them

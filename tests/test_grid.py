@@ -196,6 +196,16 @@ def test_sup_norm(grid32):
     assert sup_norm(f3) == pytest.approx(3.0 * sup_norm(f), rel=1e-15)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sup_norm_root_after_max_is_exact(grid16, seed):
+    # sqrt is monotone and correctly rounded, so the root of the max equals
+    # the max of the pointwise roots bit for bit
+    f = random_field(grid16, seed=seed)
+    assert sup_norm(f) == float(np.sqrt(np.einsum("cijk,cijk->ijk", f.data, f.data)).max())
+    s = ScalarField(grid16, f.data[1] - 0.3)
+    assert sup_norm(s) == float(np.abs(s.data).max())
+
+
 # ---------------------------------------------------------------------------
 # ball kernels: oracle equivalence and properties
 # ---------------------------------------------------------------------------

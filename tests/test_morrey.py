@@ -8,6 +8,7 @@ from morrey_sparse import grid as grid_module
 from morrey_sparse import morrey as morrey_module
 from morrey_sparse.grid import UNIT_BALL_VOLUME, Grid3, VectorField, ball_kernel, magnitude_power
 from morrey_sparse.morrey import (
+    ClassicalMorrey,
     GmNorm,
     MorreyParams,
     WeightSpec,
@@ -15,6 +16,7 @@ from morrey_sparse.morrey import (
     clm_norm,
     gm_norm,
     lm_norm,
+    log_scale_nodes,
 )
 from conftest import random_field, unit_x_field
 
@@ -296,19 +298,33 @@ def _per_scale_power(f, p, scales):
         yield float(r), sums * f.grid.voxel_volume
 
 
-def _gm_sup_reference(f, params):
-    """Sup-form gm_norm that evaluates every scale: no shared ball, no skip."""
-    scales = np.asarray(params.scales)
-    wvals = params.weight.value(scales)
+def _sup_reference(f, layers, scales):
+    """The full sup-form fold: every node's layer at every voxel, nothing
+    skipped; the max, its first center in C order, and the scale of the
+    first node reaching it there."""
     best = np.full(f.grid.shape, -np.inf)
     arg = np.zeros(f.grid.shape, dtype=int)
-    for i, (r, power) in enumerate(_per_scale_power(f, params.p, scales)):
-        layer = wvals[i] * power ** (1.0 / params.p)
+    for i, layer in enumerate(layers):
         arg[layer > best] = i
         best = np.maximum(best, layer)
     flat = int(np.argmax(best))
     center = tuple(int(c) for c in np.unravel_index(flat, f.grid.shape))
-    return GmNorm(float(best.reshape(-1)[flat]), center, float(scales[arg.reshape(-1)[flat]]))
+    return float(best.reshape(-1)[flat]), center, float(scales[arg.reshape(-1)[flat]])
+
+
+def _gm_sup_reference(f, params, power=_per_scale_power):
+    """Sup-form gm_norm that evaluates every scale: no shared ball, no skip."""
+    scales = np.asarray(params.scales)
+    layers = (w * v ** (1.0 / params.p)
+              for w, (_, v) in zip(params.weight.value(scales), power(f, params.p, scales)))
+    return GmNorm(*_sup_reference(f, layers, scales))
+
+
+def _classical_sup_reference(f, p, alpha, scales, power=_per_scale_power):
+    """Sup-form classical_morrey that evaluates every scale and every voxel."""
+    scales = np.asarray(scales)
+    return ClassicalMorrey(*_sup_reference(f, (v * r ** (-alpha) for r, v in power(f, p, scales)),
+                                           scales))
 
 
 @pytest.mark.parametrize("theta", [math.inf, 2.0])
@@ -326,12 +342,13 @@ def test_shared_shells_match_per_scale_reference(grid32, monkeypatch, theta, nu)
     shared = gm_norm(f, params)
     if math.isinf(theta):
         assert shared == _gm_sup_reference(f, params)
-    shared_cm = [classical_morrey(f, p, a, scales[0], 1.0, scales=scales)
-                 for p, a in ((2.0, 1.0), (1.0, -0.5))]
+    # alpha < 0: r^(-alpha) rises within a shell, so the witness is the
+    # shell's last node, not its first
+    for p, a in ((2.0, 1.0), (1.0, -0.5)):
+        assert (classical_morrey(f, p, a, scales[0], 1.0, scales=scales)
+                == _classical_sup_reference(f, p, a, scales))
     monkeypatch.setattr(morrey_module, "sliding_ball_power_multi", _per_scale_power)
     assert shared == gm_norm(f, params)
-    assert shared_cm == [classical_morrey(f, p, a, scales[0], 1.0, scales=scales)
-                         for p, a in ((2.0, 1.0), (1.0, -0.5))]
 
 
 # ---------------------------------------------------------------------------
@@ -400,3 +417,74 @@ def test_gm_norm_allocation_independent_of_node_count(grid32, theta):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 8 * grid32.n**3
+
+
+# ---------------------------------------------------------------------------
+# the sup-form shell search
+# ---------------------------------------------------------------------------
+
+
+def _sup_fields(grid):
+    from morrey_sparse.fields import vorticity_blob
+    from morrey_sparse.nse import initial_condition
+
+    return {"taylor_green": initial_condition("taylor-green", grid),  # symmetric ties
+            "zero": unit_x_field(grid, 0.0),
+            "constant": unit_x_field(grid),
+            "blob": vorticity_blob(grid, (6, 20, 28), sigma=0.35),
+            "random": random_field(grid, seed=43, kmax=8)}
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("field", ["taylor_green", "zero", "constant", "blob", "random"])
+def test_shell_search_matches_full_evaluation(grid32, field, p):
+    # values, first centers and scales equal the fold over every node of
+    # every shell at every voxel, with the same ball-power arithmetic
+    f = _sup_fields(grid32)[field]
+    full = grid_module.sliding_ball_power_multi
+    for nu in (0.0, 0.5, 1.0):
+        params = MorreyParams.default(grid32, WeightSpec(nu=nu, rho=0.0), p=p, count=32)
+        assert gm_norm(f, params) == _gm_sup_reference(f, params, power=full)
+    scales = log_scale_nodes(grid32, 0.1, 1.0, 32)
+    for alpha in (1.0, 0.0, -0.5):
+        assert (classical_morrey(f, p, alpha, 0.1, 1.0)
+                == _classical_sup_reference(f, p, alpha, scales, power=full))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("amplitude", [2.0, 0.7])
+def test_shell_search_near_tie(grid32, p, amplitude):
+    # one nonzero voxel: every ball around it holds the same mass, so every
+    # shell's largest ball integral is the torus mass up to the transform's
+    # rounding, closer than the 1e-12 slack; with a flat weight the sup and
+    # its witness are decided by rounding alone (shells tie exactly, at
+    # different first centers), and still match
+    data = np.zeros(grid32.shape)
+    data[5, 9, 30] = amplitude
+    f = grid_module.ScalarField(grid32, data)
+    full = grid_module.sliding_ball_power_multi
+    params = MorreyParams.default(grid32, WeightSpec(nu=0.0, rho=0.0), p=p, count=48)
+    masses = [float(v.max()) for _, v in full(f, p, params.scales)]
+    assert max(masses) - min(masses) < 1e-12 * amplitude**p * grid32.voxel_volume
+    assert gm_norm(f, params) == _gm_sup_reference(f, params, power=full)
+    scales = np.asarray(params.scales)
+    assert (classical_morrey(f, p, 0.0, scales[0], 1.0, scales=scales)
+            == _classical_sup_reference(f, p, 0.0, scales, power=full))
+
+
+def test_shell_search_skips_shells_of_a_localized_blob(grid32, monkeypatch):
+    # a blob's ball integrals stop growing once the ball holds it, so the
+    # larger shells' caps fall below the small-scale max and are never
+    # transformed
+    from morrey_sparse.fields import vorticity_blob
+
+    f = vorticity_blob(grid32, (6, 20, 28), sigma=0.35)
+    params = MorreyParams.default(grid32, WeightSpec(nu=1.0, rho=0.0), count=32)
+    shells = int(grid_module.shell_openers(grid32, params.scales).sum())
+    inverses = []
+    real = morrey_module._irfftn
+    monkeypatch.setattr(morrey_module, "_irfftn", lambda *a: inverses.append(1) or real(*a))
+    res = gm_norm(f, params)
+    assert len(inverses) < shells // 2, (len(inverses), shells)
+    monkeypatch.undo()
+    assert res == _gm_sup_reference(f, params, power=grid_module.sliding_ball_power_multi)

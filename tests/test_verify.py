@@ -157,6 +157,20 @@ def test_l2_in_place_edit_is_seen():
     assert after == check_lemma_l2(VectorField(grid, f.data.copy()), PAIR, 0.5)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_premise_lhs_root_after_max_is_exact(seed):
+    # the premise takes the root of the max ball power; sqrt is monotone and
+    # correctly rounded, so it equals the max over the rooted ball powers
+    from morrey_sparse.grid import _rfftn, ball_power_from_spectrum, magnitude_power
+
+    f = random_solenoidal_field(Grid3(16), 4, seed)
+    state = verify_module._FieldState(f)
+    for r in (0.5, 0.8, 1.0):
+        power = ball_power_from_spectrum(f.grid, _rfftn(magnitude_power(f, 2.0)), r)
+        power **= 0.5
+        assert state.premise_lhs(r) == float(power.max())
+
+
 def test_l2_transforms_per_field(monkeypatch):
     # field-only work once (curl: 6, |f|^2: 1) and one inverse transform per
     # premise scale; the random fields never hold the premise, so without
