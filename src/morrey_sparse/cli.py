@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 computation error (a solver instability included),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -29,6 +30,7 @@ from . import __version__
 from .grid import FieldFileError, load_field
 from .morrey import MorreyParams, WeightSpec, classical_morrey, clm_norm, gm_norm, lm_norm
 from .nse import (
+    SERIES_COLUMNS,
     CriterionSpec,
     SchedulingError,
     SolverConfig,
@@ -98,11 +100,12 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(outdir: Path, command: str, params: dict, inputs: list,
+def _write_manifest(outdir: Path, args: argparse.Namespace, inputs: list,
                     outputs: list, t0: float) -> None:
     manifest = {
-        "command": command,
-        "params": params,
+        "command": args.command,
+        "params": {k: (list(v) if isinstance(v, tuple) else v)
+                   for k, v in vars(args).items() if not k.startswith("_")},
         "version": __version__,
         "input_hashes": {str(p): _sha256(Path(p)) for p in inputs if Path(p).is_file()},
         "outputs": sorted(str(p) for p in outputs),
@@ -253,14 +256,13 @@ def _resolve_threads(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each writes its outputs into ``outdir`` and returns its
+# (inputs, outputs[, exit code]); main creates the directory and writes the
+# manifest
 # ---------------------------------------------------------------------------
 
 
-def cmd_norm(args) -> int:
-    t0 = time.time()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_norm(args, outdir: Path) -> tuple:
     f = load_field(args.field)
     if not 0.0 <= args.rho < 1.0:
         raise UsageError(f"rho must lie in [0, 1), got {args.rho}")
@@ -286,15 +288,10 @@ def cmd_norm(args) -> int:
                 raise UsageError(f"center {center} outside [0, {grid.n}) per axis")
             fn = lm_norm if args.kind == "lm" else clm_norm
             report.update(norm=fn(f, params, center), center=list(center))
-    out = _write_json(outdir / "norm_report.json", report)
-    _write_manifest(outdir, "norm", vars_no_private(args), [args.field], [out], t0)
-    return EXIT_OK
+    return [args.field], [_write_json(outdir / "norm_report.json", report)]
 
 
-def cmd_sparseness(args) -> int:
-    t0 = time.time()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_sparseness(args, outdir: Path) -> tuple:
     outputs = []
     if args.pair_from_delta is not None:
         pair = admissible_pair(args.pair_from_delta)
@@ -305,8 +302,7 @@ def cmd_sparseness(args) -> int:
         outputs.append(_write_json(outdir / "pair_report.json", report))
         print(f"delta={pair.delta} -> lambda={pair.lam:.6f} (kappa={consts.kappa:.6f})")
         if args.field is None:
-            _write_manifest(outdir, "sparseness", vars_no_private(args), [], outputs, t0)
-            return EXIT_OK
+            return [], outputs
     if args.field is None:
         raise UsageError("either --field or --pair-from-delta is required")
     f = load_field(args.field)
@@ -327,14 +323,10 @@ def cmd_sparseness(args) -> int:
         report["z_alpha"] = {"alpha": args.z_alpha, "c0": args.c0, "ok": ok,
                              "witnesses": [list(wv) for wv in witnesses]}
     outputs.append(_write_json(outdir / "sparseness_report.json", report))
-    _write_manifest(outdir, "sparseness", vars_no_private(args), [args.field], outputs, t0)
-    return EXIT_OK
+    return [args.field], outputs
 
 
-def cmd_verify(args) -> int:
-    t0 = time.time()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_verify(args, outdir: Path) -> tuple:
     thetas = tuple(_parse_theta(s) for s in str(args.thetas).split(","))
     modes = tuple(str(args.modes).split(","))
     cfg = SweepConfig(lemma=args.lemma, n=args.n, deltas=tuple(args.deltas),
@@ -349,15 +341,8 @@ def cmd_verify(args) -> int:
              "marginal": r.marginal, "degenerate": r.degenerate,
              "verdict": r.verdict, "per_set_densities": list(r.per_set_densities),
              "params": r.params} for r in reports]
-    out_json = _write_json(outdir / "verify_reports.json", {
-        "summary": {"total": summary.total, "premise_holding": summary.premise_holding,
-                    "degenerate": summary.degenerate, "marginal": summary.marginal,
-                    "violations": summary.violations,
-                    "marginal_violations": summary.marginal_violations,
-                    "tightest_premise_ratio": summary.tightest_premise_ratio,
-                    "min_density_slack": summary.min_density_slack,
-                    "closest_near_miss": summary.closest_near_miss},
-        "reports": rows})
+    out_json = _write_json(outdir / "verify_reports.json",
+                           {"summary": dataclasses.asdict(summary), "reports": rows})
     csv_path = outdir / "verify_reports.csv"
     with open(csv_path, "w") as fh:
         fh.write("premise_lhs,premise_rhs,premise_holds,conclusion_holds,"
@@ -367,16 +352,14 @@ def cmd_verify(args) -> int:
                                str(r.premise_holds), str(r.conclusion_holds),
                                str(r.marginal), str(r.degenerate), str(r.verdict),
                                _fmt(r.params["delta"]), _fmt(r.params["r"])]) + "\n")
-    _write_manifest(outdir, "verify", vars_no_private(args), [], [out_json, csv_path], t0)
     print(f"sweep: {summary.total} reports, {summary.premise_holding} premise-holding, "
           f"{summary.violations} violations")
-    return EXIT_OK if summary.violations == 0 and summary.marginal_violations == 0 \
-        else EXIT_COMPUTE
+    return [], [out_json, csv_path], (
+        EXIT_OK if summary.violations == 0 and summary.marginal_violations == 0
+        else EXIT_COMPUTE)
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.time()
-    outdir = Path(args.out)
+def cmd_simulate(args, outdir: Path) -> tuple:
     if not math.isfinite(args.amplitude):
         raise UsageError(f"amplitude must be finite, got {args.amplitude}")
     cfg = SolverConfig(n=args.n, dt=args.dt, t_end=args.t_end, ic=args.ic,
@@ -386,15 +369,11 @@ def cmd_simulate(args) -> int:
     # run's manifest would describe files it no longer holds
     (outdir / "manifest.json").unlink(missing_ok=True)
     traj = simulate(cfg, out=outdir)
-    _write_manifest(outdir, "simulate", vars_no_private(args), [], traj.files, t0)
     print(f"simulated {args.ic} to t={args.t_end} ({len(traj.snapshots)} snapshots)")
-    return EXIT_OK
+    return [], traj.files
 
 
-def cmd_criterion(args) -> int:
-    t0 = time.time()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_criterion(args, outdir: Path) -> tuple:
     traj = load_trajectory(args.traj)
     spec = CriterionSpec(alpha=args.alpha, beta=args.beta, nu_w=args.nu_w, p=args.p,
                          theta=args.theta, c=args.c, c0=args.c0, eps0=args.eps0,
@@ -433,12 +412,11 @@ def cmd_criterion(args) -> int:
             by_time[row[0]] = row
     series_path = outdir / "series_with_criterion.csv"
     with open(series_path, "w") as fh:
-        fh.write("t,u_sup,omega_sup,energy,enstrophy,eta,criterion_lhs,"
-                 "criterion_rhs,satisfied\n")
+        fh.write(",".join(SERIES_COLUMNS + ("eta", "criterion_lhs", "criterion_rhs",
+                                            "satisfied")) + "\n")
         ts = traj.series["t"]
         for i in range(ts.size):
-            base = [_fmt(traj.series[c][i]) for c in
-                    ("t", "u_sup", "omega_sup", "energy", "enstrophy")]
+            base = [_fmt(traj.series[c][i]) for c in SERIES_COLUMNS]
             match = next((row for tt, row in by_time.items()
                           if abs(tt - ts[i]) < 1e-12), None)
             if match is None:
@@ -446,14 +424,7 @@ def cmd_criterion(args) -> int:
             else:
                 base += [_fmt(match[1]), _fmt(match[2]), _fmt(match[3]), str(match[4])]
             fh.write(",".join(base) + "\n")
-    _write_manifest(outdir, "criterion", vars_no_private(args), [],
-                    [out_json, csv_path, series_path], t0)
-    return EXIT_OK
-
-
-def vars_no_private(args) -> dict:
-    return {k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in vars(args).items() if not k.startswith("_")}
+    return [], [out_json, csv_path, series_path]
 
 
 def main(argv=None) -> int:
@@ -472,8 +443,16 @@ def main(argv=None) -> int:
             "simulate": cmd_simulate,
             "criterion": cmd_criterion,
         }[args.command]
-        return handler(args)
-    except (FileNotFoundError, FieldFileError) as exc:
+        t0 = time.time()
+        outdir = Path(args.out)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"--out {args.out}: {exc.strerror}") from exc
+        inputs, outputs, *code = handler(args, outdir)
+        _write_manifest(outdir, args, inputs, outputs, t0)
+        return code[0] if code else EXIT_OK
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FieldFileError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SchedulingError as exc:

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .grid import Grid3, ScalarField, VectorField, _irfftn, _rfftn, leray_project, rfft_wavenumbers
+from .grid import Grid3, VectorField, _irfftn, _rfftn, leray_project, rfft_wavenumbers
 
 
 def smoothstep(t):
@@ -101,12 +101,6 @@ def vorticity_blob(grid: Grid3, center: tuple[int, int, int], sigma: float,
     w = _irfftn(wh, grid.n)
     sup = np.sqrt(np.einsum("cijk,cijk->ijk", w, w)).max()
     return VectorField(grid, w * (amplitude / sup))
-
-
-def scalar_bump(grid: Grid3, center: tuple[int, int, int], inner: float, outer: float) -> ScalarField:
-    """Radial plateau bump as a scalar field (1 on B_inner, 0 outside B_outer)."""
-    dist = grid.spacing * np.sqrt(grid.shell_index(center))
-    return ScalarField(grid, radial_plateau(dist, inner, outer))
 
 
 def bump_gradient(grid: Grid3, center: tuple[int, int, int], inner: float, outer: float) -> VectorField:

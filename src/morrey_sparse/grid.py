@@ -147,10 +147,6 @@ class VectorField:
         if self.data.dtype != np.float64:
             object.__setattr__(self, "data", np.ascontiguousarray(self.data, dtype=np.float64))
 
-    @classmethod
-    def zeros(cls, grid: Grid3) -> "VectorField":
-        return cls(grid, np.zeros((3,) + grid.shape))
-
     def magnitude(self) -> np.ndarray:
         return np.sqrt(np.einsum("cijk,cijk->ijk", self.data, self.data))
 
@@ -354,10 +350,6 @@ class BallKernel:
         return _shell(self.grid, self.radius)
 
     @property
-    def mask(self) -> np.ndarray:
-        return _ball_mask(self.grid, self.shell)
-
-    @property
     def voxel_count(self) -> int:
         return int(shell_table(self.grid).ball_count[_shell_rank(self.grid, self.radius)])
 
@@ -370,14 +362,6 @@ class BallKernel:
         """Relative voxelization error against the exact ball volume."""
         exact = UNIT_BALL_VOLUME * self.radius**3
         return abs(self.volume - exact) / exact
-
-
-@lru_cache(maxsize=64)
-def _ball_mask(grid: Grid3, shell: int) -> np.ndarray:
-    """Read-only ball {shell index <= shell} around voxel 0."""
-    mask = grid.shell_index() <= shell
-    mask.setflags(write=False)
-    return mask
 
 
 @lru_cache(maxsize=64)

@@ -39,7 +39,6 @@ from .grid import (
     sup_norm,
 )
 from .morrey import MorreyParams, WeightSpec, decay_exponent, gm_norm, log_scale_nodes
-from .predual import _conjugate
 from .sparseness import shell_exponent
 
 VISCOSITY = 1.0
@@ -369,10 +368,6 @@ class CriterionSpec:
         return self.beta2 is not None or self.gamma1 is not None
 
 
-class BalanceError(ValueError):
-    """No admissible parameter solves the exponent-balance equation."""
-
-
 def criterion_exponent(spec: CriterionSpec) -> float:
     """Threshold exponent on the reference norm.
 
@@ -380,77 +375,6 @@ def criterion_exponent(spec: CriterionSpec) -> float:
     (nu theta - 1)/theta, and S = 4 - 3/p' (curl family) or 3 - 3/p'."""
     return (min(spec.alpha, spec.beta) * decay_exponent(spec.nu_w, spec.theta)
             - spec.alpha * shell_exponent(spec.p, spec.exponent_mode) + 1.0)
-
-
-def solve_exponent_balance(spec: CriterionSpec, free: str) -> float:
-    """Value of one free parameter making the criterion exponent vanish.
-
-    Raises BalanceError when no admissible root exists (admissibility:
-    nu_w >= 0 with nu_w*theta > 1 for finite theta, alpha > 0, beta > 0,
-    p >= 1, theta > 1).
-    """
-    s_exp = shell_exponent(spec.p, spec.exponent_mode)
-    k_term = decay_exponent(spec.nu_w, spec.theta)
-    m = min(spec.alpha, spec.beta)
-    if free in ("nu_w", "theta"):
-        if m == 0.0:
-            raise BalanceError(f"min(alpha, beta) = 0 leaves {free} without effect")
-        target = (spec.alpha * s_exp - 1.0) / m  # the balancing k-term
-
-    if free == "nu_w":
-        nu = target if math.isinf(spec.theta) else target + 1.0 / spec.theta
-        if nu < 0.0 or (math.isfinite(spec.theta) and not nu * spec.theta > 1.0):
-            raise BalanceError(f"balance needs nu_w = {nu:.6g}, inadmissible")
-        return nu
-    if free == "alpha":
-        roots = []
-        if s_exp != k_term:
-            a = 1.0 / (s_exp - k_term)
-            if a > 0.0 and a <= spec.beta:
-                roots.append(a)
-        if s_exp != 0.0:
-            a = (spec.beta * k_term + 1.0) / s_exp
-            if a > 0.0 and a > spec.beta:
-                roots.append(a)
-        if not roots:
-            raise BalanceError("no admissible alpha root")
-        return min(roots)
-    if free == "beta":
-        target = spec.alpha * s_exp - 1.0
-        if k_term == 0.0:
-            raise BalanceError("k-term vanishes; beta has no effect")
-        if math.isclose(spec.alpha * k_term, target, rel_tol=1e-12):
-            return spec.alpha  # any beta >= alpha balances; return the boundary
-        b = target / k_term
-        if 0.0 < b <= spec.alpha:
-            return b
-        raise BalanceError(f"balance needs beta = {b:.6g}, inadmissible")
-    if free == "theta":
-        if math.isclose(spec.nu_w, target, rel_tol=1e-12):
-            return math.inf
-        denom = spec.nu_w - target
-        if denom <= 0.0:
-            raise BalanceError("required k-term exceeds nu_w")
-        theta = 1.0 / denom
-        if theta <= 1.0 or not spec.nu_w * theta > 1.0:
-            raise BalanceError(f"balance needs theta = {theta:.6g}, inadmissible")
-        return theta
-    if free == "p":
-        # exponent is linear in 3/p' through S
-        base = 4.0 if spec.exponent_mode == "curl" else 3.0
-        if spec.alpha == 0.0:
-            raise BalanceError("alpha = 0 leaves p without effect")
-        s_needed = (m * k_term + 1.0) / spec.alpha
-        three_over_pp = base - s_needed
-        if three_over_pp < 0.0:
-            raise BalanceError("balance needs 3/p' < 0")
-        if three_over_pp == 0.0:
-            return 1.0  # p' = inf
-        pprime = 3.0 / three_over_pp
-        if pprime <= 1.0:
-            raise BalanceError(f"balance needs p' = {pprime:.6g} <= 1")
-        return _conjugate(pprime)
-    raise ValueError(f"unknown free parameter {free!r}")
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,18 @@ from .grid import (
     sup_norm,
 )
 from .morrey import WeightSpec, decay_exponent
-from .predual import _conjugate
+from .predual import HOLDER_CONSTANT, _conjugate, total_weight_norm, weight_tail_norm
 
 SET_LABELS = ("S_1+", "S_1-", "S_2+", "S_2-", "S_3+", "S_3-")
+
+#: largest scale over which :func:`gm_chain_constant` minimizes its chain
+CHAIN_R_MAX = 0.85
+
+#: divisor of the Morrey-type chain prefactor
+CHAIN_SAFETY = 1.2
+
+#: scale multipliers sampled inside (1/c0, c0) by :func:`z_alpha_member`
+Z_ALPHA_SCALES = 9
 
 
 class ZeroFieldError(ValueError):
@@ -292,8 +301,7 @@ def ramp_fraction(pair: PairLD) -> float:
 
 
 def gm_chain_constant(pair: PairLD, p: float, theta: float, alpha: float,
-                      rho: float = 0.0, r_max: float = 0.85,
-                      holder_c: float | None = None, safety: float = 1.2) -> float:
+                      rho: float = 0.0) -> float:
     """Prefactor for the Morrey-type implication threshold.
 
     Closes the chain: semi-mixedness violation at scale r, the outer-shell
@@ -302,9 +310,6 @@ def gm_chain_constant(pair: PairLD, p: float, theta: float, alpha: float,
     widened shell stays inside the weight support); the r-dependence cancels
     except through the tail-norm boundary factors.
     """
-    if holder_c is None:
-        from .predual import HOLDER_CONSTANT
-        holder_c = HOLDER_CONSTANT
     pprime = _conjugate(p)
     if math.isinf(pprime):
         raise ValueError("p = 1 gives an L^inf shell norm; unsupported here")
@@ -313,19 +318,17 @@ def gm_chain_constant(pair: PairLD, p: float, theta: float, alpha: float,
     a_half = (x - 1.0) / 2.0
     b_half = (x + 1.0) / 2.0
     c1 = _ramp_lp_coeff(pprime, ramp)
-    base = a_half ** (1.0 / pprime) / (holder_c * c1 * ramp ** (1.0 / pprime))
+    base = a_half ** (1.0 / pprime) / (HOLDER_CONSTANT * c1 * ramp ** (1.0 / pprime))
     if math.isinf(theta):
         # the B and (r v rho) factors cancel exactly against the sup-form
         # tail drop; the minimum over r is the base itself
-        return base / safety
+        return base / CHAIN_SAFETY
     if not alpha * theta > 1.0:
         raise ValueError(f"need alpha*theta > 1, got {alpha * theta}")
-    from .predual import total_weight_norm, weight_tail_norm
-
     w = WeightSpec(nu=alpha, rho=rho, theta=theta)
     wtotal = total_weight_norm(w)
     total_inv = 0.0 if math.isinf(wtotal) else 1.0 / wtotal
-    r_cap = min(r_max, 0.95 / (1.0 + ramp))
+    r_cap = min(CHAIN_R_MAX, 0.95 / (1.0 + ramp))
     e_neg = decay_exponent(alpha, theta)  # = -E > 0
     best = math.inf
     for r in np.geomspace(max(rho, 0.02), r_cap, 64):
@@ -333,7 +336,7 @@ def gm_chain_constant(pair: PairLD, p: float, theta: float, alpha: float,
         m_r = (1.0 / tail_at_shell if tail_at_shell > 0.0 else math.inf) + total_inv
         val = max(r, rho) ** e_neg * b_half ** (e_neg / 3.0) / m_r
         best = min(best, val)
-    return base * best / safety
+    return base * best / CHAIN_SAFETY
 
 
 def eps_const(pair: PairLD, p: float, theta: float, alpha: float,
@@ -394,8 +397,8 @@ def sparse_constants(pair: PairLD, p: float = 2.0, theta: float = math.inf,
 # ---------------------------------------------------------------------------
 
 
-def z_alpha_member(f: VectorField, alpha: float, pair: PairLD, c0: float,
-                   n_scales: int = 9) -> tuple[bool, list[tuple[int, int, int]]]:
+def z_alpha_member(f: VectorField, alpha: float, pair: PairLD,
+                   c0: float) -> tuple[bool, list[tuple[int, int, int]]]:
     """Scale-comparable sparseness membership check.
 
     For every voxel x0, the dominant signed component (argmax of f_i^+-; ties:
@@ -411,7 +414,7 @@ def z_alpha_member(f: VectorField, alpha: float, pair: PairLD, c0: float,
     if sup == 0.0:
         raise ZeroFieldError("membership undefined for the zero field")
     base = sup ** (-alpha)
-    cs = np.geomspace(1.0 / c0, c0, n_scales + 2)[1:-1]
+    cs = np.geomspace(1.0 / c0, c0, Z_ALPHA_SCALES + 2)[1:-1]
     scales = base / cs
     valid = (scales > grid.spacing) & (scales < grid.box_len / 2.0)
     if not valid.any():

@@ -56,6 +56,12 @@ from .sparseness import (
 #: flagged marginal (discretization error could flip it on the continuum)
 GUARD_BAND = 0.05
 
+#: scale nodes of the Morrey-type premise's global norm
+GM_SCALE_COUNT = 32
+
+#: counterexample blob width, in units of kappa r
+SIGMA_FACTOR = 1.5
+
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -145,8 +151,7 @@ def _field_state(f: VectorField) -> _FieldState:
 
 
 def _report(lhs: float, rhs: float, state: _FieldState, mode: str, lam: float,
-            radius: float, delta: float, params: dict, guard: float,
-            densities: bool) -> VerifyReport:
+            radius: float, delta: float, params: dict, densities: bool) -> VerifyReport:
     """The report of one implication check from its premise sides, premise
     first: a degenerate pass when the thresholded field vanishes (nothing to
     threshold); else, when the premise holds or ``densities`` asks for them,
@@ -159,12 +164,12 @@ def _report(lhs: float, rhs: float, state: _FieldState, mode: str, lam: float,
         return VerifyReport(lhs, rhs, holds, None, (), params)
     per_set = max_densities(state.mask_spectra(mode, lam), radius)
     conclusion = all(d <= delta for d in per_set)
-    marginal = holds and lhs > (1.0 - guard) * rhs
+    marginal = holds and lhs > (1.0 - GUARD_BAND) * rhs
     return VerifyReport(lhs, rhs, holds, conclusion, per_set, params, marginal=marginal)
 
 
-def check_lemma_l2(f: VectorField, pair: PairLD, r: float, cal: float | None = None,
-                   guard: float = GUARD_BAND, densities: bool = False) -> VerifyReport:
+def check_lemma_l2(f: VectorField, pair: PairLD, r: float,
+                   densities: bool = False) -> VerifyReport:
     """L^2 implication: sup_x ||f||_{L^2(B_r(x))} <= c* r^(5/2) ||curl f||_inf
     forces every super-level set of curl f to be (kappa r)-semi-mixed with
     ratio delta.
@@ -179,15 +184,14 @@ def check_lemma_l2(f: VectorField, pair: PairLD, r: float, cal: float | None = N
         raise ValueError(f"scale must lie in (0, 1], got {r}")
     state = _field_state(f)
     lhs = state.premise_lhs(r)
-    rhs = cstar(pair, cal) * r**2.5 * state.sup("curl")
+    rhs = cstar(pair) * r**2.5 * state.sup("curl")
     params = {"lambda": pair.lam, "delta": pair.delta, "r": r, "mode": "l2"}
     return _report(lhs, rhs, state, "curl", pair.lam, kappa(pair) * r, pair.delta,
-                   params, guard, densities)
+                   params, densities)
 
 
 def check_lemma_gm(f: VectorField, pair: PairLD, p: float, theta: float, alpha: float,
-                   rho: float, r: float, mode: str = "curl", cal: float | None = None,
-                   guard: float = GUARD_BAND, scale_count: int = 32,
+                   rho: float, r: float, mode: str = "curl",
                    densities: bool = False) -> VerifyReport:
     """Morrey-type implication: a small global weighted norm of f forces every
     super-level set of curl f (mode "curl") or of f itself (mode "identity")
@@ -212,14 +216,14 @@ def check_lemma_gm(f: VectorField, pair: PairLD, p: float, theta: float, alpha: 
         raise ValueError("p must exceed 1")
     state = _field_state(f)
     weight = WeightSpec(nu=alpha, rho=rho, theta=theta)
-    params_obj = MorreyParams(p, weight, log_scale_nodes(f.grid, rho, 1.0, scale_count))
+    params_obj = MorreyParams(p, weight, log_scale_nodes(f.grid, rho, 1.0, GM_SCALE_COUNT))
     lhs = gm_norm(f, params_obj).value
-    eps = eps_const(pair, p, theta, alpha, cal=cal, rho=rho)
+    eps = eps_const(pair, p, theta, alpha, rho=rho)
     rhs = float(eps * max(r, rho) ** -decay_exponent(alpha, theta)
                 * r ** shell_exponent(p, mode) * state.sup(mode))
     params = {"lambda": pair.lam, "delta": pair.delta, "r": r, "p": p,
               "theta": theta, "alpha": alpha, "rho": rho, "mode": mode}
-    return _report(lhs, rhs, state, mode, pair.lam, r, pair.delta, params, guard, densities)
+    return _report(lhs, rhs, state, mode, pair.lam, r, pair.delta, params, densities)
 
 
 class ScaleTooSmallError(ValueError):
@@ -227,8 +231,7 @@ class ScaleTooSmallError(ValueError):
 
 
 def counterexample_field(r: float, pair: PairLD, grid: Grid3,
-                         center: tuple[int, int, int] | None = None,
-                         sigma_factor: float = 1.5) -> VectorField:
+                         center: tuple[int, int, int] | None = None) -> VectorField:
     """Velocity field whose vorticity defeats (kappa r)-semi-mixedness.
 
     The vorticity is a coherent axis-aligned blob whose first component
@@ -242,7 +245,7 @@ def counterexample_field(r: float, pair: PairLD, grid: Grid3,
             f"kappa*r = {kap * r:.4f} under-resolved (need >= 4 spacing = {4 * grid.spacing:.4f})")
     if center is None:
         center = (grid.n // 2, grid.n // 2, grid.n // 2)
-    sigma = sigma_factor * kap * r
+    sigma = SIGMA_FACTOR * kap * r
     omega = vorticity_blob(grid, center, sigma, axis=(1.0, 0.0, 0.0))
     return biot_savart(omega)
 

@@ -432,3 +432,25 @@ def test_verify_gm_finite_theta_report(tmp_path):
     assert report["summary"]["total"] == 2
     assert {r["params"]["theta"] for r in report["reports"]} == {2}
     assert all(isinstance(r["premise_holds"], bool) for r in report["reports"])
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_out_naming_a_file_is_usage_error(tmp_path, capsys, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    assert main(["sparseness", "--pair-from-delta", "0.75", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --out ") and err.count("\n") == 1, err
+
+
+def test_field_naming_a_directory_is_input_error(tmp_path, capsys):
+    assert main(["norm", "--field", str(tmp_path), "--out", str(tmp_path / "n")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+
+def test_traj_naming_a_file_is_input_error(field_file, tmp_path, capsys):
+    assert main(_window_args(field_file, tmp_path / "c")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err

@@ -213,7 +213,7 @@ def test_sup_norm_root_after_max_is_exact(grid16, seed):
 
 def test_ball_kernel_count_and_volume(grid16):
     k = ball_kernel(grid16, 0.9)
-    assert k.voxel_count == int(k.mask.sum())
+    assert k.voxel_count == int((grid16.shell_index() <= k.shell).sum())
     assert k.volume == pytest.approx(k.voxel_count * grid16.voxel_volume)
     assert 0.0 <= k.volume_error < 0.25
 
@@ -262,13 +262,12 @@ def test_bruteforce_degenerate_ball(grid16):
 def test_supported_in_small_ball_attains_max(grid32):
     # field supported in a ball of radius r/4 around x0: the window attains
     # its max at x0 (any center whose ball swallows the support ties)
-    from morrey_sparse.fields import scalar_bump
+    from morrey_sparse.fields import radial_plateau
 
     x0 = (8, 18, 25)
     r = 1.2
-    bump = scalar_bump(grid32, x0, r / 8.0, r / 4.0)
     data = np.zeros((3,) + grid32.shape)
-    data[0] = bump.data
+    data[0] = radial_plateau(grid32.spacing * np.sqrt(grid32.shell_index(x0)), r / 8.0, r / 4.0)
     f = VectorField(grid32, data)
     vals = sliding_ball_lp(f, 2.0, r).data
     assert vals[x0] >= vals.max() * (1.0 - 1e-12)
@@ -329,7 +328,7 @@ def test_single_precision_mask_counts_exact(n):
     for r in (1.0, _largest_single_radius(grid)):
         kernel = ball_kernel(grid, r)
         assert count_dtype(kernel.voxel_count) is np.float32
-        ball_hat = np.fft.rfftn(kernel.mask.astype(np.float64))
+        ball_hat = np.fft.rfftn((grid.shell_index() <= kernel.shell).astype(np.float64))
         for name, mask in _count_masks(n).items():
             exact = np.fft.irfftn(np.fft.rfftn(mask.astype(np.float64)) * ball_hat, s=grid.shape,
                                   axes=(0, 1, 2))
@@ -380,7 +379,6 @@ def test_shell_key_gives_the_radius_ball(n):
         assert key in shells and key * h2 <= r * r
         ball = index2 * h2 <= r * r
         assert np.array_equal(index2 <= key, ball)
-        assert np.array_equal(ball_kernel(grid, r).mask, ball)
         assert ball_kernel(grid, r).voxel_count == int(ball.sum())
         spec = grid_module._ball_spectrum_cached(grid, key, np.float64)
         full = fft.rfftn(ball.astype(np.float64))
@@ -436,7 +434,7 @@ def test_balls_invariant_under_cube_symmetries(n, monkeypatch):
     center = (3, n - 2, n // 2)
     for r in map(float, radii):
         kernel = ball_kernel(grid, r)
-        ball = kernel.mask
+        ball = grid.shell_index() <= kernel.shell
         assert int(ball.sum()) == kernel.voxel_count
         assert all(np.array_equal(img, ball) for img in _cube_images(ball)), r
         # sparse_3d and ball_lp_bruteforce cut this same ball around a center

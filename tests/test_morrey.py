@@ -168,13 +168,12 @@ def test_clm_zero(grid16):
 def test_clm_support_disjoint(grid32):
     # f supported inside B_rho(center) with weight on [rho, 1]: every
     # complement norm at r >= rho misses the support entirely
-    from morrey_sparse.fields import scalar_bump
+    from morrey_sparse.fields import radial_plateau
 
     rho = 0.5
     center = (16, 16, 16)
-    bump = scalar_bump(grid32, center, 0.15, 0.35)
     data = np.zeros((3,) + grid32.shape)
-    data[1] = bump.data
+    data[1] = radial_plateau(grid32.spacing * np.sqrt(grid32.shell_index(center)), 0.15, 0.35)
     f = VectorField(grid32, data)
     params = params_inf(grid32, rho=rho)
     assert clm_norm(f, params, center) == pytest.approx(0.0, abs=1e-12)
@@ -292,7 +291,8 @@ def _per_scale_power(f, p, scales):
     ball and spectrum, one inverse transform per scale, fresh arrays."""
     power_hat = fft.rfftn(magnitude_power(f, p))
     for r in scales:
-        ball_hat = fft.rfftn(ball_kernel(f.grid, float(r)).mask.astype(np.float64))
+        ball = f.grid.shell_index() <= ball_kernel(f.grid, float(r)).shell
+        ball_hat = fft.rfftn(ball.astype(np.float64))
         sums = fft.irfftn(power_hat * ball_hat, s=f.grid.shape, axes=(0, 1, 2))
         np.maximum(sums, 0.0, out=sums)
         yield float(r), sums * f.grid.voxel_volume

@@ -25,7 +25,6 @@ from morrey_sparse.morrey import (
     log_scale_nodes,
 )
 from morrey_sparse.nse import (
-    BalanceError,
     CriterionSpec,
     SchedulingError,
     SnapshotFiles,
@@ -40,7 +39,6 @@ from morrey_sparse.nse import (
     load_trajectory,
     save_trajectory,
     simulate,
-    solve_exponent_balance,
 )
 from morrey_sparse.predual import _conjugate
 from morrey_sparse.sparseness import admissible_pair, shell_exponent
@@ -230,7 +228,7 @@ def test_dissipation_scale_arithmetic():
 
 
 # ---------------------------------------------------------------------------
-# criterion exponent and balance
+# criterion exponent
 # ---------------------------------------------------------------------------
 
 
@@ -238,6 +236,11 @@ def test_exponent_anchor_vanishes():
     spec = CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, p=2.0, theta=math.inf)
     assert spec.exponent_mode == "curl"
     assert abs(criterion_exponent(spec)) <= 1e-15
+    # the velocity case takes the identity family: 0.5*0.5 - 0.5*(3 - 3/2) + 1
+    velocity = CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, p=2.0, theta=math.inf,
+                             field_mode="u", reference="u")
+    assert velocity.exponent_mode == "identity"
+    assert criterion_exponent(velocity) == 0.5
 
 
 def test_exponent_alpha_zero_collapses():
@@ -269,39 +272,6 @@ def test_exponent_helpers_match_inline_formulas(theta):
         spec = CriterionSpec(alpha=0.4, beta=0.6, nu_w=0.75, p=p, theta=theta)
         k_term = 0.75 if math.isinf(theta) else (0.75 * theta - 1.0) / theta
         assert criterion_exponent(spec) == 0.4 * k_term - 0.4 * (4.0 - 3.0 * inv) + 1.0
-
-
-def test_balance_solve_nu():
-    spec = CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.7, p=2.0, theta=math.inf)
-    nu = solve_exponent_balance(spec, "nu_w")
-    balanced = CriterionSpec(alpha=0.5, beta=0.5, nu_w=nu, p=2.0, theta=math.inf)
-    assert abs(criterion_exponent(balanced)) <= 1e-14
-    assert nu == pytest.approx(0.5)
-
-
-def test_balance_unsolvable_velocity_case():
-    # identity family, theta=inf, alpha=beta=1/2, p=2: balance needs nu = -1/2
-    spec = CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, p=2.0, theta=math.inf,
-                         field_mode="u", reference="u")
-    assert spec.exponent_mode == "identity"
-    with pytest.raises(BalanceError):
-        solve_exponent_balance(spec, "nu_w")
-
-
-def test_balance_solve_alpha_and_theta():
-    spec = CriterionSpec(alpha=0.4, beta=0.6, nu_w=0.5, p=2.0, theta=math.inf)
-    a = solve_exponent_balance(spec, "alpha")
-    balanced = CriterionSpec(alpha=a, beta=0.6, nu_w=0.5, p=2.0, theta=math.inf)
-    assert abs(criterion_exponent(balanced)) <= 1e-14
-    spec_t = CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.75, p=2.0, theta=4.0)
-    th = solve_exponent_balance(spec_t, "theta")
-    balanced_t = CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.75, p=2.0, theta=th)
-    assert abs(criterion_exponent(balanced_t)) <= 1e-14
-    spec_p = CriterionSpec(alpha=0.4, beta=0.6, nu_w=0.75, p=2.0, theta=math.inf)
-    pp = solve_exponent_balance(spec_p, "p")
-    assert pp == pytest.approx(4.0 / 3.0, rel=1e-12)  # p' = 4
-    balanced_p = CriterionSpec(alpha=0.4, beta=0.6, nu_w=0.75, p=pp, theta=math.inf)
-    assert abs(criterion_exponent(balanced_p)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
