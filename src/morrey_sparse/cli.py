@@ -17,7 +17,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import resource
 import sys
 import time
@@ -27,7 +26,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .grid import FieldFileError, load_field
+from .grid import FieldFileError, VectorField, load_field
 from .morrey import MorreyParams, WeightSpec, classical_morrey, clm_norm, gm_norm, lm_norm
 from .nse import (
     SERIES_COLUMNS,
@@ -40,6 +39,7 @@ from .nse import (
     evaluate_criteria,
     load_trajectory,
     simulate,
+    write_series,
 )
 from .sparseness import (
     InadmissiblePairError,
@@ -138,8 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker pool size (env MORREY_SPARSE_THREADS)")
     common.add_argument("--config", default=None,
                         help="JSON file whose entries replace flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -179,6 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", type=_parse_floats, default=(0.5,))
     p.add_argument("--rho", type=float, default=0.05)
     p.add_argument("--modes", default="curl")
+    p.add_argument("--threads", type=int, default=1, help="worker pool size")
 
     p = sub.add_parser("simulate", parents=[common], help="decaying-flow run")
     p.add_argument("--ic", default="taylor-green",
@@ -248,13 +247,6 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
     return args
 
 
-def _resolve_threads(args: argparse.Namespace) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("MORREY_SPARSE_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 # ---------------------------------------------------------------------------
 # commands: each writes its outputs into ``outdir`` and returns its
 # (inputs, outputs[, exit code]); main creates the directory and writes the
@@ -306,6 +298,9 @@ def cmd_sparseness(args, outdir: Path) -> tuple:
     if args.field is None:
         raise UsageError("either --field or --pair-from-delta is required")
     f = load_field(args.field)
+    if not isinstance(f, VectorField):
+        raise FieldFileError(f"{args.field} holds a scalar field; sparseness needs a "
+                             "3-component field")
     lam = args.lam
     if lam is None:
         lam = admissible_pair(args.delta).lam
@@ -334,7 +329,7 @@ def cmd_verify(args, outdir: Path) -> tuple:
                       kmax=args.kmax, adversarial=args.adversarial, p=args.p,
                       thetas=thetas, alphas=tuple(args.alphas), rho=args.rho,
                       modes=modes, densities=True)
-    reports = sweep(cfg, threads=args._threads)
+    reports = sweep(cfg, threads=args.threads)
     summary = summarize(reports)
     rows = [{"premise_lhs": r.premise_lhs, "premise_rhs": r.premise_rhs,
              "premise_holds": r.premise_holds, "conclusion_holds": r.conclusion_holds,
@@ -397,33 +392,19 @@ def cmd_criterion(args, outdir: Path) -> tuple:
         "eta_clipped": rep.eta_clipped, "window": list(rep.window),
     } for t, rep in evaluated]
     out_json = _write_json(outdir / "criterion_report.json", {"reports": reports})
-    csv_path = outdir / "criterion.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("t_ref,s,eta,criterion_lhs,criterion_rhs,satisfied\n")
-        for t, rep in evaluated:
-            for (s, eta, lhs, rhs, sat) in rep.rows:
-                fh.write(",".join([_fmt(t), _fmt(s), _fmt(eta), _fmt(lhs), _fmt(rhs),
-                                   str(sat)]) + "\n")
+    rows = [(t, *row) for t, rep in evaluated for row in rep.rows]
+    names = ("t_ref", "s", "eta", "criterion_lhs", "criterion_rhs", "satisfied")
+    csv_path = write_series(outdir / "criterion.csv",
+                            {c: [row[k] for row in rows] for k, c in enumerate(names)})
     # merged time series: criterion columns filled at window snapshots,
     # blank everywhere else
-    by_time: dict[float, tuple] = {}
-    for _, rep in evaluated:
-        for row in rep.rows:
-            by_time[row[0]] = row
-    series_path = outdir / "series_with_criterion.csv"
-    with open(series_path, "w") as fh:
-        fh.write(",".join(SERIES_COLUMNS + ("eta", "criterion_lhs", "criterion_rhs",
-                                            "satisfied")) + "\n")
-        ts = traj.series["t"]
-        for i in range(ts.size):
-            base = [_fmt(traj.series[c][i]) for c in SERIES_COLUMNS]
-            match = next((row for tt, row in by_time.items()
-                          if abs(tt - ts[i]) < 1e-12), None)
-            if match is None:
-                base += ["", "", "", ""]
-            else:
-                base += [_fmt(match[1]), _fmt(match[2]), _fmt(match[3]), str(match[4])]
-            fh.write(",".join(base) + "\n")
+    by_time = {row[0]: row for _, rep in evaluated for row in rep.rows}
+    matches = [next((row for tt, row in by_time.items() if abs(tt - t) < 1e-12), None)
+               for t in traj.series["t"]]
+    columns = {c: traj.series[c] for c in SERIES_COLUMNS}
+    for k, name in enumerate(("eta", "criterion_lhs", "criterion_rhs", "satisfied"), start=1):
+        columns[name] = [None if row is None else row[k] for row in matches]
+    series_path = write_series(outdir / "series_with_criterion.csv", columns)
     return [], [out_json, csv_path, series_path]
 
 
@@ -435,7 +416,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        args._threads = _resolve_threads(args)
         handler = {
             "norm": cmd_norm,
             "sparseness": cmd_sparseness,

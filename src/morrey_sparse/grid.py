@@ -13,9 +13,12 @@ one ball, mask and spectrum.  One shell table per grid (:func:`shell_table`)
 gives every ball's voxel count, and per-center shell sums
 (:func:`radial_shells`) serve every radial profile.
 
-Differential operators are spectral (exact on band-limited fields); the
-sliding window L^p kernels are FFT convolutions of |f|^p with the voxel ball
-indicator, checked against a transform-free brute force over the same ball.
+Differential operators are spectral (exact on band-limited fields).  Every
+sliding ball sum, of a 0/1 mask (:class:`VoxelSet`) or of |f|^p, is one
+inverse transform of its spectrum times a cached ball spectrum
+(:func:`ball_convolution`); ascending scales are grouped into runs that share
+one ball (:func:`shell_runs`); the sums are checked against a transform-free
+brute force over the same ball.
 Every 3-D transform of the package runs on ``scipy.fft`` through
 :func:`_rfftn`/:func:`_irfftn`, and the spectral-space operators
 (:func:`curl_hat`, :func:`project_hat`) are shared by the field operators and
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -163,9 +166,17 @@ def magnitude_power(f: Field, p: float) -> np.ndarray:
     mag = np.abs(f.data) if isinstance(f, ScalarField) else f.magnitude()
     if p == 1.0:
         return mag
-    if p == 2.0:
-        return mag * mag
-    return mag**p
+    with np.errstate(over="ignore"):  # reported where |f|^p is reduced (_no_overflow)
+        return mag * mag if p == 2.0 else mag**p
+
+
+def _no_overflow(total: float) -> float:
+    """``total``, a sum or max of |f|^2 or |f|^p (terms >= 0), checked finite:
+    an overflow of float64 leaves it inf, or nan from inf arithmetic, so one
+    scalar test covers every voxel the reduction saw."""
+    if not math.isfinite(total):
+        raise ValueError("|f|^p overflows float64: rescale the field")
+    return total
 
 
 def sup_norm(f: Field) -> float:
@@ -173,7 +184,7 @@ def sup_norm(f: Field) -> float:
     takes the root after the max (sqrt is monotone and correctly rounded)."""
     if isinstance(f, ScalarField):
         return float(np.abs(f.data).max())
-    return math.sqrt(np.einsum("cijk,cijk->ijk", f.data, f.data).max())
+    return math.sqrt(_no_overflow(np.einsum("cijk,cijk->ijk", f.data, f.data).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +396,27 @@ def count_dtype(voxel_count: int) -> type:
     return np.float32 if voxel_count <= SINGLE_COUNT_VOXELS else np.float64
 
 
-class MaskSpectra:
-    """A 0/1 voxel mask and its real spectrum per count precision, computed
-    on first use, so one forward transform serves every radius."""
+@dataclass(frozen=True)
+class VoxelSet:
+    """Boolean voxel mask over a grid, with its real spectrum per count
+    precision computed on first use, so one forward transform serves every
+    radius."""
 
-    def __init__(self, grid: Grid3, mask: np.ndarray):
-        self.grid = grid
-        self.mask = mask
-        self.hats: dict[type, np.ndarray] = {}
+    grid: Grid3
+    mask: np.ndarray
+    hats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.mask.shape != self.grid.shape or self.mask.dtype != np.bool_:
+            raise ValueError("mask must be a boolean array on the grid shape")
+
+    @property
+    def count(self) -> int:
+        return int(self.mask.sum())
+
+    @property
+    def volume(self) -> float:
+        return self.count * self.grid.voxel_volume
 
     def hat(self, dtype: type) -> np.ndarray:
         if dtype not in self.hats:
@@ -400,60 +424,94 @@ class MaskSpectra:
         return self.hats[dtype]
 
 
-def sliding_ball_sum(mask: MaskSpectra, radius: float) -> np.ndarray:
-    """Number of mask voxels in the ball around every voxel, as floats within
-    0.05 of the integer counts (precision by :func:`count_dtype`).
+class ShellRuns(NamedTuple):
+    """Ascending scales grouped into runs that share one voxel ball: per run,
+    the index of its first scale, its ball's shell key and voxel count; per
+    scale, its run."""
+
+    start: np.ndarray
+    shell: np.ndarray
+    ball_count: np.ndarray
+    run: np.ndarray
+
+
+def shell_runs(grid: Grid3, scales) -> ShellRuns:
+    """The :class:`ShellRuns` of ascending ball-power scales, which must lie
+    in (spacing, box_len/2)."""
+    radii = np.asarray(scales, dtype=np.float64)
+    bad = radii[(radii <= grid.spacing) | (radii >= grid.box_len / 2.0)]
+    if bad.size:
+        raise ValueError(f"radius {bad[0]} outside (spacing, box_len/2) = "
+                         f"({grid.spacing}, {grid.box_len / 2})")
+    rank = _shell_rank(grid, radii)
+    opens = np.diff(rank, prepend=-1) != 0
+    ranks = rank[opens]
+    table = shell_table(grid)
+    return ShellRuns(np.flatnonzero(opens), table.index[ranks], table.ball_count[ranks],
+                     np.cumsum(opens) - 1)
+
+
+def ball_convolution(hat: np.ndarray, grid: Grid3, shell: int) -> np.ndarray:
+    """x -> the sum over the ball {shell index <= shell} around x of the
+    array whose real-input spectrum is ``hat``, in the hat's precision: the
+    one inverse transform behind every sliding ball sum.
 
     The kernel is symmetric under the min-image convention, so correlation
     and convolution coincide.  Deterministic for fixed inputs.
     """
+    return _irfftn(hat * _ball_spectrum_cached(grid, shell, hat.real.dtype.type), grid.n)
+
+
+def sliding_ball_sum(mask: VoxelSet, radius: float) -> np.ndarray:
+    """Number of mask voxels in the ball around every voxel, as floats within
+    0.05 of the integer counts (precision by :func:`count_dtype`)."""
     kernel = ball_kernel(mask.grid, radius)
-    dtype = count_dtype(kernel.voxel_count)
-    spec = _ball_spectrum_cached(mask.grid, kernel.shell, dtype)
-    return _irfftn(mask.hat(dtype) * spec, mask.grid.n)
+    return ball_convolution(mask.hat(count_dtype(kernel.voxel_count)), mask.grid, kernel.shell)
 
 
-def _power_shell(grid: Grid3, r: float) -> int:
-    if not grid.spacing < r < grid.box_len / 2.0:
-        raise ValueError(f"radius {r} outside (spacing, box_len/2) = ({grid.spacing}, {grid.box_len / 2})")
-    return _shell(grid, r)
+def power_spectrum(power: np.ndarray) -> np.ndarray:
+    """Real-input spectrum of |f|^p, checked for float64 overflow through its
+    zero mode, the torus sum of |f|^p."""
+    hat = _rfftn(power)
+    _no_overflow(hat[0, 0, 0].real)
+    return hat
 
 
 def ball_power_from_spectrum(grid: Grid3, power_hat: np.ndarray, r: float) -> np.ndarray:
-    """x -> integral of |f|^p over B_r(x), from the real spectrum of |f|^p."""
-    spec = _ball_spectrum_cached(grid, _power_shell(grid, float(r)), np.float64)
-    sums = _irfftn(power_hat * spec, grid.n)
+    """x -> integral of |f|^p over B_r(x), from :func:`power_spectrum`."""
+    sums = ball_convolution(power_hat, grid, int(shell_runs(grid, [r]).shell[0]))
     np.maximum(sums, 0.0, out=sums)
     return sums * grid.voxel_volume
 
 
-def shell_openers(grid: Grid3, scales) -> np.ndarray:
-    """Per ascending scale, whether it opens a new lattice shell: the scales
-    from one opener to the next have one voxel ball."""
-    rank = _shell_rank(grid, np.asarray(scales, dtype=np.float64))
-    return np.diff(rank, prepend=-1) != 0
-
-
 def sliding_ball_power_multi(f: Field, p: float, scales):
     """Yield (r, ball power integral field) per ascending scale, one field FFT
-    total; the scales of one :func:`shell_openers` run share one read-only
+    total; the scales of one :func:`shell_runs` run share one read-only
     array."""
-    spec = _rfftn(magnitude_power(f, p))
-    power = None
-    for r, opens in zip(scales, shell_openers(f.grid, scales)):
-        r = float(r)
-        if opens:
-            power = ball_power_from_spectrum(f.grid, spec, r)
+    hat = power_spectrum(magnitude_power(f, p))
+    runs = shell_runs(f.grid, scales)
+    for i, r in enumerate(scales):
+        if i in runs.start:
+            power = ball_power_from_spectrum(f.grid, hat, r)
             power.setflags(write=False)
-        yield r, power
+        yield float(r), power
 
 
 def sliding_ball_lp(f: Field, p: float, r: float) -> ScalarField:
     """x -> ( integral_{B_r(x)} |f|^p dy )^(1/p) at every voxel center."""
-    power = ball_power_from_spectrum(f.grid, _rfftn(magnitude_power(f, p)), r)
+    power = ball_power_from_spectrum(f.grid, power_spectrum(magnitude_power(f, p)), r)
     if p != 1.0:
         power **= 1.0 / p
     return ScalarField(f.grid, power)
+
+
+def ball_power_profile(f: Field, p: float, center: tuple[int, int, int],
+                       scales) -> tuple[np.ndarray, float]:
+    """integral of |f|^p over B_r(center) for every r in ``scales``, and over
+    the whole torus, from per-shell sums around the center."""
+    masses = np.cumsum(radial_shells(magnitude_power(f, p), f.grid, f.grid.shell_index(center)))
+    masses *= f.grid.voxel_volume
+    return masses[_shell_rank(f.grid, scales)], _no_overflow(float(masses[-1]))
 
 
 def ball_lp_bruteforce(f: Field, p: float, index: tuple[int, int, int], r: float) -> float:
@@ -463,11 +521,8 @@ def ball_lp_bruteforce(f: Field, p: float, index: tuple[int, int, int], r: float
     but summed by explicit gather; no FFTs anywhere.
     """
     grid = f.grid
-    if not 0.0 < r < grid.box_len / 2.0:
-        raise ValueError(f"radius {r} outside (0, {grid.box_len / 2})")
-    magp = magnitude_power(f, p)
-    total = float(magp[grid.shell_index(index) <= _shell(grid, r)].sum()) * grid.voxel_volume
-    return total ** (1.0 / p)
+    inside = grid.shell_index(index) <= ball_kernel(grid, r).shell
+    return (float(magnitude_power(f, p)[inside].sum()) * grid.voxel_volume) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (Field, Grid3, _ball_spectrum_cached, _irfftn, _power_shell, _rfftn, _shell_rank,
-                   magnitude_power, radial_shells, shell_openers, shell_table,
-                   sliding_ball_power_multi)
+from .grid import (Field, Grid3, ball_convolution, ball_power_profile, magnitude_power,
+                   power_spectrum, shell_runs, sliding_ball_power_multi)
 
 
 @dataclass(frozen=True)
@@ -181,41 +180,30 @@ def _shell_search(f: Field, p: float, scales: np.ndarray,
     the voxels within 1e-12 of a shell's largest ball sum."""
     grid, h3 = f.grid, f.grid.voxel_volume
     power = magnitude_power(f, p)
-    spec = _rfftn(power)
-    ranks, openers = np.unique(_shell_rank(grid, scales), return_index=True)
-    keys = [_power_shell(grid, float(scales[i])) for i in openers]
-    shell_of = np.repeat(np.arange(ranks.size), np.diff(openers, append=scales.size))
-    mass = float(spec[0, 0, 0].real) * h3  # the torus integral of |f|^p
-    top = np.minimum(mass, shell_table(grid).ball_count[ranks] * h3 * power.max()) + 1e-12 * mass
-    done = np.zeros(ranks.size, dtype=bool)
+    hat = power_spectrum(power)
+    runs = shell_runs(grid, scales)
+    mass = float(hat[0, 0, 0].real) * h3  # the torus integral of |f|^p
+    top = np.minimum(mass, runs.ball_count * h3 * power.max()) + 1e-12 * mass
+    done = np.zeros(runs.start.size, dtype=bool)
     best, records = -math.inf, []  # (-value, first center, node) per evaluated node
     while not done.all():
-        bound = np.maximum.reduceat(layer(np.arange(scales.size), top[shell_of]), openers)
+        bound = np.maximum.reduceat(layer(np.arange(scales.size), top[runs.run]), runs.start)
         bound[done] = -math.inf
         j = int(np.argmax(bound))
         if bound[j] * (1.0 + 1e-12) < best:
             break
         done[j] = True
-        sums = _irfftn(spec * _ball_spectrum_cached(grid, keys[j], np.float64), grid.n).ravel()
+        sums = ball_convolution(hat, grid, int(runs.shell[j])).ravel()
         hi = sums.max()
         np.minimum(top[:j], max(hi, 0.0) * h3 + 1e-12 * mass, out=top[:j])
         cand = np.flatnonzero(sums >= hi * (1.0 - 1e-12)) if hi > 0.0 else np.arange(1)
         v = np.maximum(sums[cand], 0.0) * h3  # hi <= 0: every layer is 0, first at voxel 0
-        for i in np.flatnonzero(shell_of == j):
+        for i in np.flatnonzero(runs.run == j):
             x = layer(i, v)
             records.append((-x.max(), int(cand[np.argmax(x)]), int(i)))
             best = max(best, x.max())
     value, flat, node = min(records)
     return float(-value), tuple(int(c) for c in np.unravel_index(flat, grid.shape)), node
-
-
-def _ball_power_profile(f: Field, p: float, center: tuple[int, int, int],
-                        scales: np.ndarray) -> tuple[np.ndarray, float]:
-    """integral of |f|^p over B_r(center) for every r in ``scales``, and over
-    the whole torus, from per-shell sums around the center."""
-    masses = np.cumsum(radial_shells(magnitude_power(f, p), f.grid, f.grid.shell_index(center)))
-    masses *= f.grid.voxel_volume
-    return masses[_shell_rank(f.grid, scales)], float(masses[-1])
 
 
 def lm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> float:
@@ -226,7 +214,7 @@ def lm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> flo
     theta = inf: max over the nodes of w(r) ||f||_{L^p(B_r(center))}.
     """
     scales = _supported_scales(params)
-    ball, _ = _ball_power_profile(f, params.p, center, scales)
+    ball, _ = ball_power_profile(f, params.p, center, scales)
     weighted = params.weight.value(scales) * ball ** (1.0 / params.p)
     return float(_fold_scales(weighted[:, None], _trapezoid_logr_coeffs(scales),
                               params.weight.theta)[0])
@@ -235,7 +223,7 @@ def lm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> flo
 def clm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> float:
     """Complementary local norm: L^p over the torus minus the ball."""
     scales = _supported_scales(params)
-    ball, total = _ball_power_profile(f, params.p, center, scales)
+    ball, total = ball_power_profile(f, params.p, center, scales)
     comp = np.maximum(total - ball, 0.0) ** (1.0 / params.p)
     weighted = params.weight.value(scales) * comp
     return float(_fold_scales(weighted[:, None], _trapezoid_logr_coeffs(scales),
@@ -258,12 +246,12 @@ def gm_norm(f: Field, params: MorreyParams) -> GmNorm:
         value, center, node = _shell_search(f, params.p, scales,
                                             lambda i, v: wvals[i] * v ** (1.0 / params.p))
         return GmNorm(value, center, float(scales[node]))
-    first = shell_openers(f.grid, scales)
-    starts = np.flatnonzero(first)
-    w_first = np.repeat(wvals[starts], np.diff(starts, append=scales.size))
-    coeffs = np.add.reduceat(_trapezoid_logr_coeffs(scales) * (wvals / w_first) ** theta, starts)
-    layers = (w * power ** (1.0 / params.p) for w, new_shell, (_, power)
-              in zip(wvals, first, sliding_ball_power_multi(f, params.p, scales)) if new_shell)
+    runs = shell_runs(f.grid, scales)
+    w_first = wvals[runs.start][runs.run]
+    coeffs = np.add.reduceat(_trapezoid_logr_coeffs(scales) * (wvals / w_first) ** theta,
+                             runs.start)
+    layers = (wvals[i] * power ** (1.0 / params.p) for i, (_, power)
+              in enumerate(sliding_ball_power_multi(f, params.p, scales)) if i in runs.start)
     values = _fold_scales(layers, coeffs, theta)
     center = np.unravel_index(np.argmax(values), values.shape)
     return GmNorm(float(values[center]), tuple(int(c) for c in center), None)

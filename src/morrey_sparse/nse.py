@@ -485,14 +485,8 @@ class _TrajectoryWriter:
     def finish(self, grid: Grid3, series: dict[str, np.ndarray]) -> list[Path]:
         """Write series.csv and meta.json; return every file of the run:
         series.csv, the snapshot files, meta.json."""
-        series_path = self.outdir / "series.csv"
-        with open(series_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SERIES_COLUMNS + ("eta", "criterion_lhs", "criterion_rhs",
-                                              "satisfied"))
-            for i in range(series["t"].size):
-                writer.writerow([format(series[c][i], ".17g") for c in SERIES_COLUMNS]
-                                + ["", "", "", ""])
+        series_path = write_series(self.outdir / "series.csv",
+                                   {c: series[c] for c in SERIES_COLUMNS})
         meta = {
             "n": grid.n,
             "box_len": grid.box_len,
@@ -502,6 +496,20 @@ class _TrajectoryWriter:
         meta_path = self.outdir / "meta.json"
         meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
         return [series_path, *self.snapshots.paths(), meta_path]
+
+
+def write_series(path, columns: dict) -> Path:
+    """Write a CSV of one column per entry, LF line ends: a float at 17
+    significant digits, a bool as True/False and None as a blank."""
+    def cell(v) -> str:
+        return "" if v is None else str(v) if isinstance(v, (bool, np.bool_)) else format(v, ".17g")
+
+    path = Path(path)
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
+            fh.write(",".join(map(cell, row)) + "\n")
+    return path
 
 
 def save_trajectory(traj: Trajectory, outdir) -> list[Path]:

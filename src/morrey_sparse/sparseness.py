@@ -24,15 +24,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-from .grid import (
-    UNIT_BALL_VOLUME,
-    Grid3,
-    MaskSpectra,
-    VectorField,
-    ball_kernel,
-    sliding_ball_sum,
-    sup_norm,
-)
+from .grid import UNIT_BALL_VOLUME, VectorField, VoxelSet, ball_kernel, sliding_ball_sum, sup_norm
 from .morrey import WeightSpec, decay_exponent
 from .predual import HOLDER_CONSTANT, _conjugate, total_weight_norm, weight_tail_norm
 
@@ -43,6 +35,10 @@ CHAIN_R_MAX = 0.85
 
 #: divisor of the Morrey-type chain prefactor
 CHAIN_SAFETY = 1.2
+
+#: end of the weight support the widened cutoff shell (1 + ramp) r must stay
+#: inside: past it the pairing functional diverges and no threshold is sound
+SHELL_END = 0.95
 
 #: scale multipliers sampled inside (1/c0, c0) by :func:`z_alpha_member`
 Z_ALPHA_SCALES = 9
@@ -58,26 +54,6 @@ class InadmissiblePairError(ValueError):
 
 class ScaleRangeError(ValueError):
     """Requested sparseness scale falls outside what the grid can resolve."""
-
-
-@dataclass(frozen=True)
-class VoxelSet:
-    """Boolean voxel mask over a grid."""
-
-    grid: Grid3
-    mask: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.mask.shape != self.grid.shape or self.mask.dtype != np.bool_:
-            raise ValueError("mask must be a boolean array on the grid shape")
-
-    @property
-    def count(self) -> int:
-        return int(self.mask.sum())
-
-    @property
-    def volume(self) -> float:
-        return self.count * self.grid.voxel_volume
 
 
 @dataclass(frozen=True)
@@ -97,9 +73,15 @@ class PairLD:
             raise ValueError(f"lambda must lie in (0,1), got {self.lam}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0,1), got {self.delta}")
-        if not self.delta * (1.0 + self.lam) > 1.0:
+        if not self.delta_lambda > 1.0:
             raise InadmissiblePairError(
                 f"need 1/(1+lambda) < delta: lambda={self.lam}, delta={self.delta}")
+
+    @property
+    def delta_lambda(self) -> float:
+        """delta (1 + lambda), above 1 for an admissible pair; every
+        implication constant depends on the pair through it."""
+        return self.delta * (1.0 + self.lam)
 
 
 def admissible_pair(delta: float) -> PairLD:
@@ -141,13 +123,6 @@ def superlevel_sets(f: VectorField, lam: float) -> dict[str, VoxelSet]:
     return out
 
 
-def superlevel_spectra(f: VectorField, lam: float) -> list[MaskSpectra]:
-    """The six :func:`superlevel_sets` masks, in SET_LABELS order, ready for
-    :func:`sliding_ball_sum`: one forward transform per set serves every scale."""
-    sets = superlevel_sets(f, lam)
-    return [MaskSpectra(f.grid, sets[label].mask) for label in SET_LABELS]
-
-
 def _count_fraction(counts, voxel_count: int):
     """Ball sums of a 0/1 mask as fractions of the ball.
 
@@ -178,21 +153,19 @@ def semi_mixed(S: VoxelSet, r: float, delta: float) -> SemiMixed:
     Counts are rounded back to integers (see :func:`_count_fraction`), so the
     result matches per-center brute force exactly.
     """
-    kernel = ball_kernel(S.grid, r)
-    density = _count_fraction(sliding_ball_sum(MaskSpectra(S.grid, S.mask), r),
-                              kernel.voxel_count)
+    density = _count_fraction(sliding_ball_sum(S, r), ball_kernel(S.grid, r).voxel_count)
     flat = int(np.argmax(density))
     witness = tuple(int(c) for c in np.unravel_index(flat, S.grid.shape))
     max_density = float(density.reshape(-1)[flat])
     return SemiMixed(max_density <= delta, max_density, witness)
 
 
-def max_densities(spectra: list[MaskSpectra], r: float) -> tuple[float, ...]:
-    """Per set, the ``max_density`` of :func:`semi_mixed` at scale r, from the
-    masks of :func:`superlevel_spectra` (one inverse transform each)."""
-    voxel_count = ball_kernel(spectra[0].grid, r).voxel_count
-    return tuple(float(_count_fraction(sliding_ball_sum(mask, r).max(), voxel_count))
-                 for mask in spectra)
+def max_densities(sets: list[VoxelSet], r: float) -> tuple[float, ...]:
+    """Per set, the ``max_density`` of :func:`semi_mixed` at scale r (one
+    inverse transform each)."""
+    voxel_count = ball_kernel(sets[0].grid, r).voxel_count
+    return tuple(float(_count_fraction(sliding_ball_sum(S, r).max(), voxel_count))
+                 for S in sets)
 
 
 def fibonacci_directions(count: int) -> np.ndarray:
@@ -244,9 +217,7 @@ def sparse_1d(S: VoxelSet, center: tuple[int, int, int], r: float,
 
 def kappa(pair: PairLD) -> float:
     """Plateau fraction kappa = cbrt((d(l+1)+1) / (2 d(l+1)))  in (2^-1/3, 1)."""
-    x = pair.delta * (1.0 + pair.lam)
-    if not x > 1.0:
-        raise InadmissiblePairError(f"need delta*(1+lambda) > 1, got {x}")
+    x = pair.delta_lambda
     return ((x + 1.0) / (2.0 * x)) ** (1.0 / 3.0)
 
 
@@ -270,17 +241,14 @@ def bump_chain_constant(pair: PairLD) -> float:
     return (1.0 - kap) / math.sqrt(4.0 * math.pi * _ramp_l2_moment(kap))
 
 
-def cstar(pair: PairLD, cal: float | None = None) -> float:
+def cstar(pair: PairLD) -> float:
     """Threshold constant of the local-L^2 sparseness implication.
 
     cstar = cal * varpi * (1-kappa)^(-1/2) * (delta(1+lambda) - 1)/2, with
-    cal defaulting to the recorded bump-chain prefactor.
+    cal the recorded bump-chain prefactor.
     """
-    kap = kappa(pair)
-    if cal is None:
-        cal = bump_chain_constant(pair)
-    x = pair.delta * (1.0 + pair.lam)
-    return cal * UNIT_BALL_VOLUME * (x - 1.0) / 2.0 / math.sqrt(1.0 - kap)
+    return (bump_chain_constant(pair) * UNIT_BALL_VOLUME * (pair.delta_lambda - 1.0) / 2.0
+            / math.sqrt(1.0 - kappa(pair)))
 
 
 @lru_cache(maxsize=256)
@@ -296,8 +264,7 @@ def _ramp_lp_coeff(pprime: float, ramp: float) -> float:
 
 def ramp_fraction(pair: PairLD) -> float:
     """Shell-widening fraction eta with (1+eta)^3 = (delta(1+lambda)+1)/2."""
-    x = pair.delta * (1.0 + pair.lam)
-    return ((x + 1.0) / 2.0) ** (1.0 / 3.0) - 1.0
+    return ((pair.delta_lambda + 1.0) / 2.0) ** (1.0 / 3.0) - 1.0
 
 
 def gm_chain_constant(pair: PairLD, p: float, theta: float, alpha: float,
@@ -314,9 +281,8 @@ def gm_chain_constant(pair: PairLD, p: float, theta: float, alpha: float,
     if math.isinf(pprime):
         raise ValueError("p = 1 gives an L^inf shell norm; unsupported here")
     ramp = ramp_fraction(pair)
-    x = pair.delta * (1.0 + pair.lam)
-    a_half = (x - 1.0) / 2.0
-    b_half = (x + 1.0) / 2.0
+    a_half = (pair.delta_lambda - 1.0) / 2.0
+    b_half = (pair.delta_lambda + 1.0) / 2.0
     c1 = _ramp_lp_coeff(pprime, ramp)
     base = a_half ** (1.0 / pprime) / (HOLDER_CONSTANT * c1 * ramp ** (1.0 / pprime))
     if math.isinf(theta):
@@ -328,7 +294,7 @@ def gm_chain_constant(pair: PairLD, p: float, theta: float, alpha: float,
     w = WeightSpec(nu=alpha, rho=rho, theta=theta)
     wtotal = total_weight_norm(w)
     total_inv = 0.0 if math.isinf(wtotal) else 1.0 / wtotal
-    r_cap = min(CHAIN_R_MAX, 0.95 / (1.0 + ramp))
+    r_cap = min(CHAIN_R_MAX, SHELL_END / (1.0 + ramp))
     e_neg = decay_exponent(alpha, theta)  # = -E > 0
     best = math.inf
     for r in np.geomspace(max(rho, 0.02), r_cap, 64):
@@ -339,27 +305,24 @@ def gm_chain_constant(pair: PairLD, p: float, theta: float, alpha: float,
     return base * best / CHAIN_SAFETY
 
 
-def eps_const(pair: PairLD, p: float, theta: float, alpha: float,
-              cal: float | None = None, rho: float = 0.0) -> float:
+def eps_const(pair: PairLD, p: float, theta: float, alpha: float, rho: float = 0.0) -> float:
     """Threshold constant of the Morrey-type sparseness implication.
 
     eps = cal * varpi * ((d(1+l)-1)/2)^(1-1/p') * ((d(1+l)+1)/2)^E/3 * ramp
-    with E = (1-alpha*theta)/theta (finite theta) or -alpha (theta = inf) and
-    ramp = cbrt((d(1+l)+1)/2) - 1.  cal defaults to the chain prefactor of
+    with E = (1-alpha*theta)/theta (finite theta) or -alpha (theta = inf),
+    ramp = :func:`ramp_fraction` and cal the chain prefactor of
     :func:`gm_chain_constant`.
     """
     if math.isfinite(theta) and not alpha * theta > 1.0:
         raise ValueError(f"need alpha*theta > 1 for finite theta, got {alpha * theta}")
     pprime = _conjugate(p)
-    x = pair.delta * (1.0 + pair.lam)
-    a_half = (x - 1.0) / 2.0
-    b_half = (x + 1.0) / 2.0
+    a_half = (pair.delta_lambda - 1.0) / 2.0
+    b_half = (pair.delta_lambda + 1.0) / 2.0
     e_exp = -decay_exponent(alpha, theta)
-    ramp = b_half ** (1.0 / 3.0) - 1.0
-    if cal is None:
-        cal = gm_chain_constant(pair, p, theta, alpha, rho=rho)
+    cal = gm_chain_constant(pair, p, theta, alpha, rho=rho)
     one_minus = 0.0 if math.isinf(pprime) else 1.0 / pprime
-    return cal * UNIT_BALL_VOLUME * a_half ** (1.0 - one_minus) * b_half ** (e_exp / 3.0) * ramp
+    return (cal * UNIT_BALL_VOLUME * a_half ** (1.0 - one_minus) * b_half ** (e_exp / 3.0)
+            * ramp_fraction(pair))
 
 
 def shell_exponent(p: float, mode: str) -> float:
@@ -381,14 +344,12 @@ class SparseConstants:
 
 def sparse_constants(pair: PairLD, p: float = 2.0, theta: float = math.inf,
                      alpha: float = 0.5, rho: float = 0.0) -> SparseConstants:
-    cal = bump_chain_constant(pair)
-    eps_cal = gm_chain_constant(pair, p, theta, alpha, rho=rho)
     return SparseConstants(
         kappa=kappa(pair),
-        cstar=cstar(pair, cal),
-        eps=eps_const(pair, p, theta, alpha, cal=eps_cal, rho=rho),
-        cal=cal,
-        eps_cal=eps_cal,
+        cstar=cstar(pair),
+        eps=eps_const(pair, p, theta, alpha, rho=rho),
+        cal=bump_chain_constant(pair),
+        eps_cal=gm_chain_constant(pair, p, theta, alpha, rho=rho),
     )
 
 
@@ -431,10 +392,10 @@ def z_alpha_member(f: VectorField, alpha: float, pair: PairLD,
     dominant = parts.argmax(axis=0)
 
     ok_any = np.zeros((6,) + grid.shape, dtype=bool)
-    for si, mask in enumerate(superlevel_spectra(f, pair.lam)):
+    for si, S in enumerate(superlevel_sets(f, pair.lam).values()):
         for r in scales:
             r = float(r)
-            density = _count_fraction(sliding_ball_sum(mask, r), ball_kernel(grid, r).voxel_count)
+            density = _count_fraction(sliding_ball_sum(S, r), ball_kernel(grid, r).voxel_count)
             ok_any[si] |= density <= pair.delta
     ok_vox = np.take_along_axis(ok_any, dominant[None], axis=0)[0]
     failing = np.argwhere(~ok_vox)

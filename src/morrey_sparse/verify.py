@@ -30,17 +30,18 @@ import numpy as np
 from .fields import random_solenoidal_field, vorticity_blob
 from .grid import (
     Grid3,
-    MaskSpectra,
     VectorField,
-    _rfftn,
+    VoxelSet,
     ball_power_from_spectrum,
     biot_savart,
     curl,
     magnitude_power,
+    power_spectrum,
     sup_norm,
 )
 from .morrey import MorreyParams, WeightSpec, decay_exponent, gm_norm, log_scale_nodes
 from .sparseness import (
+    SHELL_END,
     PairLD,
     admissible_pair,
     cstar,
@@ -49,7 +50,7 @@ from .sparseness import (
     max_densities,
     ramp_fraction,
     shell_exponent,
-    superlevel_spectra,
+    superlevel_sets,
 )
 
 #: relative guard band: a premise that holds by less than this margin is
@@ -91,8 +92,9 @@ class _FieldState:
     """What the implication checks need of one field, built once and shared
     by consecutive calls on it: the thresholded field of each mode (curl f,
     or f itself) and its sup norm, the spectrum of |f|^2 (on first use) with
-    the premise value per scale, and per mode the super-level mask spectra
-    of the last threshold.  A copy of the data detects in-place edits."""
+    the premise value per scale, and per mode the super-level sets (with
+    their mask spectra) of the last threshold.  A copy of the data detects
+    in-place edits."""
 
     def __init__(self, f: VectorField):
         self.field = weakref.ref(f)
@@ -102,7 +104,7 @@ class _FieldState:
         self.sups: dict[str, float] = {}
         self.power_hat = None
         self.lhs: dict[float, float] = {}
-        self.spectra: dict[str, tuple[float, list[MaskSpectra]]] = {}
+        self.sets: dict[str, tuple[float, list[VoxelSet]]] = {}
 
     def matches(self, f: VectorField) -> bool:
         return self.field() is f and np.array_equal(self.data, f.data)
@@ -124,16 +126,17 @@ class _FieldState:
         """sup_x ||f||_{L^2(B_r(x))}, as ``sliding_ball_lp(f, 2, r)`` computes it."""
         if r not in self.lhs:
             if self.power_hat is None:
-                self.power_hat = _rfftn(magnitude_power(self.field(), 2.0))
+                self.power_hat = power_spectrum(magnitude_power(self.field(), 2.0))
             # the root after the max: sqrt is monotone and correctly rounded
             self.lhs[r] = math.sqrt(ball_power_from_spectrum(self.grid, self.power_hat, r).max())
         return self.lhs[r]
 
-    def mask_spectra(self, mode: str, lam: float) -> list[MaskSpectra]:
-        kept = self.spectra.get(mode)
+    def level_sets(self, mode: str, lam: float) -> list[VoxelSet]:
+        kept = self.sets.get(mode)
         if kept is None or kept[0] != lam:
-            self.spectra.pop(mode, None)  # free the old spectra before building new ones
-            kept = self.spectra[mode] = (lam, superlevel_spectra(self.thresholded(mode), lam))
+            self.sets.pop(mode, None)  # free the old spectra before building new ones
+            sets = superlevel_sets(self.thresholded(mode), lam)
+            kept = self.sets[mode] = (lam, list(sets.values()))
         return kept[1]
 
 
@@ -162,7 +165,7 @@ def _report(lhs: float, rhs: float, state: _FieldState, mode: str, lam: float,
         return VerifyReport(lhs, rhs, holds, True, (0.0,) * 6, params, degenerate=True)
     if not (holds or densities):
         return VerifyReport(lhs, rhs, holds, None, (), params)
-    per_set = max_densities(state.mask_spectra(mode, lam), radius)
+    per_set = max_densities(state.level_sets(mode, lam), radius)
     conclusion = all(d <= delta for d in per_set)
     marginal = holds and lhs > (1.0 - GUARD_BAND) * rhs
     return VerifyReport(lhs, rhs, holds, conclusion, per_set, params, marginal=marginal)
@@ -199,16 +202,14 @@ def check_lemma_gm(f: VectorField, pair: PairLD, p: float, theta: float, alpha: 
 
     Premise first, as :func:`check_lemma_l2`: densities only when the
     premise holds, the thresholded field vanishes, or ``densities`` is
-    true.  The thresholded field, its sup norm and its mask spectra are kept
-    per field object and mode."""
+    true.  The thresholded field, its sup norm and its super-level sets are
+    kept per field object and mode."""
     if mode not in ("curl", "identity"):
         raise ValueError(f"mode must be 'curl' or 'identity', got {mode!r}")
     if not 0.0 < r <= 1.0:
         raise ValueError(f"scale must lie in (0, 1], got {r}")
-    r_cap = 0.95 / (1.0 + ramp_fraction(pair))
+    r_cap = SHELL_END / (1.0 + ramp_fraction(pair))
     if r > r_cap:
-        # the widened cutoff shell would cross the weight-support end, where
-        # the pairing functional diverges and no threshold is sound
         raise ValueError(f"scale {r} exceeds the soundness cap {r_cap:.4f} "
                          "for this pair (cutoff shell must stay inside the "
                          "weight support)")

@@ -4,6 +4,7 @@ import json
 import math
 import shutil
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import scipy
 from morrey_sparse import cli as cli_module
 from morrey_sparse import nse as nse_module
 from morrey_sparse.cli import dumps_17g, main
-from morrey_sparse.grid import Grid3, load_field, save_field
+from morrey_sparse.grid import Grid3, ScalarField, load_field, save_field
 from morrey_sparse.fields import random_solenoidal_field
 
 
@@ -108,8 +109,10 @@ def test_verify_command(tmp_path):
 
 
 def test_simulate_and_criterion(traj_dir, tmp_path):
-    series = (traj_dir / "series.csv").read_text().splitlines()
-    assert series[0] == "t,u_sup,omega_sup,energy,enstrophy,eta,criterion_lhs,criterion_rhs,satisfied"
+    text = (traj_dir / "series.csv").read_bytes().decode("ascii")
+    assert "\r" not in text
+    series = text.splitlines()
+    assert series[0] == "t,u_sup,omega_sup,energy,enstrophy"
     assert len(series) == 102  # 100 steps + t=0 + header
     out = tmp_path / "crit"
     rc = main(["criterion", "--traj", str(traj_dir), "--alpha", "0.5", "--beta", "0.5",
@@ -206,6 +209,55 @@ def test_threads_flag_deterministic(tmp_path):
         outs.append(out)
     assert (outs[0] / "verify_reports.json").read_bytes() == \
         (outs[1] / "verify_reports.json").read_bytes()
+    # only verify has a worker pool, so only verify takes the flag
+    assert main(["simulate", "--threads", "2", "--out", str(tmp_path / "sim")]) == 2
+
+
+def test_series_csv_with_blank_criterion_columns_still_loads(traj_dir, tmp_path):
+    # runs written before series.csv dropped its four always-blank criterion
+    # columns carry them, with CRLF line ends; they load to the same series
+    run = tmp_path / "run"
+    shutil.copytree(traj_dir, run)
+    lines = (run / "series.csv").read_text().splitlines()
+    old = [lines[0] + ",eta,criterion_lhs,criterion_rhs,satisfied"]
+    old += [line + ",,,," for line in lines[1:]]
+    (run / "series.csv").write_bytes(("\r\n".join(old) + "\r\n").encode("ascii"))
+    before, after = nse_module.load_trajectory(traj_dir), nse_module.load_trajectory(run)
+    assert before.series.keys() == after.series.keys()
+    assert all(np.array_equal(before.series[c], after.series[c]) for c in before.series)
+
+
+def test_overflowing_field_is_computation_error(tmp_path, capsys):
+    # a finite field whose |f|^2 overflows float64: every norm over the whole
+    # torus and the sparseness report exit 1 with one error line, never a
+    # "nan" or "inf" report or an all-empty set list
+    f = random_solenoidal_field(Grid3(16), 4, 3)
+    f.data[0, 3, 4, 5] = 1e300
+    vector, scalar = tmp_path / "big.fld", tmp_path / "big_scalar.fld"
+    save_field(f, vector)
+    save_field(ScalarField(f.grid, f.data[0]), scalar)
+    for path, argv in ((vector, ["norm", "--kind", "gm"]),
+                       (vector, ["norm", "--kind", "gm", "--theta", "2"]),
+                       (vector, ["norm", "--kind", "classical"]),
+                       (vector, ["norm", "--kind", "clm"]),
+                       (vector, ["sparseness"]),
+                       (scalar, ["norm", "--kind", "gm"])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([*argv, "--field", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "overflows float64" in err
+
+
+def test_sparseness_on_scalar_field_is_input_error(tmp_path, capsys):
+    path = tmp_path / "scalar.fld"
+    save_field(ScalarField(Grid3(16), random_solenoidal_field(Grid3(16), 4, 3).data[0]), path)
+    for extra in ([], ["--z-alpha", "0.5"]):
+        rc = main(["sparseness", "--field", str(path), *extra, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 3 and err.startswith("input error: ") and err.count("\n") == 1, err
+        assert "3-component" in err
 
 
 def test_bad_grid_header_is_input_error(tmp_path):

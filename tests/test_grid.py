@@ -12,10 +12,10 @@ from morrey_sparse.grid import (
     FieldHeaderError,
     FieldSizeError,
     Grid3,
-    MaskSpectra,
     NonFiniteDataError,
     ScalarField,
     VectorField,
+    VoxelSet,
     ball_kernel,
     ball_lp_bruteforce,
     biot_savart,
@@ -333,7 +333,7 @@ def test_single_precision_mask_counts_exact(n):
             exact = np.fft.irfftn(np.fft.rfftn(mask.astype(np.float64)) * ball_hat, s=grid.shape,
                                   axes=(0, 1, 2))
             assert np.abs(exact - np.rint(exact)).max() < 1e-6
-            counts = sliding_ball_sum(MaskSpectra(grid, mask), r)
+            counts = sliding_ball_sum(VoxelSet(grid, mask), r)
             assert counts.dtype == np.float32
             assert np.abs(counts - np.rint(exact)).max() <= 0.05, (name, r)
 
@@ -344,7 +344,7 @@ def test_count_precision_rule(grid16, monkeypatch):
     # the counting path follows the rule: lower the cut below a small ball
     r = 0.9
     vc = ball_kernel(grid16, r).voxel_count
-    mask = MaskSpectra(grid16, random_field(grid16, seed=4).data[0] > 0.0)
+    mask = VoxelSet(grid16, random_field(grid16, seed=4).data[0] > 0.0)
     monkeypatch.setattr(grid_module, "SINGLE_COUNT_VOXELS", vc - 1)
     wide = sliding_ball_sum(mask, r)
     monkeypatch.setattr(grid_module, "SINGLE_COUNT_VOXELS", vc)
@@ -418,7 +418,7 @@ def test_balls_invariant_under_cube_symmetries(n, monkeypatch):
     # a ball is a union of whole lattice shells, so every ball the kernels
     # and both brute forces cut is invariant under the 48 symmetries; none
     # of them takes a transform
-    from morrey_sparse.sparseness import VoxelSet, sparse_3d
+    from morrey_sparse.sparseness import sparse_3d
 
     def banned(*args, **kwargs):
         raise AssertionError("transform called")
@@ -459,6 +459,6 @@ def test_one_spectrum_per_shell(grid32):
     power_hat = fft.rfftn(f.magnitude() ** 2)
     assert np.array_equal(pb, grid_module.ball_power_from_spectrum(grid32, power_hat, rb))
     # float32 mask counts share the shell key too
-    mask = MaskSpectra(grid32, f.data[0] > 0.0)
+    mask = VoxelSet(grid32, f.data[0] > 0.0)
     assert np.array_equal(sliding_ball_sum(mask, ra), sliding_ball_sum(mask, rb))
     assert cache.cache_info().misses == 3

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from morrey_sparse.grid import Grid3, VectorField
+from morrey_sparse.grid import UNIT_BALL_VOLUME, Grid3, VectorField
 from morrey_sparse.sparseness import (
     SET_LABELS,
     InadmissiblePairError,
@@ -17,6 +17,7 @@ from morrey_sparse.sparseness import (
     eps_const,
     fibonacci_directions,
     kappa,
+    max_densities,
     semi_mixed,
     sparse_1d,
     sparse_3d,
@@ -96,8 +97,10 @@ def test_ramp_l2_moment_closed_form():
 def test_cstar_positive_and_boundary():
     pair = admissible_pair(0.75)
     assert cstar(pair) > 0.0
-    assert cstar(pair, cal=1.0) == pytest.approx(
-        cstar(pair) / bump_chain_constant(pair), rel=1e-12)
+    # cstar = cal varpi (1-kappa)^(-1/2) (delta(1+lambda) - 1)/2, cal the bump-chain prefactor
+    x = pair.delta * (1.0 + pair.lam)
+    assert cstar(pair) / bump_chain_constant(pair) == pytest.approx(
+        UNIT_BALL_VOLUME * (x - 1.0) / 2.0 / math.sqrt(1.0 - kappa(pair)), rel=1e-12)
     # vanishes toward the admissibility boundary
     tight = PairLD(lam=0.430099, delta=0.7, h=0.0)  # delta(1+lam) barely > 1
     assert cstar(tight) < cstar(pair)
@@ -193,6 +196,32 @@ def test_sparse_3d_halfspace():
     assert d_in == pytest.approx(0.5 + half_plane, abs=2.0 / grid.n)
     assert d_out == pytest.approx(0.5 - half_plane, abs=2.0 / grid.n)
     assert 0.5 * (d_in + d_out) == pytest.approx(0.5, abs=2.0 / grid.n)
+
+
+def test_one_spectrum_per_set(grid16, monkeypatch):
+    # semi_mixed and max_densities on one set share its mask spectrum: one
+    # forward transform per count precision, whatever the callers and radii
+    from morrey_sparse import grid as grid_module
+
+    single = grid_module.SINGLE_COUNT_VOXELS
+    warm, S = (VoxelSet(grid16, random_field(grid16, seed=s).data[0] > 0.3) for s in (7, 8))
+    for cut in (0, single):  # fill the ball-spectrum cache at both radii and precisions
+        monkeypatch.setattr(grid_module, "SINGLE_COUNT_VOXELS", cut)
+        max_densities([warm], 0.9)
+        max_densities([warm], 0.5)
+    forward = []
+    real = grid_module.fft.rfftn
+    monkeypatch.setattr(grid_module.fft, "rfftn",
+                        lambda a, *args, **kw: forward.append(a.dtype) or real(a, *args, **kw))
+    res = semi_mixed(S, 0.9, 0.75)
+    assert max_densities([S], 0.9) == (res.max_density,)
+    assert max_densities([S], 0.5) == (semi_mixed(S, 0.5, 0.75).max_density,)
+    assert forward == [np.float32]
+    monkeypatch.setattr(grid_module, "SINGLE_COUNT_VOXELS", 0)  # float64 counts
+    max_densities([S], 0.9)
+    assert semi_mixed(S, 0.9, 0.75) == res
+    assert forward == [np.float32, np.float64]
+    assert set(S.hats) == {np.float32, np.float64}
 
 
 def test_semi_mixed_matches_bruteforce(grid16):

@@ -22,7 +22,6 @@ from morrey_sparse.sparseness import (
     kappa,
     semi_mixed,
     superlevel_sets,
-    superlevel_spectra,
 )
 from morrey_sparse.verify import (
     GUARD_BAND,
@@ -161,12 +160,12 @@ def test_l2_in_place_edit_is_seen():
 def test_premise_lhs_root_after_max_is_exact(seed):
     # the premise takes the root of the max ball power; sqrt is monotone and
     # correctly rounded, so it equals the max over the rooted ball powers
-    from morrey_sparse.grid import _rfftn, ball_power_from_spectrum, magnitude_power
+    from morrey_sparse.grid import ball_power_from_spectrum, magnitude_power, power_spectrum
 
     f = random_solenoidal_field(Grid3(16), 4, seed)
     state = verify_module._FieldState(f)
     for r in (0.5, 0.8, 1.0):
-        power = ball_power_from_spectrum(f.grid, _rfftn(magnitude_power(f, 2.0)), r)
+        power = ball_power_from_spectrum(f.grid, power_spectrum(magnitude_power(f, 2.0)), r)
         power **= 0.5
         assert state.premise_lhs(r) == float(power.max())
 
@@ -188,15 +187,15 @@ def test_l2_transforms_per_field(monkeypatch):
             return fn(a, *args, **kwargs)
         return wrapper
 
-    def counting_spectra(*args):
+    def counting_sets(*args):
         masks[0] += 1
-        return superlevel_spectra(*args)
+        return superlevel_sets(*args)
 
     # count at both backends: the mask counts run on scipy.fft
     for backend in (np.fft, scipy.fft):
         for name in ("rfftn", "irfftn"):
             monkeypatch.setattr(backend, name, counting(getattr(backend, name)))
-    monkeypatch.setattr(verify_module, "superlevel_spectra", counting_spectra)
+    monkeypatch.setattr(verify_module, "superlevel_sets", counting_sets)
     n_lam = len({pair.lam for pair, _ in CELLS})
     n_r = len({r for _, r in CELLS})
     reports = [check_lemma_l2(lean, pair, r) for pair, r in CELLS]
@@ -354,12 +353,12 @@ def test_sweep_gm_shares_field_work_with_fresh_reference(monkeypatch):
         curls[0] += 1
         return curl(f)
 
-    def counting_spectra(*args):
+    def counting_sets(*args):
         masks[0] += 1
-        return superlevel_spectra(*args)
+        return superlevel_sets(*args)
 
     monkeypatch.setattr(verify_module, "curl", counting_curl)
-    monkeypatch.setattr(verify_module, "superlevel_spectra", counting_spectra)
+    monkeypatch.setattr(verify_module, "superlevel_sets", counting_sets)
     reports = sweep(cfg)
     assert curls[0] == len(cfg.seeds)  # one vorticity per field for 16 curl-mode cells
     # one set of mask spectra per (field, mode, lambda), not per variant
