@@ -62,10 +62,6 @@ class UsageError(ValueError):
     pass
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def dumps_17g(obj) -> str:
     """Deterministic JSON with every float at 17 significant digits."""
     if isinstance(obj, dict):
@@ -81,7 +77,7 @@ def dumps_17g(obj) -> str:
         v = float(obj)
         if math.isnan(v) or math.isinf(v):
             return json.dumps(str(v))
-        return _fmt(v)
+        return format(v, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"unserializable {type(obj)!r}")
@@ -314,7 +310,8 @@ def cmd_sparseness(args, outdir: Path) -> tuple:
     report = {"lambda": lam, "sets": set_reports}
     if args.z_alpha is not None:
         pair = admissible_pair(args.delta)
-        ok, witnesses = z_alpha_member(f, args.z_alpha, pair, args.c0)
+        ok, witnesses = z_alpha_member(f, args.z_alpha, pair, args.c0,
+                                       sets=sets if lam == pair.lam else None)
         report["z_alpha"] = {"alpha": args.z_alpha, "c0": args.c0, "ok": ok,
                              "witnesses": [list(wv) for wv in witnesses]}
     outputs.append(_write_json(outdir / "sparseness_report.json", report))
@@ -331,22 +328,15 @@ def cmd_verify(args, outdir: Path) -> tuple:
                       modes=modes, densities=True)
     reports = sweep(cfg, threads=args.threads)
     summary = summarize(reports)
-    rows = [{"premise_lhs": r.premise_lhs, "premise_rhs": r.premise_rhs,
-             "premise_holds": r.premise_holds, "conclusion_holds": r.conclusion_holds,
-             "marginal": r.marginal, "degenerate": r.degenerate,
-             "verdict": r.verdict, "per_set_densities": list(r.per_set_densities),
+    names = ("premise_lhs", "premise_rhs", "premise_holds", "conclusion_holds", "marginal",
+             "degenerate", "verdict")
+    rows = [{**{c: getattr(r, c) for c in names}, "per_set_densities": list(r.per_set_densities),
              "params": r.params} for r in reports]
     out_json = _write_json(outdir / "verify_reports.json",
                            {"summary": dataclasses.asdict(summary), "reports": rows})
-    csv_path = outdir / "verify_reports.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("premise_lhs,premise_rhs,premise_holds,conclusion_holds,"
-                 "marginal,degenerate,verdict,delta,r\n")
-        for r in reports:
-            fh.write(",".join([_fmt(r.premise_lhs), _fmt(r.premise_rhs),
-                               str(r.premise_holds), str(r.conclusion_holds),
-                               str(r.marginal), str(r.degenerate), str(r.verdict),
-                               _fmt(r.params["delta"]), _fmt(r.params["r"])]) + "\n")
+    columns = {c: [row[c] for row in rows] for c in names}
+    columns.update({k: [row["params"][k] for row in rows] for k in ("delta", "r")})
+    csv_path = write_series(outdir / "verify_reports.csv", columns)
     print(f"sweep: {summary.total} reports, {summary.premise_holding} premise-holding, "
           f"{summary.violations} violations")
     return [], [out_json, csv_path], (

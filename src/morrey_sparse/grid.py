@@ -462,6 +462,17 @@ def ball_convolution(hat: np.ndarray, grid: Grid3, shell: int) -> np.ndarray:
     return _irfftn(hat * _ball_spectrum_cached(grid, shell, hat.real.dtype.type), grid.n)
 
 
+def radial_kernel_spectrum(grid: Grid3, scales, weights) -> tuple[np.ndarray, float]:
+    """Real spectrum of sum_i weights[i] 1[ball of scales[i]] (:func:`shell_runs`
+    scales, weights > 0) at unit peak, and the peak, from one table per shell."""
+    runs = shell_runs(grid, scales)
+    table = np.zeros(shell_table(grid).index[-1] + 1)
+    table[runs.shell] = np.add.reduceat(weights, runs.start)
+    table = np.cumsum(table[::-1])[::-1]  # suffix sums
+    kernel = (table / table[0])[grid.shell_index()]
+    return np.ascontiguousarray(_rfftn(kernel).real), float(table[0])
+
+
 def sliding_ball_sum(mask: VoxelSet, radius: float) -> np.ndarray:
     """Number of mask voxels in the ball around every voxel, as floats within
     0.05 of the integer counts (precision by :func:`count_dtype`)."""

@@ -4,10 +4,12 @@ The scale weight is the truncated power law ``w(s) = s^(-nu)`` on ``[rho, 1]``
 and zero elsewhere.  Norms take an L^theta average (or sup, theta = inf) in
 the scale variable of weighted local L^p ball norms.  The L^theta(0, inf)
 integral truncates exactly to the weight support; quadrature over the scale
-nodes is trapezoidal in log r.  The local norms and finite theta reduce the
-scale axis through one streaming fold (``_fold_scales``): a running max and
-the quadrature sum relative to it, rescaled when the max rises, so no power
-overflows and no per-scale stack is built.  The sups over all centers
+nodes is trapezoidal in log r.  The local norms and finite theta != p reduce
+the scale axis through one streaming fold (``_fold_scales``): a running max
+and the quadrature sum relative to it, rescaled when the max rises, so no
+power overflows and no per-scale stack is built.  At theta = p the quadrature
+and the ball integral commute (Tonelli): ``gm_norm`` convolves |f|^p once with
+the kernel sum_i c_i w_i^p 1[ball of r_i].  The sups over all centers
 (``gm_norm`` at theta = inf, ``classical_morrey``) take each lattice shell's
 largest ball integral M_K and search the shells best first
 (``_shell_search``).  Two bounds on M_K are exact: balls are nested, so M_K
@@ -29,8 +31,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (Field, Grid3, ball_convolution, ball_power_profile, magnitude_power,
-                   power_spectrum, shell_runs, sliding_ball_power_multi)
+from .grid import (Field, Grid3, _irfftn, ball_convolution, ball_power_profile,
+                   magnitude_power, power_spectrum, radial_kernel_spectrum, shell_runs,
+                   sliding_ball_power_multi)
 
 
 @dataclass(frozen=True)
@@ -233,11 +236,11 @@ def clm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> fl
 def gm_norm(f: Field, params: MorreyParams) -> GmNorm:
     """Global Morrey-type quasi-norm: sup over all voxel centers.
 
-    One sliding ball pass per lattice shell among the scale nodes; never n^3
-    independent local norms.  theta = inf searches the shells
-    (:func:`_shell_search`).  A finite theta folds each shell as its first
-    node (the nodes share one ball power and the weight is nonincreasing),
-    with coefficient sum_k c_k (w_k / w_first)^theta over the shell's nodes.
+    theta = inf searches the lattice shells (:func:`_shell_search`).  theta = p
+    is one convolution of |f|^p with the scale-integrated kernel at unit peak
+    (the peak taken back after the root).  Any other theta folds one sliding
+    ball pass per shell as its first node (the nodes share one ball power and
+    the weight is nonincreasing), coefficient sum_k c_k (w_k / w_first)^theta.
     """
     scales = _supported_scales(params)
     wvals = params.weight.value(scales)
@@ -246,6 +249,14 @@ def gm_norm(f: Field, params: MorreyParams) -> GmNorm:
         value, center, node = _shell_search(f, params.p, scales,
                                             lambda i, v: wvals[i] * v ** (1.0 / params.p))
         return GmNorm(value, center, float(scales[node]))
+    if theta == params.p:
+        spec, peak = radial_kernel_spectrum(f.grid, scales,
+                                            _trapezoid_logr_coeffs(scales) * wvals**theta)
+        values = _irfftn(power_spectrum(magnitude_power(f, theta)) * spec, f.grid.n)
+        np.maximum(values, 0.0, out=values)
+        center = np.unravel_index(np.argmax(values), values.shape)
+        value = (values[center] * f.grid.voxel_volume) ** (1.0 / theta) * peak ** (1.0 / theta)
+        return GmNorm(float(value), tuple(int(c) for c in center), None)
     runs = shell_runs(f.grid, scales)
     w_first = wvals[runs.start][runs.run]
     coeffs = np.add.reduceat(_trapezoid_logr_coeffs(scales) * (wvals / w_first) ** theta,

@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .grid import UNIT_BALL_VOLUME, VectorField, VoxelSet, ball_kernel, sliding_ball_sum, sup_norm
 from .morrey import WeightSpec, decay_exponent
@@ -186,6 +185,7 @@ def segment_trace_ratios(S: VoxelSet, center: tuple[int, int, int], r: float,
     Segments are sampled at spacing/2 steps; the mask is trilinearly
     interpolated and the samples averaged.
     """
+    from scipy.ndimage import map_coordinates  # not loaded on package import
     grid = S.grid
     step = grid.spacing / 2.0
     m = int(math.floor(r / step + 1e-9))
@@ -320,8 +320,7 @@ def eps_const(pair: PairLD, p: float, theta: float, alpha: float, rho: float = 0
     b_half = (pair.delta_lambda + 1.0) / 2.0
     e_exp = -decay_exponent(alpha, theta)
     cal = gm_chain_constant(pair, p, theta, alpha, rho=rho)
-    one_minus = 0.0 if math.isinf(pprime) else 1.0 / pprime
-    return (cal * UNIT_BALL_VOLUME * a_half ** (1.0 - one_minus) * b_half ** (e_exp / 3.0)
+    return (cal * UNIT_BALL_VOLUME * a_half ** (1.0 - 1.0 / pprime) * b_half ** (e_exp / 3.0)
             * ramp_fraction(pair))
 
 
@@ -358,15 +357,16 @@ def sparse_constants(pair: PairLD, p: float = 2.0, theta: float = math.inf,
 # ---------------------------------------------------------------------------
 
 
-def z_alpha_member(f: VectorField, alpha: float, pair: PairLD,
-                   c0: float) -> tuple[bool, list[tuple[int, int, int]]]:
+def z_alpha_member(f: VectorField, alpha: float, pair: PairLD, c0: float,
+                   sets: dict | None = None) -> tuple[bool, list[tuple[int, int, int]]]:
     """Scale-comparable sparseness membership check.
 
     For every voxel x0, the dominant signed component (argmax of f_i^+-; ties:
     smallest index, then the positive part) must have its super-level set 3D
     delta-sparse around x0 at some scale (1/c) ||f||_inf^(-alpha) with c on a
     log grid inside (1/c0, c0).  Returns (ok, failing voxels truncated to 10).
-    Membership is sound-for-pass at the sampled scales only.
+    Membership is sound-for-pass at the sampled scales only.  ``sets`` are
+    the :func:`superlevel_sets` of f at ``pair.lam``, if the caller has them.
     """
     if not c0 > 1.0:
         raise ValueError(f"c0 must exceed 1, got {c0}")
@@ -392,7 +392,7 @@ def z_alpha_member(f: VectorField, alpha: float, pair: PairLD,
     dominant = parts.argmax(axis=0)
 
     ok_any = np.zeros((6,) + grid.shape, dtype=bool)
-    for si, S in enumerate(superlevel_sets(f, pair.lam).values()):
+    for si, S in enumerate((sets or superlevel_sets(f, pair.lam)).values()):
         for r in scales:
             r = float(r)
             density = _count_fraction(sliding_ball_sum(S, r), ball_kernel(grid, r).voxel_count)

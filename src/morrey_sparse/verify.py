@@ -91,10 +91,10 @@ class VerifyReport:
 class _FieldState:
     """What the implication checks need of one field, built once and shared
     by consecutive calls on it: the thresholded field of each mode (curl f,
-    or f itself) and its sup norm, the spectrum of |f|^2 (on first use) with
-    the premise value per scale, and per mode the super-level sets (with
-    their mask spectra) of the last threshold.  A copy of the data detects
-    in-place edits."""
+    or f itself) and its sup norm, the spectrum of |f|^2 (on first use), the
+    premise value per L^2 scale or Morrey-type (p, theta, alpha, rho), and
+    per mode the super-level sets (with their mask spectra) of the last
+    threshold.  A copy of the data detects in-place edits."""
 
     def __init__(self, f: VectorField):
         self.field = weakref.ref(f)
@@ -103,7 +103,7 @@ class _FieldState:
         self.omega: VectorField | None = None
         self.sups: dict[str, float] = {}
         self.power_hat = None
-        self.lhs: dict[float, float] = {}
+        self.lhs: dict[float | tuple, float] = {}
         self.sets: dict[str, tuple[float, list[VoxelSet]]] = {}
 
     def matches(self, f: VectorField) -> bool:
@@ -202,8 +202,8 @@ def check_lemma_gm(f: VectorField, pair: PairLD, p: float, theta: float, alpha: 
 
     Premise first, as :func:`check_lemma_l2`: densities only when the
     premise holds, the thresholded field vanishes, or ``densities`` is
-    true.  The thresholded field, its sup norm and its super-level sets are
-    kept per field object and mode."""
+    true.  The premise value is kept per field object and (p, theta, alpha,
+    rho); the thresholded field, its sup norm and its level sets per mode."""
     if mode not in ("curl", "identity"):
         raise ValueError(f"mode must be 'curl' or 'identity', got {mode!r}")
     if not 0.0 < r <= 1.0:
@@ -216,9 +216,12 @@ def check_lemma_gm(f: VectorField, pair: PairLD, p: float, theta: float, alpha: 
     if not p > 1.0:
         raise ValueError("p must exceed 1")
     state = _field_state(f)
-    weight = WeightSpec(nu=alpha, rho=rho, theta=theta)
-    params_obj = MorreyParams(p, weight, log_scale_nodes(f.grid, rho, 1.0, GM_SCALE_COUNT))
-    lhs = gm_norm(f, params_obj).value
+    key = (p, theta, alpha, rho)  # the premise does not depend on the mode
+    if key not in state.lhs:
+        weight = WeightSpec(nu=alpha, rho=rho, theta=theta)
+        params_obj = MorreyParams(p, weight, log_scale_nodes(f.grid, rho, 1.0, GM_SCALE_COUNT))
+        state.lhs[key] = gm_norm(f, params_obj).value
+    lhs = state.lhs[key]
     eps = eps_const(pair, p, theta, alpha, rho=rho)
     rhs = float(eps * max(r, rho) ** -decay_exponent(alpha, theta)
                 * r ** shell_exponent(p, mode) * state.sup(mode))

@@ -260,6 +260,67 @@ def test_sparseness_on_scalar_field_is_input_error(tmp_path, capsys):
         assert "3-component" in err
 
 
+def test_sparseness_z_alpha_shares_the_report_sets(tmp_path, monkeypatch):
+    # without --lambda the report thresholds at admissible_pair(--delta).lam,
+    # the level z_alpha_member needs: one build of the six sets, one float32
+    # transform per mask; another --lambda needs a second build
+    from morrey_sparse import sparseness as sparseness_module
+    from morrey_sparse.fields import vorticity_blob
+    from morrey_sparse.sparseness import admissible_pair, z_alpha_member
+
+    f = vorticity_blob(Grid3(32), (16, 16, 16), sigma=1.5)
+    path = tmp_path / "blob.fld"
+    save_field(f, path)
+    builds, masks = [], [0]
+    real_sets, real_rfftn = sparseness_module.superlevel_sets, scipy.fft.rfftn
+
+    def counting_sets(g, lam):
+        builds.append(lam)
+        return real_sets(g, lam)
+
+    def counting_rfftn(a, *args, **kwargs):
+        masks[0] += a.dtype == np.float32
+        return real_rfftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "superlevel_sets", counting_sets)
+    monkeypatch.setattr(sparseness_module, "superlevel_sets", counting_sets)
+    monkeypatch.setattr(scipy.fft, "rfftn", counting_rfftn)
+    for extra, expect in (([], 1), (["--lambda", "0.45"], 2)):
+        builds.clear()
+        masks[0] = 0
+        out = tmp_path / str(len(extra))
+        rc = main(["sparseness", "--field", str(path), "--z-alpha", "0.5", "--delta", "0.8",
+                   *extra, "--out", str(out)])
+        assert rc == 0
+        assert (len(builds), masks[0]) == (expect, 6 * expect)
+        report = json.loads((out / "sparseness_report.json").read_text())["z_alpha"]
+        ok, witnesses = z_alpha_member(f, 0.5, admissible_pair(0.8), 2.0)
+        assert (report["ok"], report["witnesses"]) == (ok, [list(w) for w in witnesses])
+
+
+def test_verify_csv_keeps_its_format(tmp_path):
+    # verify_reports.csv: 17-digit floats and True/False cells, one row per
+    # report in report order
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    runs = (["--lemma", "l2", "--scales", "0.9", "--adversarial"],
+            ["--lemma", "gm", "--scales", "0.5", "--thetas", "inf,2", "--alphas", "1.0",
+             "--rho", "0.45", "--modes", "curl,identity"])
+    for k, argv in enumerate(runs):
+        out = tmp_path / str(k)
+        main(["verify", *argv, "--n", "16", "--seeds", "2", "--kmax", "4", "--out", str(out)])
+        rows = json.loads((out / "verify_reports.json").read_text())["reports"]
+        expect = "premise_lhs,premise_rhs,premise_holds,conclusion_holds," \
+                 "marginal,degenerate,verdict,delta,r\n"
+        for r in rows:
+            expect += ",".join([fmt(r["premise_lhs"]), fmt(r["premise_rhs"]),
+                                str(r["premise_holds"]), str(r["conclusion_holds"]),
+                                str(r["marginal"]), str(r["degenerate"]), str(r["verdict"]),
+                                fmt(r["params"]["delta"]), fmt(r["params"]["r"])]) + "\n"
+        assert (out / "verify_reports.csv").read_bytes() == expect.encode()
+
+
 def test_bad_grid_header_is_input_error(tmp_path):
     # a well-formed header that declares an invalid grid (odd n) is a bad
     # input file, not a computation error

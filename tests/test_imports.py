@@ -2,6 +2,9 @@
 re-exports and is exempt).  A stdlib ``ast`` walk, so no linter is needed."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import morrey_sparse
@@ -34,3 +37,12 @@ def test_no_unused_imports():
     assert modules
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_package_import_leaves_out_scipy_ndimage():
+    # scipy.ndimage loads only when sparseness.segment_trace_ratios runs
+    code = "import sys, morrey_sparse; print('scipy.ndimage' in sys.modules)"
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

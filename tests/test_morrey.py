@@ -135,6 +135,64 @@ def test_gm_finite_theta_matches_brute_force(grid16):
     assert res.value == pytest.approx(lm_norm(f, params, res.center), rel=1e-9)
 
 
+def test_gm_fold_matches_brute_force(grid16):
+    # theta != p keeps the streaming fold over the lattice shells
+    w = WeightSpec(nu=0.75, rho=0.3, theta=3.0)
+    params = MorreyParams(1.5, w, tuple(np.geomspace(0.45, 1.0, 10)))
+    f = random_field(grid16, seed=16)
+    res = gm_norm(f, params)
+    centers = [(i, j, k) for i in range(0, 16, 2) for j in range(0, 16, 2) for k in range(0, 16, 2)]
+    brute = max(lm_norm(f, params, c) for c in centers)
+    assert res.value >= brute * (1 - 1e-12)
+    assert res.value == pytest.approx(lm_norm(f, params, res.center), rel=1e-9)
+
+
+@pytest.mark.parametrize("p, rho", [(1.5, 0.0), (2.0, 0.3), (3.0, 0.45)])
+def test_gm_theta_equals_p_matches_all_centers(grid16, p, rho):
+    # theta = p is one convolution with the scale-integrated radial kernel:
+    # the same value and first center as lm_norm at every center
+    params = MorreyParams(p, WeightSpec(nu=0.75, rho=rho, theta=p),
+                          log_scale_nodes(grid16, rho, 1.0, 12))
+    f = random_field(grid16, seed=17)
+    res = gm_norm(f, params)
+    lms = [lm_norm(f, params, (i, j, k)) for i in range(16) for j in range(16) for k in range(16)]
+    flat = int(np.argmax(lms))
+    assert res.value == pytest.approx(lms[flat], rel=1e-12, abs=0.0)
+    assert res.center == tuple(int(c) for c in np.unravel_index(flat, grid16.shape))
+    assert res.scale is None
+
+
+def test_gm_theta_equals_p_takes_three_transforms(grid32, monkeypatch):
+    # |f|^p, the kernel and one inverse; no ball spectrum is built or read
+    f = random_field(grid32, seed=18, kmax=8)
+    params = MorreyParams.default(grid32, WeightSpec(nu=0.5, rho=0.0, theta=2.0), count=32)
+    count = [0]
+
+    def counting(fn):
+        def wrapper(a, *args, **kwargs):
+            count[0] += 1
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("rfftn", "irfftn"):
+        monkeypatch.setattr(fft, name, counting(getattr(fft, name)))
+    before = grid_module._ball_spectrum_cached.cache_info()
+    gm_norm(f, params)
+    assert count[0] == 3
+    assert grid_module._ball_spectrum_cached.cache_info() == before
+
+
+def test_gm_theta_equals_p_near_float_max(grid16):
+    # the kernel is scaled to unit peak, so the convolution stays below the
+    # torus total of |f|^2 and the peak (here about 9.6) is multiplied back
+    # after the root: a total within 10x of float max gives the exact value
+    f = unit_x_field(grid16, math.sqrt(np.finfo(np.float64).max / 8.0 / grid16.n**3))
+    radius = 1.2 * grid16.spacing  # a 7-voxel ball
+    params = MorreyParams(2.0, WeightSpec(nu=2.0, rho=0.0, theta=2.0), (radius,))
+    expect = math.sqrt(radius * radius**-4.0 * 7 * grid16.voxel_volume) * f.data[0, 0, 0, 0]
+    assert gm_norm(f, params).value == pytest.approx(expect, rel=1e-12)
+
+
 def test_gm_localized_argmax_near_support(grid32):
     from morrey_sparse.fields import vorticity_blob
 

@@ -285,6 +285,20 @@ def test_gm_mode_validation(grid16):
         check_lemma_gm(unit_x_field(grid16), PAIR, 2.0, 2.0, 0.4, 0.25, 0.5)  # alpha theta < 1
 
 
+def test_gm_premise_once_per_field_and_weight(grid16, monkeypatch):
+    # the premise does not depend on the mode: both modes on one field share
+    # one gm_norm; another theta is another premise
+    calls = []
+    real = verify_module.gm_norm
+    monkeypatch.setattr(verify_module, "gm_norm", lambda f, params: calls.append(1) or real(f, params))
+    f = random_field(grid16, seed=7)
+    reps = [check_lemma_gm(f, PAIR, 2.0, 2.0, 1.0, 0.45, 0.5, mode) for mode in ("curl", "identity")]
+    assert len(calls) == 1
+    assert reps[0].premise_lhs == reps[1].premise_lhs
+    check_lemma_gm(f, PAIR, 2.0, math.inf, 1.0, 0.45, 0.5, "identity")
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
