@@ -3,6 +3,9 @@
 All fields live on a cubic periodic box [0, L)^3 sampled by an n^3 voxel
 lattice.  Scales of interest are capped at 1 and the box side must exceed 2,
 so a ball of radius <= 1 never sees itself through the periodic wrap.
+Fields and voxel sets are values: each holds a private read-only copy of the
+array it was built from, so work cached per object (a set's mask spectra, the
+implication checks' per-field state) cannot go stale.
 
 The lattice geometry is integer.  A voxel at min-image index offset (i, j, k)
 from a center lies on shell m = i^2 + j^2 + k^2 (:meth:`Grid3.shell_index`), at
@@ -119,43 +122,46 @@ class Grid3:
         return i[:, None, None] + j[None, :, None] + k[None, None, :]
 
 
+def _read_only_copy(arr, dtype: type) -> np.ndarray:
+    """A private, read-only, C-contiguous copy of ``arr`` in ``dtype``."""
+    out = np.array(arr, dtype=dtype, order="C")
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
-class ScalarField:
-    """Real scalar samples on a Grid3, C-order with z fastest."""
+class _Samples:
+    """Samples on a Grid3, C-order with z fastest, of shape ``lead`` + the
+    grid shape, held as a private read-only float64 copy of the given array."""
 
     grid: Grid3
     data: np.ndarray
+    lead = ()
 
     def __post_init__(self) -> None:
-        if self.data.shape != self.grid.shape:
-            raise ValueError(f"data shape {self.data.shape} != grid shape {self.grid.shape}")
-        if self.data.dtype != np.float64:
-            object.__setattr__(self, "data", np.ascontiguousarray(self.data, dtype=np.float64))
+        object.__setattr__(self, "data", _read_only_copy(self.data, np.float64))
+        if self.data.shape != self.lead + self.grid.shape:
+            raise ValueError(f"data shape {self.data.shape} != {self.lead + self.grid.shape}")
 
     def validate_finite(self) -> None:
         if not np.all(np.isfinite(self.data)):
-            raise NonFiniteDataError("scalar field contains non-finite values")
+            kind = "vector" if self.lead else "scalar"
+            raise NonFiniteDataError(f"{kind} field contains non-finite values")
 
 
 @dataclass(frozen=True)
-class VectorField:
+class ScalarField(_Samples):
+    """Real scalar samples on a Grid3."""
+
+
+@dataclass(frozen=True)
+class VectorField(_Samples):
     """Three scalar components on a shared Grid3, stored as (3, n, n, n)."""
 
-    grid: Grid3
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.data.shape != (3,) + self.grid.shape:
-            raise ValueError(f"data shape {self.data.shape} != (3,)+{self.grid.shape}")
-        if self.data.dtype != np.float64:
-            object.__setattr__(self, "data", np.ascontiguousarray(self.data, dtype=np.float64))
+    lead = (3,)
 
     def magnitude(self) -> np.ndarray:
         return np.sqrt(np.einsum("cijk,cijk->ijk", self.data, self.data))
-
-    def validate_finite(self) -> None:
-        if not np.all(np.isfinite(self.data)):
-            raise NonFiniteDataError("vector field contains non-finite values")
 
 
 Field = ScalarField | VectorField
@@ -398,9 +404,9 @@ def count_dtype(voxel_count: int) -> type:
 
 @dataclass(frozen=True)
 class VoxelSet:
-    """Boolean voxel mask over a grid, with its real spectrum per count
-    precision computed on first use, so one forward transform serves every
-    radius."""
+    """Boolean voxel mask over a grid (a private read-only copy), with its
+    real spectrum per count precision computed on first use, so one forward
+    transform serves every radius."""
 
     grid: Grid3
     mask: np.ndarray
@@ -409,6 +415,7 @@ class VoxelSet:
     def __post_init__(self) -> None:
         if self.mask.shape != self.grid.shape or self.mask.dtype != np.bool_:
             raise ValueError("mask must be a boolean array on the grid shape")
+        object.__setattr__(self, "mask", _read_only_copy(self.mask, np.bool_))
 
     @property
     def count(self) -> int:
@@ -451,15 +458,28 @@ def shell_runs(grid: Grid3, scales) -> ShellRuns:
                      np.cumsum(opens) - 1)
 
 
+def convolve_spectra(hat: np.ndarray, spec: np.ndarray, n: int) -> np.ndarray:
+    """Inverse transform of ``hat * spec``, spectra of nonnegative arrays, so
+    every product and partial sum is below hat[0] spec[0] n^3; without that
+    headroom in float64, ``spec`` is scaled by an exact power of two and the
+    result scaled back (no bit changes where the unscaled product fits)."""
+    shift = math.frexp(hat[0, 0, 0].real)[1] + math.frexp(spec[0, 0, 0] * n**3)[1] - 1022
+    if shift <= 0:
+        return _irfftn(hat * spec, n)
+    out = _irfftn(hat * (spec * math.ldexp(1.0, -shift)), n)
+    out *= math.ldexp(1.0, shift)
+    return out
+
+
 def ball_convolution(hat: np.ndarray, grid: Grid3, shell: int) -> np.ndarray:
     """x -> the sum over the ball {shell index <= shell} around x of the
-    array whose real-input spectrum is ``hat``, in the hat's precision: the
-    one inverse transform behind every sliding ball sum.
+    nonnegative array whose real-input spectrum is ``hat``, in the hat's
+    precision: the one inverse transform behind every sliding ball sum.
 
     The kernel is symmetric under the min-image convention, so correlation
     and convolution coincide.  Deterministic for fixed inputs.
     """
-    return _irfftn(hat * _ball_spectrum_cached(grid, shell, hat.real.dtype.type), grid.n)
+    return convolve_spectra(hat, _ball_spectrum_cached(grid, shell, hat.real.dtype.type), grid.n)
 
 
 def radial_kernel_spectrum(grid: Grid3, scales, weights) -> tuple[np.ndarray, float]:
@@ -520,6 +540,7 @@ def ball_power_profile(f: Field, p: float, center: tuple[int, int, int],
                        scales) -> tuple[np.ndarray, float]:
     """integral of |f|^p over B_r(center) for every r in ``scales``, and over
     the whole torus, from per-shell sums around the center."""
+    shell_runs(f.grid, scales)  # raises on the scales every ball power rejects
     masses = np.cumsum(radial_shells(magnitude_power(f, p), f.grid, f.grid.shell_index(center)))
     masses *= f.grid.voxel_volume
     return masses[_shell_rank(f.grid, scales)], _no_overflow(float(masses[-1]))
@@ -556,10 +577,9 @@ def save_field(f: Field, path) -> None:
         "order": "zyx-c",
     }
     line = json.dumps(header, separators=(",", ":")) + "\n"
-    payload = np.ascontiguousarray(f.data, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(line.encode("ascii"))
-        fh.write(payload.tobytes())
+        fh.write(f.data.astype("<f8", copy=False).tobytes())
 
 
 def read_field_header(fh) -> tuple[Grid3, int]:
@@ -612,7 +632,7 @@ def load_field(path) -> Field:
     expected = ncomp * grid.n**3 * 8
     if len(payload) != expected:
         raise FieldSizeError(f"payload holds {len(payload)} bytes, header implies {expected}")
-    data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    data = np.frombuffer(payload, dtype="<f8")  # the field takes its own copy
     if not np.all(np.isfinite(data)):
         raise NonFiniteDataError("payload contains non-finite values")
     if ncomp == 1:

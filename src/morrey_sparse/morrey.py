@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (Field, Grid3, _irfftn, ball_convolution, ball_power_profile,
+from .grid import (Field, Grid3, ball_convolution, ball_power_profile, convolve_spectra,
                    magnitude_power, power_spectrum, radial_kernel_spectrum, shell_runs,
                    sliding_ball_power_multi)
 
@@ -252,7 +252,7 @@ def gm_norm(f: Field, params: MorreyParams) -> GmNorm:
     if theta == params.p:
         spec, peak = radial_kernel_spectrum(f.grid, scales,
                                             _trapezoid_logr_coeffs(scales) * wvals**theta)
-        values = _irfftn(power_spectrum(magnitude_power(f, theta)) * spec, f.grid.n)
+        values = convolve_spectra(power_spectrum(magnitude_power(f, theta)), spec, f.grid.n)
         np.maximum(values, 0.0, out=values)
         center = np.unravel_index(np.argmax(values), values.shape)
         value = (values[center] * f.grid.voxel_volume) ** (1.0 / theta) * peak ** (1.0 / theta)

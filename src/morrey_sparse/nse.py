@@ -74,14 +74,11 @@ class SolverConfig:
     ic_params: dict = field(default_factory=dict)
     snapshot_every: int = 50
     seed: int = 0
-    nu: float = VISCOSITY
     box_len: float = 2.0 * math.pi
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0 or self.t_end <= 0.0:
             raise ValueError("dt and t_end must be positive")
-        if self.nu != VISCOSITY:
-            raise ValueError("viscosity is fixed at 1")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
 
@@ -139,9 +136,7 @@ def initial_condition(name: str, grid: Grid3, params: dict | None = None,
     """Built-in initial flows: shear, taylor-green, abc, random."""
     params = dict(params or {})
     x = grid.axis_coords()
-    X = x[:, None, None]
-    Y = x[None, :, None]
-    Z = x[None, None, :]
+    X, Y, Z = x[:, None, None], x[None, :, None], x[None, None, :]
     shape = grid.shape
     amp = float(params.pop("amplitude", 1.0))
     if name == "shear":
@@ -154,9 +149,7 @@ def initial_condition(name: str, grid: Grid3, params: dict | None = None,
         data[1] = -amp * np.cos(X) * np.sin(Y) * np.cos(Z)
         return VectorField(grid, data)
     if name == "abc":
-        a = float(params.pop("a", 1.0))
-        b = float(params.pop("b", 1.0))
-        c = float(params.pop("c", 1.0))
+        a, b, c = (float(params.pop(key, 1.0)) for key in ("a", "b", "c"))
         data = np.empty((3,) + shape)
         data[0] = amp * (a * np.sin(Z) + c * np.cos(Y))
         data[1] = amp * (b * np.sin(X) + a * np.cos(Z))
@@ -201,7 +194,7 @@ def simulate(config: SolverConfig, out=None) -> Trajectory:
     dealias = (np.abs(ix) < cut) & (np.abs(iy) < cut) & (np.abs(iz) < cut)
     k0 = TAU / grid.box_len
     k2visc = (ix * k0) ** 2 + (iy * k0) ** 2 + (iz * k0) ** 2
-    half = np.exp(-config.nu * k2visc * config.dt / 2.0)
+    half = np.exp(-VISCOSITY * k2visc * config.dt / 2.0)
     full = half * half
     # project the initial data; analytic ICs are solenoidal already
     uh = project_hat(_rfftn(u0.data), grid)
@@ -258,8 +251,7 @@ def _physical(uh, grid: Grid3):
 
 
 def _nonlinear(u, w, grid: Grid3, dealias):
-    """P[u x omega] in spectral space, 2/3-dealiased, from physical u and omega
-    (read, never written: the caller may hold them as a snapshot).
+    """P[u x omega] in spectral space, 2/3-dealiased, from physical u and omega.
 
     Rotational form: (u . grad)u = omega x u + grad(|u|^2/2); the gradient
     part is absorbed into pressure by the projection, so P[u x omega] is the
@@ -310,8 +302,7 @@ def dissipation_scale(norm: float, beta: float, c: float, grid: Grid3) -> Dissip
     if norm <= 0.0:
         raise ValueError("norm must be positive")
     raw = c * norm ** (-beta)
-    lo = 2.0 * grid.spacing
-    val = min(max(raw, lo), 1.0)
+    val = min(max(raw, 2.0 * grid.spacing), 1.0)
     return DissipationScale(val, val != raw)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -252,26 +253,20 @@ def _support_centroid(f: Field) -> tuple[int, int, int]:
     """|f|-weighted circular-mean voxel, robust on the torus."""
     grid = f.grid
     mag = magnitude_power(f, 1.0)
+    ang = 2.0 * math.pi * np.arange(grid.n) / grid.n
     out = []
     for axis in range(3):
         m = mag.sum(axis=tuple(a for a in range(3) if a != axis))
-        ang = 2.0 * math.pi * np.arange(grid.n) / grid.n
         s, c = float(m @ np.sin(ang)), float(m @ np.cos(ang))
-        idx = int(round(math.atan2(s, c) / (2.0 * math.pi) * grid.n)) % grid.n
-        out.append(idx)
+        out.append(int(round(math.atan2(s, c) / (2.0 * math.pi) * grid.n)) % grid.n)
     return tuple(out)
 
 
 def candidate_centers(f: Field) -> list[tuple[int, int, int]]:
     """Support centroid of |f| plus its 26 one-voxel neighbors."""
-    n = f.grid.n
     c = _support_centroid(f)
-    cands = []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                cands.append(((c[0] + dx) % n, (c[1] + dy) % n, (c[2] + dz) % n))
-    return cands
+    return [tuple((ci + d) % f.grid.n for ci, d in zip(c, step))
+            for step in product((-1, 0, 1), repeat=3)]
 
 
 def predual_bound(f: Field, p: float, w: WeightSpec,
@@ -292,8 +287,7 @@ def predual_bound(f: Field, p: float, w: WeightSpec,
     else:
         fnorm = sup_norm(f)
     global_term = 0.0 if math.isinf(wtotal) else fnorm / wtotal
-    if centers is None:
-        centers = candidate_centers(f)
+    centers = candidate_centers(f) if centers is None else centers
     vals = [_stieltjes(f, mags, w, c) for c in centers]
     best = int(np.argmin(vals))
     st = vals[best] ** (1.0 / _conjugate(w.theta))

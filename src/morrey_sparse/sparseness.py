@@ -82,6 +82,14 @@ class PairLD:
         implication constant depends on the pair through it."""
         return self.delta * (1.0 + self.lam)
 
+    @property
+    def a_half(self) -> float:  # (delta (1 + lambda) - 1) / 2
+        return (self.delta_lambda - 1.0) / 2.0
+
+    @property
+    def b_half(self) -> float:  # (delta (1 + lambda) + 1) / 2
+        return (self.delta_lambda + 1.0) / 2.0
+
 
 def admissible_pair(delta: float) -> PairLD:
     """The canonical admissible pair for a ratio delta.
@@ -217,8 +225,7 @@ def sparse_1d(S: VoxelSet, center: tuple[int, int, int], r: float,
 
 def kappa(pair: PairLD) -> float:
     """Plateau fraction kappa = cbrt((d(l+1)+1) / (2 d(l+1)))  in (2^-1/3, 1)."""
-    x = pair.delta_lambda
-    return ((x + 1.0) / (2.0 * x)) ** (1.0 / 3.0)
+    return (pair.b_half / pair.delta_lambda) ** (1.0 / 3.0)
 
 
 def _ramp_l2_moment(kap: float) -> float:
@@ -247,7 +254,7 @@ def cstar(pair: PairLD) -> float:
     cstar = cal * varpi * (1-kappa)^(-1/2) * (delta(1+lambda) - 1)/2, with
     cal the recorded bump-chain prefactor.
     """
-    return (bump_chain_constant(pair) * UNIT_BALL_VOLUME * (pair.delta_lambda - 1.0) / 2.0
+    return (bump_chain_constant(pair) * UNIT_BALL_VOLUME * pair.a_half
             / math.sqrt(1.0 - kappa(pair)))
 
 
@@ -264,7 +271,7 @@ def _ramp_lp_coeff(pprime: float, ramp: float) -> float:
 
 def ramp_fraction(pair: PairLD) -> float:
     """Shell-widening fraction eta with (1+eta)^3 = (delta(1+lambda)+1)/2."""
-    return ((pair.delta_lambda + 1.0) / 2.0) ** (1.0 / 3.0) - 1.0
+    return pair.b_half ** (1.0 / 3.0) - 1.0
 
 
 def gm_chain_constant(pair: PairLD, p: float, theta: float, alpha: float,
@@ -281,10 +288,8 @@ def gm_chain_constant(pair: PairLD, p: float, theta: float, alpha: float,
     if math.isinf(pprime):
         raise ValueError("p = 1 gives an L^inf shell norm; unsupported here")
     ramp = ramp_fraction(pair)
-    a_half = (pair.delta_lambda - 1.0) / 2.0
-    b_half = (pair.delta_lambda + 1.0) / 2.0
     c1 = _ramp_lp_coeff(pprime, ramp)
-    base = a_half ** (1.0 / pprime) / (HOLDER_CONSTANT * c1 * ramp ** (1.0 / pprime))
+    base = pair.a_half ** (1.0 / pprime) / (HOLDER_CONSTANT * c1 * ramp ** (1.0 / pprime))
     if math.isinf(theta):
         # the B and (r v rho) factors cancel exactly against the sup-form
         # tail drop; the minimum over r is the base itself
@@ -300,7 +305,7 @@ def gm_chain_constant(pair: PairLD, p: float, theta: float, alpha: float,
     for r in np.geomspace(max(rho, 0.02), r_cap, 64):
         tail_at_shell = weight_tail_norm(w, min((1.0 + ramp) * r, 0.999))
         m_r = (1.0 / tail_at_shell if tail_at_shell > 0.0 else math.inf) + total_inv
-        val = max(r, rho) ** e_neg * b_half ** (e_neg / 3.0) / m_r
+        val = max(r, rho) ** e_neg * pair.b_half ** (e_neg / 3.0) / m_r
         best = min(best, val)
     return base * best / CHAIN_SAFETY
 
@@ -316,12 +321,10 @@ def eps_const(pair: PairLD, p: float, theta: float, alpha: float, rho: float = 0
     if math.isfinite(theta) and not alpha * theta > 1.0:
         raise ValueError(f"need alpha*theta > 1 for finite theta, got {alpha * theta}")
     pprime = _conjugate(p)
-    a_half = (pair.delta_lambda - 1.0) / 2.0
-    b_half = (pair.delta_lambda + 1.0) / 2.0
     e_exp = -decay_exponent(alpha, theta)
     cal = gm_chain_constant(pair, p, theta, alpha, rho=rho)
-    return (cal * UNIT_BALL_VOLUME * a_half ** (1.0 - 1.0 / pprime) * b_half ** (e_exp / 3.0)
-            * ramp_fraction(pair))
+    return (cal * UNIT_BALL_VOLUME * pair.a_half ** (1.0 - 1.0 / pprime)
+            * pair.b_half ** (e_exp / 3.0) * ramp_fraction(pair))
 
 
 def shell_exponent(p: float, mode: str) -> float:

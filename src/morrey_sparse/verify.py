@@ -21,11 +21,8 @@ from __future__ import annotations
 
 import math
 import threading
-import weakref
 from dataclasses import dataclass
 from itertools import product
-
-import numpy as np
 
 from .fields import random_solenoidal_field, vorticity_blob
 from .grid import (
@@ -94,27 +91,23 @@ class _FieldState:
     or f itself) and its sup norm, the spectrum of |f|^2 (on first use), the
     premise value per L^2 scale or Morrey-type (p, theta, alpha, rho), and
     per mode the super-level sets (with their mask spectra) of the last
-    threshold.  A copy of the data detects in-place edits."""
+    threshold.  Fields are read-only values, so the field object alone
+    identifies the state."""
 
     def __init__(self, f: VectorField):
-        self.field = weakref.ref(f)
-        self.grid = f.grid
-        self.data = f.data.copy()
+        self.field = f
         self.omega: VectorField | None = None
         self.sups: dict[str, float] = {}
         self.power_hat = None
         self.lhs: dict[float | tuple, float] = {}
         self.sets: dict[str, tuple[float, list[VoxelSet]]] = {}
 
-    def matches(self, f: VectorField) -> bool:
-        return self.field() is f and np.array_equal(self.data, f.data)
-
     def thresholded(self, mode: str) -> VectorField:
         """curl f (mode "curl", computed once) or f ("identity")."""
         if mode == "identity":
-            return self.field()
+            return self.field
         if self.omega is None:
-            self.omega = curl(self.field())
+            self.omega = curl(self.field)
         return self.omega
 
     def sup(self, mode: str) -> float:
@@ -126,9 +119,9 @@ class _FieldState:
         """sup_x ||f||_{L^2(B_r(x))}, as ``sliding_ball_lp(f, 2, r)`` computes it."""
         if r not in self.lhs:
             if self.power_hat is None:
-                self.power_hat = power_spectrum(magnitude_power(self.field(), 2.0))
+                self.power_hat = power_spectrum(magnitude_power(self.field, 2.0))
             # the root after the max: sqrt is monotone and correctly rounded
-            self.lhs[r] = math.sqrt(ball_power_from_spectrum(self.grid, self.power_hat, r).max())
+            self.lhs[r] = math.sqrt(ball_power_from_spectrum(self.field.grid, self.power_hat, r).max())
         return self.lhs[r]
 
     def level_sets(self, mode: str, lam: float) -> list[VoxelSet]:
@@ -140,16 +133,15 @@ class _FieldState:
         return kept[1]
 
 
-#: one _FieldState per thread, for the field it saw last
+#: one _FieldState per thread, for the field it saw last (held until the next)
 _field_memo = threading.local()
 
 
 def _field_state(f: VectorField) -> _FieldState:
     state = getattr(_field_memo, "state", None)
-    if state is not None and state.matches(f):
-        return state
-    state = _field_memo.state = None  # free the old entry before building the new one
-    _field_memo.state = state = _FieldState(f)
+    if state is None or state.field is not f:
+        state = _field_memo.state = None  # free the old entry before building the new one
+        state = _field_memo.state = _FieldState(f)
     return state
 
 

@@ -30,6 +30,14 @@ from morrey_sparse.grid import (
     sliding_ball_sum,
     sup_norm,
 )
+from morrey_sparse.fields import (
+    bump_gradient,
+    localized_field,
+    random_solenoidal_field,
+    vorticity_blob,
+)
+from morrey_sparse.nse import SolverConfig, initial_condition, simulate
+from morrey_sparse.sparseness import superlevel_sets
 from conftest import random_field, sine_y_field, unit_x_field
 
 
@@ -54,6 +62,56 @@ def test_field_shape_validation(grid16):
         ScalarField(grid16, np.zeros((8, 8, 8)))
     with pytest.raises(ValueError):
         VectorField(grid16, np.zeros((2,) + grid16.shape))
+
+
+def _simulated(tmp_path, streamed: bool) -> list[np.ndarray]:
+    cfg = SolverConfig(n=16, dt=1e-3, t_end=2e-3, snapshot_every=1)
+    return [f.data for _, f in simulate(cfg, out=tmp_path if streamed else None).snapshots]
+
+
+def _loaded(grid, tmp_path) -> list[np.ndarray]:
+    save_field(random_field(grid, 1), tmp_path / "v.fld")
+    save_field(ScalarField(grid, random_field(grid, 1).data[0]), tmp_path / "s.fld")
+    return [load_field(tmp_path / name).data for name in ("v.fld", "s.fld")]
+
+
+def _constructed(grid) -> list[np.ndarray]:
+    return [random_solenoidal_field(grid, 4, 1).data, localized_field(grid, 4, 1).data,
+            vorticity_blob(grid, (8, 8, 8), 0.8).data, bump_gradient(grid, (8, 8, 8), 0.5, 1.0).data,
+            *(initial_condition(ic, grid).data for ic in ("shear", "taylor-green", "abc", "random"))]
+
+
+FIELD_PRODUCERS = {
+    "grid_operators": lambda g, tmp: [
+        op(random_field(g, 1)).data for op in (curl, divergence, leray_project, biot_savart)] + [
+        gradient(ScalarField(g, random_field(g, 1).data[0])).data,
+        sliding_ball_lp(random_field(g, 1), 2.0, 0.5).data],
+    "field_constructors": lambda g, tmp: _constructed(g),
+    "load_field": _loaded,
+    "superlevel_sets": lambda g, tmp: [
+        S.mask for S in superlevel_sets(random_field(g, 1), 0.5).values()],
+    "snapshots_in_memory": lambda g, tmp: _simulated(tmp, streamed=False),
+    "snapshot_files": lambda g, tmp: _simulated(tmp, streamed=True),
+}
+
+
+@pytest.mark.parametrize("producer", sorted(FIELD_PRODUCERS))
+def test_produced_fields_hold_read_only_private_data(grid16, tmp_path, producer):
+    # fields and voxel sets are values: each owns a read-only C-order array
+    arrays = FIELD_PRODUCERS[producer](grid16, tmp_path)
+    assert arrays
+    for arr in arrays:
+        assert arr.flags.owndata and arr.flags.c_contiguous and not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = arr.flat[0]
+
+
+def test_fields_copy_their_input(grid16):
+    raw, mask = np.ones((3,) + grid16.shape), np.ones(grid16.shape, dtype=bool)
+    fields = (VectorField(grid16, raw), ScalarField(grid16, raw[0]), VoxelSet(grid16, mask))
+    raw[:], mask[:] = 0.0, False
+    assert [float(f.data.sum()) for f in fields[:2]] == [3.0 * 16**3, 16.0**3]
+    assert fields[2].mask.all()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,16 @@ from scipy import fft
 
 from morrey_sparse import grid as grid_module
 from morrey_sparse import morrey as morrey_module
-from morrey_sparse.grid import UNIT_BALL_VOLUME, Grid3, VectorField, ball_kernel, magnitude_power
+from morrey_sparse.grid import (
+    UNIT_BALL_VOLUME,
+    Grid3,
+    ScalarField,
+    VectorField,
+    ball_kernel,
+    ball_lp_bruteforce,
+    magnitude_power,
+    sliding_ball_lp,
+)
 from morrey_sparse.morrey import (
     ClassicalMorrey,
     GmNorm,
@@ -87,12 +96,13 @@ def test_lm_zero_and_homogeneity(grid16):
     assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
 
 
-def test_lm_finite_theta_matches_quadrature_oracle(grid16):
-    # independent oracle: direct trapezoid of [w v]^theta in log r
+def test_lm_finite_theta_matches_quadrature_oracle(grid32):
+    # independent oracle: direct trapezoid of [w v]^theta in log r (n=32, so
+    # the smallest scale lies above the spacing)
     w = WeightSpec(nu=0.75, rho=0.2, theta=3.0)
     scales = tuple(np.geomspace(0.2, 1.0, 24))
     params = MorreyParams(2.0, w, scales)
-    f = random_field(grid16, seed=9)
+    f = random_field(grid32, seed=9)
     center = (4, 11, 2)
     from morrey_sparse.grid import ball_lp_bruteforce
 
@@ -191,6 +201,31 @@ def test_gm_theta_equals_p_near_float_max(grid16):
     params = MorreyParams(2.0, WeightSpec(nu=2.0, rho=0.0, theta=2.0), (radius,))
     expect = math.sqrt(radius * radius**-4.0 * 7 * grid16.voxel_volume) * f.data[0, 0, 0, 0]
     assert gm_norm(f, params).value == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("divisor", [1e2, 1e4])
+def test_one_voxel_near_float_max(grid16, divisor):
+    # |f|^2 = float max / divisor on one voxel: the spectral products of the
+    # ball sums pass float max at 1e2 unless rescaled.  Every ball around the
+    # voxel holds its whole mass, which gives the closed forms; the sliding
+    # ball sums match the transform-free oracle
+    data = np.zeros(grid16.shape)
+    data[3, 4, 5] = math.sqrt(np.finfo(np.float64).max / divisor)
+    f = ScalarField(grid16, data)
+    mass = data[3, 4, 5] ** 2 * grid16.voxel_volume
+    for theta in (math.inf, 2.0, 3.0):
+        params = MorreyParams.default(grid16, WeightSpec(nu=0.5, theta=theta))
+        scales = np.asarray(params.scales)
+        w = params.weight.value(scales)
+        c = 1.0 if math.isinf(theta) else morrey_module._trapezoid_logr_coeffs(scales)
+        expect = math.sqrt(mass) * (w.max() if math.isinf(theta)
+                                    else float(np.sum(c * w**theta)) ** (1.0 / theta))
+        assert gm_norm(f, params).value == pytest.approx(expect, rel=1e-12), theta
+    assert classical_morrey(f, 2.0, 1.0, 0.8, 1.0).value == pytest.approx(mass / 0.8, rel=1e-12)
+    for r in (0.5, 0.9):
+        lp = sliding_ball_lp(f, 2.0, r).data
+        for center in ((3, 4, 5), (3, 4, 7)):
+            assert lp[center] == pytest.approx(ball_lp_bruteforce(f, 2.0, center, r), rel=1e-12)
 
 
 def test_gm_localized_argmax_near_support(grid32):
@@ -333,6 +368,17 @@ def test_theta_large_approaches_sup(grid16):
     v_inf = gm_norm(f, MorreyParams(2.0, w_inf, scales)).value
     v_big = gm_norm(f, MorreyParams(2.0, w_big, scales)).value
     assert v_big == pytest.approx(v_inf, rel=0.01)
+
+
+def test_scales_below_spacing_rejected_by_every_norm(grid16):
+    # one scale-validity rule (grid.shell_runs) for the local and global norms
+    for theta in (math.inf, 2.0, 3.0):
+        params = MorreyParams(2.0, WeightSpec(nu=0.5, theta=theta), (0.01, 0.5))
+        f = random_field(grid16, seed=2)
+        for norm in (lambda: lm_norm(f, params, (0, 0, 0)), lambda: clm_norm(f, params, (0, 0, 0)),
+                     lambda: gm_norm(f, params)):
+            with pytest.raises(ValueError, match=r"radius 0\.01 outside \(spacing, box_len/2\)"):
+                norm()
 
 
 def test_empty_scales_error(grid16):

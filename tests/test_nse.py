@@ -59,7 +59,7 @@ def tg_traj():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(n=32, dt=-1.0, t_end=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # viscosity is the constant VISCOSITY
         SolverConfig(n=32, dt=1e-3, t_end=1.0, nu=0.5)
     with pytest.raises(ValueError):
         simulate(SolverConfig(n=16, dt=1.0, t_end=2.0, ic="shear"))  # CFL bound

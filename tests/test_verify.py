@@ -146,14 +146,22 @@ def test_l2_warm_calls_match_fresh_field(kind):
     assert any(rep.premise_holds for rep in warm) == (kind == "blob")
 
 
-def test_l2_in_place_edit_is_seen():
+def test_l2_field_is_a_read_only_value():
+    # the per-field memo keys on the field object alone: a field cannot be
+    # written through, and editing the array it was built from leaves it be
     grid = Grid3(32)
-    f = random_field(grid, seed=4, kmax=8)
-    before = check_lemma_l2(f, PAIR, 0.5)
-    f.data[0] = np.roll(f.data[0], 5, axis=2)
-    after = check_lemma_l2(f, PAIR, 0.5)
-    assert after != before
-    assert after == check_lemma_l2(VectorField(grid, f.data.copy()), PAIR, 0.5)
+    raw = np.array(random_field(grid, seed=4, kmax=8).data)
+    f = VectorField(grid, raw)
+    before = check_lemma_l2(f, PAIR, 0.5, densities=True)
+    with pytest.raises(ValueError, match="read-only"):
+        f.data[0, 1, 2, 3] = 1.0
+    raw[0] = np.roll(raw[0], 5, axis=2)
+    assert not np.array_equal(f.data, raw)
+    assert check_lemma_l2(f, PAIR, 0.5, densities=True) == before
+    edited = check_lemma_l2(VectorField(grid, raw), PAIR, 0.5, densities=True)
+    assert edited != before
+    verify_module._field_memo.state = None
+    assert edited == check_lemma_l2(VectorField(grid, raw.copy()), PAIR, 0.5, densities=True)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
