@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .grid import Grid3, VectorField, _irfftn, _rfftn, leray_project, rfft_wavenumbers
+from .grid import Grid3, VectorField, _irfftn, _rfftn, curl_hat, project_hat, rfft_wavenumbers
 
 
 def smoothstep(t):
@@ -23,24 +23,29 @@ def radial_plateau(dist, inner: float, outer: float):
     return 1.0 - smoothstep((dist - inner) / (outer - inner))
 
 
+def _scaled_to_sup(grid: Grid3, data: np.ndarray, amplitude: float) -> VectorField:
+    """The field of ``data``, scaled in place so the pointwise sup of |f| is
+    ``amplitude``."""
+    sup = math.sqrt(np.einsum("cijk,cijk->ijk", data, data).max())
+    if sup == 0.0:
+        raise ValueError("cannot scale the zero field to a sup")
+    data *= amplitude / sup
+    return VectorField(grid, data)
+
+
 def random_solenoidal_field(grid: Grid3, kmax: int, seed: int, amplitude: float = 1.0) -> VectorField:
     """Divergence-free Gaussian random field with integer modes |k| <= kmax.
 
     Normalized so the pointwise sup of |f| equals ``amplitude``; fully
-    determined by ``seed``.
+    determined by ``seed``.  The noise spectrum is cut to the band, projected
+    and transformed back once.
     """
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((3,) + grid.shape)
-    fh = _rfftn(noise)
-    kx, ky, kz, k2 = rfft_wavenumbers(grid)
+    fh = _rfftn(np.random.default_rng(seed).standard_normal((3,) + grid.shape))
     k0 = 2.0 * math.pi / grid.box_len
-    fh *= k2 <= (kmax * k0) ** 2 * (1.0 + 1e-12)
+    fh *= rfft_wavenumbers(grid)[3] <= (kmax * k0) ** 2 * (1.0 + 1e-12)
     fh[:, 0, 0, 0] = 0.0
-    f = leray_project(VectorField(grid, _irfftn(fh, grid.n)))
-    sup = f.magnitude().max()
-    if sup == 0.0:
-        raise ValueError("degenerate random field (all masked modes vanished)")
-    return VectorField(grid, f.data * (amplitude / sup))
+    fh = project_hat(fh, grid)  # the noise spectrum is freed before the inverse
+    return _scaled_to_sup(grid, _irfftn(fh, grid.n), amplitude)
 
 
 def localized_field(grid: Grid3, kmax: int, seed: int, radius: float = 0.8,
@@ -56,11 +61,7 @@ def localized_field(grid: Grid3, kmax: int, seed: int, radius: float = 0.8,
     base = random_solenoidal_field(grid, kmax, seed, amplitude=1.0)
     dist = grid.spacing * np.sqrt(grid.shell_index(center))
     window = radial_plateau(dist, 0.5 * radius, radius)
-    data = base.data * window
-    sup = np.sqrt(np.einsum("cijk,cijk->ijk", data, data)).max()
-    if sup == 0.0:
-        raise ValueError("cutoff annihilated the field")
-    return VectorField(grid, data * (amplitude / sup))
+    return _scaled_to_sup(grid, base.data * window, amplitude)
 
 
 def periodized_gaussian(grid: Grid3, center: tuple[int, int, int], sigma: float) -> np.ndarray:
@@ -81,26 +82,18 @@ def periodized_gaussian(grid: Grid3, center: tuple[int, int, int], sigma: float)
 def vorticity_blob(grid: Grid3, center: tuple[int, int, int], sigma: float,
                    axis: tuple[float, float, float] = (1.0, 0.0, 0.0),
                    amplitude: float = 1.0) -> VectorField:
-    """Localized solenoidal vorticity: w = grad(a . grad chi) - a * lap chi.
+    """Localized solenoidal vorticity: w = curl curl(a chi), that is
+    grad(a . grad chi) - a * lap chi, as two spectral curls.
 
     chi is a periodized Gaussian of width ``sigma``; the construction is
-    divergence-free to rounding by cancellation in spectral space, and the
-    axis component dominates near the core (positive out to |y| ~ sqrt(2) sigma
-    transversally).
+    divergence-free to rounding, and the axis component dominates near the
+    core (positive out to |y| ~ sqrt(2) sigma transversally).
     """
     a = np.asarray(axis, dtype=np.float64)
     a /= math.sqrt(float(a @ a))
-    chi = periodized_gaussian(grid, center, sigma)
-    ch = _rfftn(chi)
-    kx, ky, kz, k2 = rfft_wavenumbers(grid)
-    adotk = a[0] * kx + a[1] * ky + a[2] * kz
-    wh = np.empty((3,) + ch.shape, dtype=ch.dtype)
-    wh[0] = (k2 * a[0] - adotk * kx) * ch
-    wh[1] = (k2 * a[1] - adotk * ky) * ch
-    wh[2] = (k2 * a[2] - adotk * kz) * ch
-    w = _irfftn(wh, grid.n)
-    sup = np.sqrt(np.einsum("cijk,cijk->ijk", w, w)).max()
-    return VectorField(grid, w * (amplitude / sup))
+    wh = curl_hat(a[:, None, None, None] * _rfftn(periodized_gaussian(grid, center, sigma)), grid)
+    wh = curl_hat(wh, grid)  # the first curl is freed before the inverse
+    return _scaled_to_sup(grid, _irfftn(wh, grid.n), amplitude)
 
 
 def bump_gradient(grid: Grid3, center: tuple[int, int, int], inner: float, outer: float) -> VectorField:

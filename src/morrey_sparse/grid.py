@@ -10,9 +10,9 @@ implication checks' per-field state) cannot go stale.
 The lattice geometry is integer.  A voxel at min-image index offset (i, j, k)
 from a center lies on shell m = i^2 + j^2 + k^2 (:meth:`Grid3.shell_index`), at
 distance h sqrt(m).  The ball of radius r is the voxels on shells m <= K(r),
-the largest attained shell with m h^2 <= r^2 (:func:`_shell`): it is invariant
-under the 48 symmetries of the cube, and radii with no shell between them share
-one ball, mask and spectrum.  One shell table per grid (:func:`shell_table`)
+the largest attained shell with m h^2 <= r^2 (:func:`ball_kernel`): it is
+invariant under the 48 symmetries of the cube, and radii with no shell between
+them share one ball, mask and spectrum.  One shell table per grid (:func:`shell_table`)
 gives every ball's voxel count, and per-center shell sums
 (:func:`radial_shells`) serve every radial profile.
 
@@ -331,11 +331,6 @@ def _shell_rank(grid: Grid3, radius):
     return np.searchsorted(shell_table(grid).radius_sq, radius * radius, side="right") - 1
 
 
-def _shell(grid: Grid3, radius: float) -> int:
-    """K(radius): the ball of ``radius`` is exactly the voxels on shells <= K."""
-    return int(shell_table(grid).index[_shell_rank(grid, radius)])
-
-
 def radial_shells(values: np.ndarray, grid: Grid3, index: np.ndarray,
                   peak: bool = False) -> np.ndarray:
     """Per attained shell around a center, in :func:`shell_table` order, the
@@ -355,20 +350,18 @@ def radial_shells(values: np.ndarray, grid: Grid3, index: np.ndarray,
 
 @dataclass(frozen=True)
 class BallKernel:
-    """Voxel indicator of {|y| <= radius} around index 0, periodic min-image:
-    the voxels on shells <= K(radius), so ties (distance exactly ``radius``)
-    are included."""
+    """Voxel indicator of {|y| <= radius}, periodic min-image: the
+    ``voxel_count`` voxels on shells <= ``shell`` = K(radius), so ties
+    (distance exactly ``radius``) are included."""
 
     grid: Grid3
     radius: float
+    shell: int
+    voxel_count: int
 
-    @property
-    def shell(self) -> int:
-        return _shell(self.grid, self.radius)
-
-    @property
-    def voxel_count(self) -> int:
-        return int(shell_table(self.grid).ball_count[_shell_rank(self.grid, self.radius)])
+    def mask(self, center: tuple[int, int, int]) -> np.ndarray:
+        """The ball around ``center`` as a boolean voxel mask."""
+        return self.grid.shell_index(center) <= self.shell
 
     @property
     def volume(self) -> float:
@@ -383,9 +376,9 @@ class BallKernel:
 
 @lru_cache(maxsize=64)
 def _ball_spectrum_cached(grid: Grid3, shell: int, dtype: type) -> np.ndarray:
-    """Real spectrum of the ball {shell index <= shell}, a :func:`_shell` key,
-    in ``dtype``: the real part of the float64 transform, rounded once to
-    float32 for float32 mask counts."""
+    """Real spectrum of the ball {shell index <= shell}, a
+    :attr:`BallKernel.shell` key, in ``dtype``: the real part of the float64
+    transform, rounded once to float32 for float32 mask counts."""
     spec = _rfftn((grid.shell_index() <= shell).astype(np.float64)).real.astype(dtype)
     spec.setflags(write=False)
     return spec
@@ -394,7 +387,8 @@ def _ball_spectrum_cached(grid: Grid3, shell: int, dtype: type) -> np.ndarray:
 def ball_kernel(grid: Grid3, radius: float) -> BallKernel:
     if not 0.0 < radius < grid.box_len / 2.0:
         raise ValueError(f"radius {radius} outside (0, {grid.box_len / 2})")
-    return BallKernel(grid, float(radius))
+    table, rank = shell_table(grid), _shell_rank(grid, radius)
+    return BallKernel(grid, float(radius), int(table.index[rank]), int(table.ball_count[rank]))
 
 
 def count_dtype(voxel_count: int) -> type:
@@ -552,9 +546,8 @@ def ball_lp_bruteforce(f: Field, p: float, index: tuple[int, int, int], r: float
     Same membership rule as the FFT kernel (shells <= K(r), ties included),
     but summed by explicit gather; no FFTs anywhere.
     """
-    grid = f.grid
-    inside = grid.shell_index(index) <= ball_kernel(grid, r).shell
-    return (float(magnitude_power(f, p)[inside].sum()) * grid.voxel_volume) ** (1.0 / p)
+    inside = ball_kernel(f.grid, r).mask(index)
+    return (float(magnitude_power(f, p)[inside].sum()) * f.grid.voxel_volume) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

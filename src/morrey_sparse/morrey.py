@@ -186,7 +186,10 @@ def _shell_search(f: Field, p: float, scales: np.ndarray,
     hat = power_spectrum(power)
     runs = shell_runs(grid, scales)
     mass = float(hat[0, 0, 0].real) * h3  # the torus integral of |f|^p
-    top = np.minimum(mass, runs.ball_count * h3 * power.max()) + 1e-12 * mass
+    pmax, cap = power.max(), runs.ball_count * h3
+    top = np.full(cap.shape, mass)  # |B_K| h^3 max|f|^p, formed only below the mass
+    np.multiply(cap, pmax, out=top, where=pmax < mass / cap)
+    top = np.minimum(top, mass) + 1e-12 * mass
     done = np.zeros(runs.start.size, dtype=bool)
     best, records = -math.inf, []  # (-value, first center, node) per evaluated node
     while not done.all():

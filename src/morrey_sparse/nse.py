@@ -74,7 +74,6 @@ class SolverConfig:
     ic_params: dict = field(default_factory=dict)
     snapshot_every: int = 50
     seed: int = 0
-    box_len: float = 2.0 * math.pi
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0 or self.t_end <= 0.0:
@@ -180,7 +179,7 @@ def simulate(config: SolverConfig, out=None) -> Trajectory:
     that fails (``SolverInstabilityError``) leaves no ``meta.json``, so its
     directory does not load as a trajectory.
     """
-    grid = Grid3(config.n, config.box_len)
+    grid = Grid3(config.n)
     u0 = initial_condition(config.ic, grid, config.ic_params, config.seed)
     u0.validate_finite()
     cfl = 0.5 * grid.spacing / max(1.0, sup_norm(u0))

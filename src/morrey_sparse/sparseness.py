@@ -144,8 +144,7 @@ def _count_fraction(counts, voxel_count: int):
 def sparse_3d(S: VoxelSet, center: tuple[int, int, int], r: float) -> float:
     """Voxel-counted density of S in the ball B_r(center), in [0, 1]."""
     kernel = ball_kernel(S.grid, r)
-    inside = S.grid.shell_index(center) <= kernel.shell
-    return float(S.mask[inside].sum()) / kernel.voxel_count
+    return float(S.mask[kernel.mask(center)].sum()) / kernel.voxel_count
 
 
 class SemiMixed(NamedTuple):
@@ -387,12 +386,9 @@ def z_alpha_member(f: VectorField, alpha: float, pair: PairLD, c0: float,
             f"({grid.spacing:.3g}, {grid.box_len / 2:.3g})")
     scales = scales[valid]
 
-    # dominant signed component per voxel, in SET_LABELS order
-    parts = np.empty((6,) + grid.shape)
-    for i in range(3):
-        parts[2 * i] = np.maximum(f.data[i], 0.0)
-        parts[2 * i + 1] = np.maximum(-f.data[i], 0.0)
-    dominant = parts.argmax(axis=0)
+    # dominant signed component per voxel, as its SET_LABELS position
+    comp = np.abs(f.data).argmax(axis=0)
+    dominant = 2 * comp + (np.take_along_axis(f.data, comp[None], axis=0)[0] < 0.0)
 
     ok_any = np.zeros((6,) + grid.shape, dtype=bool)
     for si, S in enumerate((sets or superlevel_sets(f, pair.lam)).values()):

@@ -273,7 +273,6 @@ class SweepConfig:
     alphas: tuple[float, ...] = (0.5,)
     rho: float = 0.05
     adversarial: bool = False
-    box_len: float = 2.0 * math.pi
     densities: bool = False
 
     def __post_init__(self) -> None:
@@ -310,7 +309,7 @@ def sweep(config: SweepConfig, threads: int = 1) -> list[VerifyReport]:
     the worker pool, which takes whole fields; ordering and values are
     independent of the pool size.
     """
-    grid = Grid3(config.n, config.box_len)
+    grid = Grid3(config.n)
     variants = [None] if config.lemma == "l2" else list(
         product(config.thetas, config.alphas, config.modes))
     # field key -> [(report index, pair, r, variant)], in report order

@@ -1,7 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.fft
 
-from morrey_sparse.grid import divergence, sup_norm
+from morrey_sparse.grid import (Grid3, VectorField, _irfftn, _rfftn, divergence, leray_project,
+                                rfft_wavenumbers, sup_norm)
 from morrey_sparse.fields import (
     bump_gradient,
     localized_field,
@@ -19,6 +24,48 @@ def test_random_solenoidal_properties(grid16):
     assert np.array_equal(f.data, g.data)  # seeded determinism
     h = random_solenoidal_field(grid16, kmax=4, seed=2)
     assert not np.array_equal(f.data, h.data)
+
+
+def test_random_solenoidal_matches_two_pass_reference(grid32):
+    # the projection as a multiplier on the cut noise spectrum equals the
+    # projection of the cut field, a second transform pair, to rounding
+    for kmax, seed, amplitude in ((8, 1, 1.0), (4, 5, 3.0)):
+        fh = _rfftn(np.random.default_rng(seed).standard_normal((3,) + grid32.shape))
+        fh *= rfft_wavenumbers(grid32)[3] <= kmax**2 * (1.0 + 1e-12)
+        fh[:, 0, 0, 0] = 0.0
+        ref = leray_project(VectorField(grid32, _irfftn(fh, grid32.n))).data
+        ref = ref * (amplitude / math.sqrt(np.einsum("cijk,cijk->ijk", ref, ref).max()))
+        f = random_solenoidal_field(grid32, kmax, seed, amplitude)
+        assert np.abs(f.data - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_random_solenoidal_one_transform_pair(grid16, monkeypatch):
+    # every transform of the package runs through scipy.fft: one forward
+    # transform of the noise and one inverse of the projected band
+    calls = []
+
+    def counted(name):
+        real = getattr(scipy.fft, name)
+        return lambda *args, **kw: calls.append(name) or real(*args, **kw)
+
+    for name in ("rfftn", "irfftn"):
+        monkeypatch.setattr(scipy.fft, name, counted(name))
+    random_solenoidal_field(grid16, kmax=4, seed=1)
+    assert calls == ["rfftn", "irfftn"]
+
+
+def test_random_solenoidal_build_peak():
+    # one transform pair, with the projection as a multiplier, peaks near
+    # three field-sizes; a second pair for the projection would need six
+    grid = Grid3(64)
+    random_solenoidal_field(grid, 16, 0)  # wavenumber tables cached
+    tracemalloc.start()
+    try:
+        f = random_solenoidal_field(grid, 16, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * f.data.nbytes
 
 
 def test_periodized_gaussian_smooth_and_periodic(grid32):

@@ -433,7 +433,7 @@ def test_shell_key_gives_the_radius_ball(n):
         r = math.sqrt(m * h2)
         radii += [r, np.nextafter(r, 0.0), np.nextafter(r, 2.0)]
     for r in map(float, radii):
-        key = grid_module._shell(grid, r)
+        key = ball_kernel(grid, r).shell
         assert key in shells and key * h2 <= r * r
         ball = index2 * h2 <= r * r
         assert np.array_equal(index2 <= key, ball)
@@ -453,9 +453,9 @@ def test_shell_key_at_and_next_to_a_shell():
     for m, below in ((1, 0), (4, 3), (9, 8), (16, 14)):
         r = math.sqrt(m) * grid.spacing
         assert r * r == m * grid.spacing**2
-        assert grid_module._shell(grid, r) == m
-        assert grid_module._shell(grid, np.nextafter(r, 0.0)) == below
-        assert grid_module._shell(grid, np.nextafter(r, 2.0)) == m
+        assert ball_kernel(grid, r).shell == m
+        assert ball_kernel(grid, np.nextafter(r, 0.0)).shell == below
+        assert ball_kernel(grid, np.nextafter(r, 2.0)).shell == m
 
 
 def _cube_images(a: np.ndarray):

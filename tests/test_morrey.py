@@ -203,10 +203,11 @@ def test_gm_theta_equals_p_near_float_max(grid16):
     assert gm_norm(f, params).value == pytest.approx(expect, rel=1e-12)
 
 
-@pytest.mark.parametrize("divisor", [1e2, 1e4])
+@pytest.mark.parametrize("divisor", [2.0, 4.0, 1e2, 1e4])
 def test_one_voxel_near_float_max(grid16, divisor):
     # |f|^2 = float max / divisor on one voxel: the spectral products of the
-    # ball sums pass float max at 1e2 unless rescaled.  Every ball around the
+    # ball sums pass float max at 1e2 unless rescaled, and at 2 and 4 so does
+    # |B| h^3 max|f|^2, the shell search's ball bound.  Every ball around the
     # voxel holds its whole mass, which gives the closed forms; the sliding
     # ball sums match the transform-free oracle
     data = np.zeros(grid16.shape)
@@ -392,11 +393,12 @@ def test_empty_scales_error(grid16):
 
 def _per_scale_power(f, p, scales):
     """Reference for sliding_ball_power_multi: every radius builds its own
-    ball and spectrum, one inverse transform per scale, fresh arrays."""
+    ball and spectrum (the real part, as the ball is symmetric), one inverse
+    transform per scale, fresh arrays."""
     power_hat = fft.rfftn(magnitude_power(f, p))
     for r in scales:
         ball = f.grid.shell_index() <= ball_kernel(f.grid, float(r)).shell
-        ball_hat = fft.rfftn(ball.astype(np.float64))
+        ball_hat = fft.rfftn(ball.astype(np.float64)).real
         sums = fft.irfftn(power_hat * ball_hat, s=f.grid.shape, axes=(0, 1, 2))
         np.maximum(sums, 0.0, out=sums)
         yield float(r), sums * f.grid.voxel_volume
@@ -440,7 +442,7 @@ def test_shared_shells_match_per_scale_reference(grid32, monkeypatch, theta, nu)
     from morrey_sparse.fields import vorticity_blob
 
     scales = np.geomspace(2.0 * grid32.spacing, 1.0, 64)
-    assert len({grid_module._shell(grid32, float(r)) for r in scales}) < 20
+    assert len({ball_kernel(grid32, float(r)).shell for r in scales}) < 20
     params = MorreyParams(2.0, WeightSpec(nu=nu, rho=0.0, theta=theta), tuple(scales))
     f = vorticity_blob(grid32, (6, 20, 28), sigma=0.7)
     shared = gm_norm(f, params)

@@ -10,6 +10,7 @@ from morrey_sparse.fields import random_solenoidal_field, vorticity_blob
 from morrey_sparse.grid import (
     Grid3,
     NonFiniteDataError,
+    ball_kernel,
     biot_savart,
     curl,
     divergence,
@@ -315,7 +316,7 @@ def test_criterion_ball_spectra_once_per_shell(tg_traj, monkeypatch):
     cache = grid_module._ball_spectrum_cached
     cache.cache_clear()
     evaluate_criterion(tg_traj, 0.0, CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5))
-    shells = {grid_module._shell(tg_traj.grid, r) for r in radii}
+    shells = {ball_kernel(tg_traj.grid, r).shell for r in radii}
     assert cache.cache_info().misses <= len(shells) < len(set(radii)) / 4
 
 
