@@ -319,6 +319,8 @@ def cmd_sparseness(args, outdir: Path) -> tuple:
 
 
 def cmd_verify(args, outdir: Path) -> tuple:
+    if args.kmax < 1:
+        raise UsageError(f"kmax must be >= 1, got {args.kmax}")
     thetas = tuple(_parse_theta(s) for s in str(args.thetas).split(","))
     modes = tuple(str(args.modes).split(","))
     cfg = SweepConfig(lemma=args.lemma, n=args.n, deltas=tuple(args.deltas),
@@ -347,6 +349,8 @@ def cmd_verify(args, outdir: Path) -> tuple:
 def cmd_simulate(args, outdir: Path) -> tuple:
     if not math.isfinite(args.amplitude):
         raise UsageError(f"amplitude must be finite, got {args.amplitude}")
+    if args.ic == "random" and args.kmax < 1:
+        raise UsageError(f"kmax must be >= 1, got {args.kmax}")
     cfg = SolverConfig(n=args.n, dt=args.dt, t_end=args.t_end, ic=args.ic,
                        ic_params={"amplitude": args.amplitude, "kmax": args.kmax},
                        snapshot_every=args.snapshot_every, seed=args.seed)

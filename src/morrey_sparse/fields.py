@@ -24,13 +24,13 @@ def radial_plateau(dist, inner: float, outer: float):
 
 
 def _scaled_to_sup(grid: Grid3, data: np.ndarray, amplitude: float) -> VectorField:
-    """The field of ``data``, scaled in place so the pointwise sup of |f| is
-    ``amplitude``."""
+    """The field of ``data``, a fresh array it adopts, scaled in place so the
+    pointwise sup of |f| is ``amplitude``."""
     sup = math.sqrt(np.einsum("cijk,cijk->ijk", data, data).max())
     if sup == 0.0:
         raise ValueError("cannot scale the zero field to a sup")
     data *= amplitude / sup
-    return VectorField(grid, data)
+    return VectorField._adopt(grid, data)
 
 
 def random_solenoidal_field(grid: Grid3, kmax: int, seed: int, amplitude: float = 1.0) -> VectorField:
@@ -40,6 +40,8 @@ def random_solenoidal_field(grid: Grid3, kmax: int, seed: int, amplitude: float 
     determined by ``seed``.  The noise spectrum is cut to the band, projected
     and transformed back once.
     """
+    if kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
     fh = _rfftn(np.random.default_rng(seed).standard_normal((3,) + grid.shape))
     k0 = 2.0 * math.pi / grid.box_len
     fh *= rfft_wavenumbers(grid)[3] <= (kmax * k0) ** 2 * (1.0 + 1e-12)
@@ -116,4 +118,4 @@ def bump_gradient(grid: Grid3, center: tuple[int, int, int], inner: float, outer
     slope = np.where(on_ramp, -6.0 * t * (1.0 - t) / width, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         unit = np.where(dist > 0.0, offsets / dist, 0.0)
-    return VectorField(grid, unit * slope)
+    return VectorField._adopt(grid, unit * slope)

@@ -3,9 +3,9 @@
 All fields live on a cubic periodic box [0, L)^3 sampled by an n^3 voxel
 lattice.  Scales of interest are capped at 1 and the box side must exceed 2,
 so a ball of radius <= 1 never sees itself through the periodic wrap.
-Fields and voxel sets are values: each holds a private read-only copy of the
-array it was built from, so work cached per object (a set's mask spectra, the
-implication checks' per-field state) cannot go stale.
+Fields and voxel sets are values holding a private read-only array (a copy, or
+a producer's own fresh result), so work cached per object (a set's mask
+spectra, the implication checks' per-field state) cannot go stale.
 
 The lattice geometry is integer.  A voxel at min-image index offset (i, j, k)
 from a center lies on shell m = i^2 + j^2 + k^2 (:meth:`Grid3.shell_index`), at
@@ -143,6 +143,15 @@ class _Samples:
         if self.data.shape != self.lead + self.grid.shape:
             raise ValueError(f"data shape {self.data.shape} != {self.lead + self.grid.shape}")
 
+    @classmethod
+    def _adopt(cls, grid: Grid3, data: np.ndarray):
+        """The field of ``data``, a fresh float64 C-order array of the right
+        shape that no one else holds: made read-only in place, not copied."""
+        data.setflags(write=False)
+        out = object.__new__(cls)
+        out.__dict__.update(grid=grid, data=data)  # no __post_init__ copy
+        return out
+
     def validate_finite(self) -> None:
         if not np.all(np.isfinite(self.data)):
             kind = "vector" if self.lead else "scalar"
@@ -265,26 +274,26 @@ def project_hat(fh: np.ndarray, grid: Grid3) -> np.ndarray:
 
 def curl(f: VectorField) -> VectorField:
     """Spectral curl; exact for band-limited fields, divergence-free output."""
-    return VectorField(f.grid, _irfftn(curl_hat(_rfftn(f.data), f.grid), f.grid.n))
+    return VectorField._adopt(f.grid, _irfftn(curl_hat(_rfftn(f.data), f.grid), f.grid.n))
 
 
 def divergence(f: VectorField) -> ScalarField:
     kx, ky, kz, _ = rfft_wavenumbers(f.grid)
     fh = _rfftn(f.data)
     dh = 1j * (kx * fh[0] + ky * fh[1] + kz * fh[2])
-    return ScalarField(f.grid, _irfftn(dh, f.grid.n))
+    return ScalarField._adopt(f.grid, _irfftn(dh, f.grid.n))
 
 
 def gradient(s: ScalarField) -> VectorField:
     kx, ky, kz, _ = rfft_wavenumbers(s.grid)
     sh = _rfftn(s.data)
     gh = np.stack([1j * kx * sh, 1j * ky * sh, 1j * kz * sh])
-    return VectorField(s.grid, _irfftn(gh, s.grid.n))
+    return VectorField._adopt(s.grid, _irfftn(gh, s.grid.n))
 
 
 def leray_project(f: VectorField) -> VectorField:
     """Project onto divergence-free fields (mean flow untouched)."""
-    return VectorField(f.grid, _irfftn(project_hat(_rfftn(f.data), f.grid), f.grid.n))
+    return VectorField._adopt(f.grid, _irfftn(project_hat(_rfftn(f.data), f.grid), f.grid.n))
 
 
 def biot_savart(omega: VectorField) -> VectorField:
@@ -296,7 +305,7 @@ def biot_savart(omega: VectorField) -> VectorField:
     uh = curl_hat(_rfftn(omega.data), omega.grid)
     uh /= _k2_divisor(omega.grid)
     uh[:, 0, 0, 0] = 0.0
-    return VectorField(omega.grid, _irfftn(uh, omega.grid.n))
+    return VectorField._adopt(omega.grid, _irfftn(uh, omega.grid.n))
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +536,7 @@ def sliding_ball_lp(f: Field, p: float, r: float) -> ScalarField:
     power = ball_power_from_spectrum(f.grid, power_spectrum(magnitude_power(f, p)), r)
     if p != 1.0:
         power **= 1.0 / p
-    return ScalarField(f.grid, power)
+    return ScalarField._adopt(f.grid, power)
 
 
 def ball_power_profile(f: Field, p: float, center: tuple[int, int, int],
@@ -561,18 +570,11 @@ def save_field(f: Field, path) -> None:
     """Write the bit-exact field file: one JSON header line + raw <f8 payload."""
     f.validate_finite()
     ncomp = 1 if isinstance(f, ScalarField) else 3
-    header = {
-        "version": 1,
-        "n": f.grid.n,
-        "box_len": f.grid.box_len,
-        "ncomp": ncomp,
-        "dtype": "f64le",
-        "order": "zyx-c",
-    }
+    header = dict(zip(_HEADER_KEYS, (1, f.grid.n, f.grid.box_len, ncomp, "f64le", "zyx-c")))
     line = json.dumps(header, separators=(",", ":")) + "\n"
     with open(path, "wb") as fh:
         fh.write(line.encode("ascii"))
-        fh.write(f.data.astype("<f8", copy=False).tobytes())
+        fh.write(f.data.astype("<f8", copy=False))  # the buffer itself, no bytes copy
 
 
 def read_field_header(fh) -> tuple[Grid3, int]:
@@ -621,13 +623,11 @@ def load_field(path) -> Field:
     """
     with open(path, "rb") as fh:
         grid, ncomp = read_field_header(fh)
-        payload = fh.read()
-    expected = ncomp * grid.n**3 * 8
-    if len(payload) != expected:
-        raise FieldSizeError(f"payload holds {len(payload)} bytes, header implies {expected}")
-    data = np.frombuffer(payload, dtype="<f8")  # the field takes its own copy
+        cls = ScalarField if ncomp == 1 else VectorField
+        data = np.empty(cls.lead + grid.shape, dtype="<f8")  # the payload goes straight in
+        size = fh.readinto(data) + len(fh.read())
+    if size != data.nbytes:
+        raise FieldSizeError(f"payload holds {size} bytes, header implies {data.nbytes}")
     if not np.all(np.isfinite(data)):
         raise NonFiniteDataError("payload contains non-finite values")
-    if ncomp == 1:
-        return ScalarField(grid, data.reshape(grid.shape))
-    return VectorField(grid, data.reshape((3,) + grid.shape))
+    return cls._adopt(grid, data)

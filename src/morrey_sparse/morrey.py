@@ -12,11 +12,12 @@ and the ball integral commute (Tonelli): ``gm_norm`` convolves |f|^p once with
 the kernel sum_i c_i w_i^p 1[ball of r_i].  The sups over all centers
 (``gm_norm`` at theta = inf, ``classical_morrey``) take each lattice shell's
 largest ball integral M_K and search the shells best first
-(``_shell_search``).  Two bounds on M_K are exact: balls are nested, so M_K
-is at most the M of any larger shell (or the torus mass), and |B_K| voxels
-hold at most |B_K| h^3 max|f|^p.  A shell whose layer at the smaller bound,
-widened by 1e-12 of the torus mass for rounding, stays below the best value
-lies strictly below the sup and is never transformed.
+(``_shell_search``).  Three bounds on M_K are exact: balls are nested, so M_K
+is at most the M of any larger shell (or the torus mass); |B_K| voxels hold at
+most |B_K| h^3 max|f|^p; and M_K <= M_J + (|B_K| - |B_J|) h^3 max|f|^p for a
+smaller shell J (the ring).  A shell whose layer at the least bound, widened
+by 1e-12 of the torus mass for rounding, stays below the best value lies
+strictly below the sup and is never transformed.
 
 Caveat: fields live on a torus, so complement-of-ball norms count everything
 in one fundamental cell outside the ball.  For fields that are not compactly
@@ -175,6 +176,11 @@ def _fold_scales(layers, coeffs: np.ndarray, theta: float) -> np.ndarray:
     return m
 
 
+def _ring_bound(volume: np.ndarray, pmax: float, room: float) -> np.ndarray:
+    """``volume`` max|f|^p where below ``room``, else inf (no bound, no overflow)."""
+    return np.multiply(volume, pmax, out=np.full(volume.shape, math.inf), where=pmax < room / volume)
+
+
 def _shell_search(f: Field, p: float, scales: np.ndarray,
                   layer) -> tuple[float, tuple[int, int, int], int]:
     """sup over centers x and nodes i of ``layer(i, v)`` (increasing in v,
@@ -201,7 +207,10 @@ def _shell_search(f: Field, p: float, scales: np.ndarray,
         done[j] = True
         sums = ball_convolution(hat, grid, int(runs.shell[j])).ravel()
         hi = sums.max()
-        np.minimum(top[:j], max(hi, 0.0) * h3 + 1e-12 * mass, out=top[:j])
+        base = max(hi, 0.0) * h3 + 1e-12 * mass  # M_J, widened for rounding
+        np.minimum(top[:j], base, out=top[:j])
+        np.minimum(top[j + 1:], _ring_bound(cap[j + 1:] - cap[j], pmax, mass - base) + base,
+                   out=top[j + 1:])
         cand = np.flatnonzero(sums >= hi * (1.0 - 1e-12)) if hi > 0.0 else np.arange(1)
         v = np.maximum(sums[cand], 0.0) * h3  # hi <= 0: every layer is 0, first at voxel 0
         for i in np.flatnonzero(runs.run == j):

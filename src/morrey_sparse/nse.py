@@ -141,19 +141,19 @@ def initial_condition(name: str, grid: Grid3, params: dict | None = None,
     if name == "shear":
         data = np.zeros((3,) + shape)
         data[0] = amp * np.broadcast_to(np.sin(Y), shape)
-        return VectorField(grid, data)
+        return VectorField._adopt(grid, data)
     if name == "taylor-green":
         data = np.zeros((3,) + shape)
         data[0] = amp * np.sin(X) * np.cos(Y) * np.cos(Z)
         data[1] = -amp * np.cos(X) * np.sin(Y) * np.cos(Z)
-        return VectorField(grid, data)
+        return VectorField._adopt(grid, data)
     if name == "abc":
         a, b, c = (float(params.pop(key, 1.0)) for key in ("a", "b", "c"))
         data = np.empty((3,) + shape)
         data[0] = amp * (a * np.sin(Z) + c * np.cos(Y))
         data[1] = amp * (b * np.sin(X) + a * np.cos(Z))
         data[2] = amp * (c * np.sin(Y) + b * np.cos(X))
-        return VectorField(grid, data)
+        return VectorField._adopt(grid, data)
     if name == "random":
         kmax = int(params.pop("kmax", max(2, grid.n // 8)))
         return random_solenoidal_field(grid, kmax, seed, amplitude=amp)
@@ -213,7 +213,7 @@ def simulate(config: SolverConfig, out=None) -> Trajectory:
         rows["energy"].append(0.5 * float(umag2.sum()) * grid.voxel_volume)
         rows["enstrophy"].append(0.5 * float(wmag2.sum()) * grid.voxel_volume)
         if step % config.snapshot_every == 0 or step == nsteps:
-            snap = VectorField(grid, u_phys)
+            snap = VectorField._adopt(grid, u_phys)
             if writer is None:
                 snapshots.append((t, snap))
             else:

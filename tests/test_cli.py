@@ -368,6 +368,16 @@ def test_simulate_nonfinite_amplitude_is_usage_error(tmp_path):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--ic", "random", "--n", "16", "--kmax", "0"],
+    ["verify", "--n", "16", "--seeds", "1", "--scales", "0.5", "--kmax", "0"]])
+def test_kmax_below_one_is_usage_error(tmp_path, capsys, argv):
+    # a band of no integer modes holds no field: one usage line, no outputs
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["usage error: kmax must be >= 1, got 0"]
+    assert not any(tmp_path.iterdir())
+
+
 def _simulate_tg(out, steps: int) -> int:
     with contextlib.redirect_stdout(io.StringIO()):
         return main(["simulate", "--n", "16", "--dt", "1e-3", "--t-end", repr(steps * 1e-3),

@@ -26,6 +26,15 @@ def test_random_solenoidal_properties(grid16):
     assert not np.array_equal(f.data, h.data)
 
 
+@pytest.mark.parametrize("kmax", [0, -1])
+def test_random_solenoidal_rejects_an_empty_band(grid16, monkeypatch, kmax):
+    # |k| <= kmax < 1 holds only the zero mode, which the field drops: the
+    # call raises before it draws any noise
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("noise drawn"))
+    with pytest.raises(ValueError, match="kmax must be >= 1"):
+        random_solenoidal_field(grid16, kmax=kmax, seed=1)
+
+
 def test_random_solenoidal_matches_two_pass_reference(grid32):
     # the projection as a multiplier on the cut noise spectrum equals the
     # projection of the cut field, a second transform pair, to rounding

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,20 @@ def test_save_load_roundtrip_bitexact(tmp_path, grid16):
     p2 = tmp_path / "f2.fld"
     save_field(f, p2)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def test_load_field_reads_the_payload_once(tmp_path, grid32):
+    # the payload is read straight into the field's own array: the traced
+    # peak is that array and a finiteness mask, not a second payload copy
+    path = tmp_path / "f.fld"
+    save_field(random_field(grid32, seed=3), path)
+    tracemalloc.start()
+    try:
+        f = load_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * f.data.nbytes
 
 
 def test_save_file_size(tmp_path, grid16):

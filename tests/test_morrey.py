@@ -530,31 +530,38 @@ def test_gm_norm_allocation_independent_of_node_count(grid32, theta):
 # ---------------------------------------------------------------------------
 
 
-def _sup_fields(grid):
+def _sup_fields(grid, p):
     from morrey_sparse.fields import vorticity_blob
     from morrey_sparse.nse import initial_condition
 
+    point = np.zeros(grid.shape)
+    point[3, 4, 5] = (np.finfo(np.float64).max / 4.0) ** (1.0 / p)  # |f|^p near float max
     return {"taylor_green": initial_condition("taylor-green", grid),  # symmetric ties
             "zero": unit_x_field(grid, 0.0),
             "constant": unit_x_field(grid),
-            "blob": vorticity_blob(grid, (6, 20, 28), sigma=0.35),
-            "random": random_field(grid, seed=43, kmax=8)}
+            "blob": vorticity_blob(grid, (6, 20, 28), sigma=max(0.35, 1.5 * grid.spacing)),
+            "random": random_field(grid, seed=43, kmax=8),
+            "point_mass": ScalarField(grid, point)}
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-@pytest.mark.parametrize("field", ["taylor_green", "zero", "constant", "blob", "random"])
-def test_shell_search_matches_full_evaluation(grid32, field, p):
+@pytest.mark.parametrize("field", ["taylor_green", "zero", "constant", "blob", "random",
+                                   "point_mass"])
+def test_shell_search_matches_full_evaluation(field, p):
     # values, first centers and scales equal the fold over every node of
-    # every shell at every voxel, with the same ball-power arithmetic
-    f = _sup_fields(grid32)[field]
+    # every shell at every voxel, with the same ball-power arithmetic: the
+    # nesting, ball-volume and ring bounds skip only shells strictly below
+    # the sup, at n=16 and n=32
     full = grid_module.sliding_ball_power_multi
-    for nu in (0.0, 0.5, 1.0):
-        params = MorreyParams.default(grid32, WeightSpec(nu=nu, rho=0.0), p=p, count=32)
-        assert gm_norm(f, params) == _gm_sup_reference(f, params, power=full)
-    scales = log_scale_nodes(grid32, 0.1, 1.0, 32)
-    for alpha in (1.0, 0.0, -0.5):
-        assert (classical_morrey(f, p, alpha, 0.1, 1.0)
-                == _classical_sup_reference(f, p, alpha, scales, power=full))
+    for grid in (Grid3(16), Grid3(32)):
+        f = _sup_fields(grid, p)[field]
+        for nu in (0.0, 0.5, 1.0):
+            params = MorreyParams.default(grid, WeightSpec(nu=nu, rho=0.0), p=p, count=32)
+            assert gm_norm(f, params) == _gm_sup_reference(f, params, power=full), (grid, nu)
+        scales = log_scale_nodes(grid, 0.1, 1.0, 32)
+        for alpha in (1.0, 0.0, -0.5):
+            assert (classical_morrey(f, p, alpha, 0.1, 1.0)
+                    == _classical_sup_reference(f, p, alpha, scales, power=full)), (grid, alpha)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -595,3 +602,25 @@ def test_shell_search_skips_shells_of_a_localized_blob(grid32, monkeypatch):
     assert len(inverses) < shells // 2, (len(inverses), shells)
     monkeypatch.undo()
     assert res == _gm_sup_reference(f, params, power=grid_module.sliding_ball_power_multi)
+
+
+def test_ring_bound_cuts_criterion_transforms(monkeypatch):
+    # the criterion rows of a short n=32 Taylor-Green run (at n=16 the window
+    # [2h, 1] holds three shells, too few for any bound to skip one): the
+    # ring bound leaves the reports as they were and saves a quarter of the
+    # shell transforms (90 of 120)
+    from morrey_sparse.nse import CriterionSpec, SolverConfig, evaluate_criteria, simulate
+
+    traj = simulate(SolverConfig(n=32, dt=1e-3, t_end=0.03, ic="taylor-green", snapshot_every=1))
+    spec = CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, c0=8.0)
+    calls = []
+    real = grid_module.ball_convolution
+    monkeypatch.setattr(morrey_module, "ball_convolution", lambda *a: calls.append(1) or real(*a))
+    reports = evaluate_criteria(traj, [0.0], spec)
+    with_ring = len(calls)
+    calls.clear()
+    monkeypatch.setattr(morrey_module, "_ring_bound",
+                        lambda volume, *_: np.full(volume.shape, math.inf))
+    assert evaluate_criteria(traj, [0.0], spec) == reports
+    assert with_ring < len(calls)
+    assert with_ring <= 90
