@@ -7,6 +7,7 @@ from . import grid, morrey, nse, predual, sparseness, verify
 from .grid import (
     BallKernel,
     Grid3,
+    ParameterError,
     ScalarField,
     VectorField,
     ball_kernel,

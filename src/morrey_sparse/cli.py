@@ -6,8 +6,11 @@ is serialized with 17 significant digits (lossless float round trip); rerun
 with identical arguments and seeds reproduces byte-identical reports (the
 manifest is the one exception: it carries the wall time and peak RSS).
 
-Exit codes: 0 success, 1 computation error (a solver instability included),
-2 usage, 3 bad input file, 4 scheduling (criterion window too sparse).
+Exit codes: 0 success; 1 a numerical failure on valid arguments (an overflow,
+a zero field, a solver instability, a z_alpha scale window the field cannot
+place, or a sweep violation); 2 any argument outside its documented range,
+which the library check on that argument reports as ``ParameterError``; 3 a
+bad input file; 4 scheduling (criterion window too sparse).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .grid import FieldFileError, VectorField, load_field
+from .grid import FieldFileError, ParameterError, VectorField, load_field
 from .morrey import MorreyParams, WeightSpec, classical_morrey, clm_norm, gm_norm, lm_norm
 from .nse import (
     SERIES_COLUMNS,
@@ -34,21 +37,14 @@ from .nse import (
     SchedulingError,
     SolverConfig,
     SolverInstabilityError,
-    TimeRangeError,
     detect_escape_times,
     evaluate_criteria,
     load_trajectory,
     simulate,
     write_series,
 )
-from .sparseness import (
-    InadmissiblePairError,
-    admissible_pair,
-    semi_mixed,
-    sparse_constants,
-    superlevel_sets,
-    z_alpha_member,
-)
+from .sparseness import (admissible_pair, semi_mixed, sparse_constants, superlevel_sets,
+                         z_alpha_member)
 from .verify import SweepConfig, summarize, sweep
 
 EXIT_OK = 0
@@ -56,10 +52,6 @@ EXIT_COMPUTE = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_SCHEDULING = 4
-
-
-class UsageError(ValueError):
-    pass
 
 
 def dumps_17g(obj) -> str:
@@ -113,10 +105,6 @@ def _write_manifest(outdir: Path, args: argparse.Namespace, inputs: list,
     _write_json(outdir / "manifest.json", manifest)
 
 
-def _parse_theta(s: str) -> float:
-    return math.inf if s in ("inf", "infinity") else float(s)
-
-
 def _parse_floats(s: str) -> tuple[float, ...]:
     return tuple(float(v) for v in s.split(",") if v)
 
@@ -141,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm", parents=[common], help="weighted Morrey-type norms")
     p.add_argument("--field", required=True)
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--theta", type=_parse_theta, default=math.inf)
+    p.add_argument("--theta", type=float, default=math.inf)
     p.add_argument("--nu", type=float, default=0.5)
     p.add_argument("--rho", type=float, default=0.0)
     p.add_argument("--kind", choices=("lm", "gm", "clm", "classical"), default="gm")
@@ -192,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--nu-w", type=float, required=True)
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--theta", type=_parse_theta, default=math.inf)
+    p.add_argument("--theta", type=float, default=math.inf)
     p.add_argument("--eps0", type=float, default=0.1)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--c0", type=float, default=2.0)
@@ -252,8 +240,7 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
 
 def cmd_norm(args, outdir: Path) -> tuple:
     f = load_field(args.field)
-    if not 0.0 <= args.rho < 1.0:
-        raise UsageError(f"rho must lie in [0, 1), got {args.rho}")
+    w = WeightSpec(nu=args.nu, rho=args.rho, theta=args.theta)
     grid = f.grid
     report: dict = {"kind": args.kind, "params": {
         "p": args.p, "theta": "inf" if math.isinf(args.theta) else args.theta,
@@ -263,7 +250,6 @@ def cmd_norm(args, outdir: Path) -> tuple:
         res = classical_morrey(f, args.p, args.alpha, r_min, args.r_max, count=args.scales)
         report.update(norm=res.value, argmax_center=list(res.center), argmax_r=res.scale)
     else:
-        w = WeightSpec(nu=args.nu, rho=args.rho, theta=args.theta)
         params = MorreyParams.default(grid, w, p=args.p, count=args.scales,
                                       r_max=args.r_max)
         if args.kind == "gm":
@@ -273,7 +259,7 @@ def cmd_norm(args, outdir: Path) -> tuple:
         else:
             center = args.center or (0, 0, 0)
             if not all(0 <= c < grid.n for c in center):
-                raise UsageError(f"center {center} outside [0, {grid.n}) per axis")
+                raise ParameterError(f"center {center} outside [0, {grid.n}) per axis")
             fn = lm_norm if args.kind == "lm" else clm_norm
             report.update(norm=fn(f, params, center), center=list(center))
     return [args.field], [_write_json(outdir / "norm_report.json", report)]
@@ -292,14 +278,12 @@ def cmd_sparseness(args, outdir: Path) -> tuple:
         if args.field is None:
             return [], outputs
     if args.field is None:
-        raise UsageError("either --field or --pair-from-delta is required")
+        raise ParameterError("either --field or --pair-from-delta is required")
     f = load_field(args.field)
     if not isinstance(f, VectorField):
         raise FieldFileError(f"{args.field} holds a scalar field; sparseness needs a "
                              "3-component field")
-    lam = args.lam
-    if lam is None:
-        lam = admissible_pair(args.delta).lam
+    lam = admissible_pair(args.delta).lam if args.lam is None else args.lam
     sets = superlevel_sets(f, lam)
     set_reports = []
     for label, S in sets.items():
@@ -319,9 +303,10 @@ def cmd_sparseness(args, outdir: Path) -> tuple:
 
 
 def cmd_verify(args, outdir: Path) -> tuple:
-    if args.kmax < 1:
-        raise UsageError(f"kmax must be >= 1, got {args.kmax}")
-    thetas = tuple(_parse_theta(s) for s in str(args.thetas).split(","))
+    try:  # a comma list kept as text in the manifest, so argparse does not convert it
+        thetas = tuple(float(s) for s in args.thetas.split(","))
+    except ValueError as exc:
+        raise ParameterError(f"--thetas {args.thetas}: {exc}") from exc
     modes = tuple(str(args.modes).split(","))
     cfg = SweepConfig(lemma=args.lemma, n=args.n, deltas=tuple(args.deltas),
                       scales=tuple(args.scales), seeds=tuple(range(args.seeds)),
@@ -347,10 +332,9 @@ def cmd_verify(args, outdir: Path) -> tuple:
 
 
 def cmd_simulate(args, outdir: Path) -> tuple:
+    # it would make a non-finite field, which simulate rejects as bad data (exit 3)
     if not math.isfinite(args.amplitude):
-        raise UsageError(f"amplitude must be finite, got {args.amplitude}")
-    if args.ic == "random" and args.kmax < 1:
-        raise UsageError(f"kmax must be >= 1, got {args.kmax}")
+        raise ParameterError(f"amplitude must be finite, got {args.amplitude}")
     cfg = SolverConfig(n=args.n, dt=args.dt, t_end=args.t_end, ic=args.ic,
                        ic_params={"amplitude": args.amplitude, "kmax": args.kmax},
                        snapshot_every=args.snapshot_every, seed=args.seed)
@@ -422,7 +406,7 @@ def main(argv=None) -> int:
         try:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise UsageError(f"--out {args.out}: {exc.strerror}") from exc
+            raise ParameterError(f"--out {args.out}: {exc.strerror}") from exc
         inputs, outputs, *code = handler(args, outdir)
         _write_manifest(outdir, args, inputs, outputs, t0)
         return code[0] if code else EXIT_OK
@@ -432,7 +416,7 @@ def main(argv=None) -> int:
     except SchedulingError as exc:
         print(f"scheduling error: {exc}", file=sys.stderr)
         return EXIT_SCHEDULING
-    except (UsageError, InadmissiblePairError, TimeRangeError, argparse.ArgumentTypeError) as exc:
+    except (ParameterError, argparse.ArgumentTypeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, SolverInstabilityError) as exc:

@@ -7,7 +7,8 @@ import math
 
 import numpy as np
 
-from .grid import Grid3, VectorField, _irfftn, _rfftn, curl_hat, project_hat, rfft_wavenumbers
+from .grid import (Grid3, ParameterError, VectorField, _irfftn, _rfftn, curl_hat, project_hat,
+                   rfft_wavenumbers)
 
 
 def smoothstep(t):
@@ -19,7 +20,7 @@ def smoothstep(t):
 def radial_plateau(dist, inner: float, outer: float):
     """1 inside ``inner``, smoothstep ramp down to 0 at ``outer``."""
     if not 0.0 <= inner < outer:
-        raise ValueError(f"need 0 <= inner < outer, got {inner}, {outer}")
+        raise ParameterError(f"need 0 <= inner < outer, got {inner}, {outer}")
     return 1.0 - smoothstep((dist - inner) / (outer - inner))
 
 
@@ -41,7 +42,7 @@ def random_solenoidal_field(grid: Grid3, kmax: int, seed: int, amplitude: float 
     and transformed back once.
     """
     if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
+        raise ParameterError(f"kmax must be >= 1, got {kmax}")
     fh = _rfftn(np.random.default_rng(seed).standard_normal((3,) + grid.shape))
     k0 = 2.0 * math.pi / grid.box_len
     fh *= rfft_wavenumbers(grid)[3] <= (kmax * k0) ** 2 * (1.0 + 1e-12)
@@ -69,7 +70,7 @@ def localized_field(grid: Grid3, kmax: int, seed: int, radius: float = 0.8,
 def periodized_gaussian(grid: Grid3, center: tuple[int, int, int], sigma: float) -> np.ndarray:
     """Smooth periodic Gaussian bump: product of 1D image sums (|m| <= 3)."""
     if sigma < 1.5 * grid.spacing:
-        raise ValueError(f"sigma {sigma} under-resolved on spacing {grid.spacing}")
+        raise ParameterError(f"sigma {sigma} under-resolved on spacing {grid.spacing}")
     coords = grid.axis_coords()
     axes = []
     for c in center:

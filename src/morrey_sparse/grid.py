@@ -58,6 +58,12 @@ UNIT_BALL_VOLUME = 4.0 * math.pi / 3.0
 SINGLE_COUNT_VOXELS = 2**17
 
 
+class ParameterError(ValueError):
+    """An argument outside its documented range, raised by the check on that
+    argument itself; the command line exits 2 on it.  Failures that depend on
+    the data (an overflow, a zero field) stay plain ``ValueError``."""
+
+
 class FieldFileError(ValueError):
     """Base class for field-file I/O failures."""
 
@@ -92,9 +98,9 @@ class Grid3:
 
     def __post_init__(self) -> None:
         if self.n < 8 or self.n % 2 != 0:
-            raise ValueError(f"grid size must be even and >= 8, got n={self.n}")
+            raise ParameterError(f"grid size must be even and >= 8, got n={self.n}")
         if not self.box_len > 2.0:
-            raise ValueError(f"box length must exceed 2, got {self.box_len}")
+            raise ParameterError(f"box length must exceed 2, got {self.box_len}")
 
     @property
     def spacing(self) -> float:
@@ -395,7 +401,7 @@ def _ball_spectrum_cached(grid: Grid3, shell: int, dtype: type) -> np.ndarray:
 
 def ball_kernel(grid: Grid3, radius: float) -> BallKernel:
     if not 0.0 < radius < grid.box_len / 2.0:
-        raise ValueError(f"radius {radius} outside (0, {grid.box_len / 2})")
+        raise ParameterError(f"radius {radius} outside (0, {grid.box_len / 2})")
     table, rank = shell_table(grid), _shell_rank(grid, radius)
     return BallKernel(grid, float(radius), int(table.index[rank]), int(table.ball_count[rank]))
 
@@ -451,8 +457,8 @@ def shell_runs(grid: Grid3, scales) -> ShellRuns:
     radii = np.asarray(scales, dtype=np.float64)
     bad = radii[(radii <= grid.spacing) | (radii >= grid.box_len / 2.0)]
     if bad.size:
-        raise ValueError(f"radius {bad[0]} outside (spacing, box_len/2) = "
-                         f"({grid.spacing}, {grid.box_len / 2})")
+        raise ParameterError(f"radius {bad[0]} outside (spacing, box_len/2) = "
+                             f"({grid.spacing}, {grid.box_len / 2})")
     rank = _shell_rank(grid, radii)
     opens = np.diff(rank, prepend=-1) != 0
     ranks = rank[opens]

@@ -32,9 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (Field, Grid3, ball_convolution, ball_power_profile, convolve_spectra,
-                   magnitude_power, power_spectrum, radial_kernel_spectrum, shell_runs,
-                   sliding_ball_power_multi)
+from .grid import (Field, Grid3, ParameterError, ball_convolution, ball_power_profile,
+                   convolve_spectra, magnitude_power, power_spectrum, radial_kernel_spectrum,
+                   shell_runs, sliding_ball_power_multi)
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,11 @@ class WeightSpec:
 
     def __post_init__(self) -> None:
         if self.nu < 0.0:
-            raise ValueError(f"weight exponent must be >= 0, got nu={self.nu}")
+            raise ParameterError(f"weight exponent must be >= 0, got nu={self.nu}")
         if not 0.0 <= self.rho < 1.0:
-            raise ValueError(f"lower cutoff must lie in [0, 1), got rho={self.rho}")
+            raise ParameterError(f"lower cutoff must lie in [0, 1), got rho={self.rho}")
         if not self.theta > 1.0:
-            raise ValueError(f"theta must lie in (1, inf], got {self.theta}")
+            raise ParameterError(f"theta must lie in (1, inf], got {self.theta}")
 
     @property
     def log_tail(self) -> bool:
@@ -87,12 +87,12 @@ class MorreyParams:
 
     def __post_init__(self) -> None:
         if self.p < 1.0:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+            raise ParameterError(f"p must be >= 1, got {self.p}")
         sc = tuple(float(s) for s in self.scales)
         if not sc:
-            raise ValueError("scale list must be non-empty")
+            raise ParameterError("scale list must be non-empty")
         if any(s <= 0.0 for s in sc) or any(b <= a for a, b in zip(sc, sc[1:])):
-            raise ValueError("scales must be positive and strictly increasing")
+            raise ParameterError("scales must be positive and strictly increasing")
         object.__setattr__(self, "scales", sc)
 
     @classmethod
@@ -103,9 +103,11 @@ class MorreyParams:
 
 
 def log_scale_nodes(grid: Grid3, rho: float, r_max: float = 1.0, count: int = 32) -> tuple[float, ...]:
+    if count < 1:
+        raise ParameterError(f"scale count must be >= 1, got {count}")
     lo = max(rho, 2.0 * grid.spacing)
     if not lo < r_max:
-        raise ValueError(f"empty scale range [{lo}, {r_max}]")
+        raise ParameterError(f"empty scale range [{lo}, {r_max}]")
     return tuple(np.geomspace(lo, r_max, count))
 
 
@@ -142,7 +144,7 @@ def _supported_scales(params: MorreyParams) -> np.ndarray:
     sc = np.asarray(params.scales)
     sc = sc[(sc >= params.weight.rho) & (sc <= 1.0)]
     if sc.size == 0:
-        raise ValueError("no scale nodes inside the weight support")
+        raise ParameterError("no scale nodes inside the weight support")
     return sc
 
 
@@ -288,13 +290,13 @@ def classical_morrey(f: Field, p: float, alpha: float, r_min: float, r_max: floa
     mass quantity.  Returns the sup with a witnessing (center, scale).
     """
     if not 0.0 < r_min < r_max <= 1.0:
-        raise ValueError(f"need 0 < r_min < r_max <= 1, got [{r_min}, {r_max}]")
+        raise ParameterError(f"need 0 < r_min < r_max <= 1, got [{r_min}, {r_max}]")
     if scales is None:
         scales = np.asarray(log_scale_nodes(f.grid, r_min, r_max, count))
     else:
         scales = np.asarray(sorted(float(s) for s in scales))
         if scales.size == 0 or scales[0] < r_min - 1e-12 or scales[-1] > r_max + 1e-12:
-            raise ValueError("explicit scales must be non-empty and lie in [r_min, r_max]")
+            raise ParameterError("explicit scales must be non-empty and lie in [r_min, r_max]")
     factor = np.array([r ** (-alpha) for r in scales.tolist()])
     value, center, node = _shell_search(f, p, scales, lambda i, v: v * factor[i])
     return ClassicalMorrey(value, center, float(scales[node]))

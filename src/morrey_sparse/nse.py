@@ -17,7 +17,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .grid import (
     TAU,
     FieldFileError,
     Grid3,
+    ParameterError,
     VectorField,
     _frequencies,
     _irfftn,
@@ -56,7 +57,7 @@ class SchedulingError(RuntimeError):
     """Criterion window holds too few snapshots for the inf."""
 
 
-class TimeRangeError(ValueError):
+class TimeRangeError(ParameterError):
     """Criterion reference time outside the trajectory's time range."""
 
 
@@ -77,9 +78,9 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0 or self.t_end <= 0.0:
-            raise ValueError("dt and t_end must be positive")
+            raise ParameterError("dt and t_end must be positive")
         if self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
+            raise ParameterError("snapshot_every must be >= 1")
 
 
 class SnapshotFiles(Sequence):
@@ -157,7 +158,7 @@ def initial_condition(name: str, grid: Grid3, params: dict | None = None,
     if name == "random":
         kmax = int(params.pop("kmax", max(2, grid.n // 8)))
         return random_solenoidal_field(grid, kmax, seed, amplitude=amp)
-    raise ValueError(f"unknown initial condition {name!r}")
+    raise ParameterError(f"unknown initial condition {name!r}")
 
 
 def simulate(config: SolverConfig, out=None) -> Trajectory:
@@ -184,7 +185,7 @@ def simulate(config: SolverConfig, out=None) -> Trajectory:
     u0.validate_finite()
     cfl = 0.5 * grid.spacing / max(1.0, sup_norm(u0))
     if config.dt > cfl:
-        raise ValueError(f"dt={config.dt} violates the step bound {cfl:.3e}")
+        raise ParameterError(f"dt={config.dt} violates the step bound {cfl:.3e}")
 
     # the 2/3 cut and the viscous factor use the raw frequencies: the
     # derivative wavenumbers zero Nyquist, which must not pass the cut
@@ -278,7 +279,7 @@ def detect_escape_times(series: dict[str, np.ndarray], which: str = "u") -> list
     """
     col = {"u": "u_sup", "omega": "omega_sup"}.get(which)
     if col is None:
-        raise ValueError(f"which must be 'u' or 'omega', got {which!r}")
+        raise ParameterError(f"which must be 'u' or 'omega', got {which!r}")
     t = np.asarray(series["t"])
     v = np.asarray(series[col])
     if t.size == 0:
@@ -331,23 +332,24 @@ class CriterionSpec:
     beta2: float | None = None
     gamma1: float | None = None
     gamma2: float | None = None
-    scale_count: int = 24
+    #: scale nodes of each snapshot's weighted global norm
+    scale_count: ClassVar[int] = 24
 
     def __post_init__(self) -> None:
         if self.field_mode not in ("u", "omega"):
-            raise ValueError("field_mode must be 'u' or 'omega'")
+            raise ParameterError("field_mode must be 'u' or 'omega'")
         if self.window_mode not in ("velocity", "vorticity"):
-            raise ValueError("window_mode must be 'velocity' or 'vorticity'")
+            raise ParameterError("window_mode must be 'velocity' or 'vorticity'")
         if self.reference not in ("u", "omega"):
-            raise ValueError("reference must be 'u' or 'omega'")
+            raise ParameterError("reference must be 'u' or 'omega'")
         if not self.c0 > 1.0:
-            raise ValueError("c0 must exceed 1")
+            raise ParameterError("c0 must exceed 1")
         if self.eps0 < 0.0:
-            raise ValueError("eps0 must be nonnegative")
+            raise ParameterError("eps0 must be nonnegative")
         if math.isfinite(self.theta) and not self.nu_w * self.theta > 1.0:
-            raise ValueError("need nu_w * theta > 1 for finite theta")
+            raise ParameterError("need nu_w * theta > 1 for finite theta")
         if (self.gamma1 is None) != (self.gamma2 is None):
-            raise ValueError("mixed thresholds need both gamma1 and gamma2")
+            raise ParameterError("mixed thresholds need both gamma1 and gamma2")
 
     @property
     def exponent_mode(self) -> str:

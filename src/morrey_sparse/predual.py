@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Field, magnitude_power, radial_shells, shell_table, sup_norm
+from .grid import Field, ParameterError, magnitude_power, radial_shells, shell_table, sup_norm
 from .morrey import WeightSpec
 
 #: Frozen constant for the pairing inequality
@@ -35,7 +35,7 @@ from .morrey import WeightSpec
 HOLDER_CONSTANT = 1.6677544891809206
 
 
-class DualWeightDomainError(ValueError):
+class DualWeightDomainError(ParameterError):
     """Dual weight requested where its defining integral is zero."""
 
 
@@ -71,7 +71,7 @@ def weight_tail_norm(w: WeightSpec, t: float) -> float:
     t >= 1; logarithmic antiderivative when nu*theta == 1.
     """
     if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+        raise ParameterError(f"t must be positive, got {t}")
     if t >= 1.0:
         return 0.0
     a = max(t, w.rho)
@@ -96,9 +96,9 @@ def dual_weight(w: WeightSpec, t: float, variant: str = "tilde") -> float:
     ``bar``:   w(t)^(theta-1) / integral_0^t w^theta; defined past rho.
     """
     if math.isinf(w.theta):
-        raise ValueError("dual weights are defined for theta < inf")
+        raise ParameterError("dual weights are defined for theta < inf")
     if variant not in ("tilde", "bar"):
-        raise ValueError(f"unknown variant {variant!r}")
+        raise ParameterError(f"unknown variant {variant!r}")
     wt = float(w.value(t))
     if variant == "tilde":
         denom = _tail_power_integral(w, max(t, w.rho))
@@ -116,7 +116,7 @@ def dual_weight(w: WeightSpec, t: float, variant: str = "tilde") -> float:
 def dual_weight_power_law(nu: float, theta: float, t: float, variant: str = "tilde") -> float:
     """Dual weight of the untruncated power law w(s) = s^(-nu) on (0, inf)."""
     if not (t > 0.0 and math.isfinite(theta) and theta > 1.0):
-        raise ValueError("need t > 0 and finite theta > 1")
+        raise ParameterError("need t > 0 and finite theta > 1")
     nt = nu * theta
     if variant == "tilde":
         if nt <= 1.0:
@@ -126,7 +126,7 @@ def dual_weight_power_law(nu: float, theta: float, t: float, variant: str = "til
         if nt >= 1.0:
             raise DualWeightDomainError("head integral diverges unless nu*theta < 1")
         return (1.0 - nt) * t ** (nu - 1.0)
-    raise ValueError(f"unknown variant {variant!r}")
+    raise ParameterError(f"unknown variant {variant!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def _complement_profile(f: Field, mags: _Magnitudes, center: tuple[int, int, int
 def _conjugate(p: float) -> float:
     """Hoelder conjugate exponent: inf for p = 1, 1 for p = inf."""
     if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+        raise ParameterError(f"p must be >= 1, got {p}")
     if p == 1.0:
         return math.inf
     if math.isinf(p):
@@ -280,7 +280,7 @@ def predual_bound(f: Field, p: float, w: WeightSpec,
     """
     wtotal = total_weight_norm(w)
     if wtotal == 0.0:
-        raise ValueError("degenerate weight (zero total norm)")
+        raise ParameterError("degenerate weight (zero total norm)")
     mags = _magnitudes(f, p)
     if math.isfinite(mags.pprime):
         fnorm = float((mags.values.sum() * f.grid.voxel_volume) ** (1.0 / mags.pprime))
@@ -297,7 +297,7 @@ def predual_bound(f: Field, p: float, w: WeightSpec,
 def pairing_integral(f: Field, g: Field) -> float:
     """integral over the torus of |f(x)| |g(x)| dx (Euclidean magnitudes)."""
     if f.grid != g.grid:
-        raise ValueError("fields must share one grid")
+        raise ParameterError("fields must share one grid")
     return float((magnitude_power(f, 1.0) * magnitude_power(g, 1.0)).sum() * f.grid.voxel_volume)
 
 

@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import UNIT_BALL_VOLUME, VectorField, VoxelSet, ball_kernel, sliding_ball_sum, sup_norm
+from .grid import (UNIT_BALL_VOLUME, ParameterError, VectorField, VoxelSet, ball_kernel,
+                   sliding_ball_sum, sup_norm)
 from .morrey import WeightSpec, decay_exponent
 from .predual import HOLDER_CONSTANT, _conjugate, total_weight_norm, weight_tail_norm
 
@@ -47,7 +48,7 @@ class ZeroFieldError(ValueError):
     """Operation needs a nonzero field (sup norm vanished)."""
 
 
-class InadmissiblePairError(ValueError):
+class InadmissiblePairError(ParameterError):
     """Requested (lambda, delta) violates 1/(1+lambda) < delta."""
 
 
@@ -69,9 +70,9 @@ class PairLD:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.lam < 1.0:
-            raise ValueError(f"lambda must lie in (0,1), got {self.lam}")
+            raise ParameterError(f"lambda must lie in (0,1), got {self.lam}")
         if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0,1), got {self.delta}")
+            raise ParameterError(f"delta must lie in (0,1), got {self.delta}")
         if not self.delta_lambda > 1.0:
             raise InadmissiblePairError(
                 f"need 1/(1+lambda) < delta: lambda={self.lam}, delta={self.delta}")
@@ -98,7 +99,7 @@ def admissible_pair(delta: float) -> PairLD:
     pair is rejected when 1/(1+lambda) >= delta.
     """
     if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0,1), got {delta}")
+        raise ParameterError(f"delta must lie in (0,1), got {delta}")
     h = (2.0 / math.pi) * math.asin((1.0 - delta * delta) / (1.0 + delta * delta))
     lam = (1.0 - h) / (2.0 - h)
     if not 1.0 / (1.0 + lam) < delta:
@@ -118,7 +119,7 @@ def superlevel_sets(f: VectorField, lam: float) -> dict[str, VoxelSet]:
     Keys follow SET_LABELS ("S_1+", "S_1-", ...).
     """
     if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie in (0,1), got {lam}")
+        raise ParameterError(f"lambda must lie in (0,1), got {lam}")
     sup = sup_norm(f)
     if sup == 0.0:
         raise ZeroFieldError("cannot threshold the zero field")
@@ -177,7 +178,7 @@ def max_densities(sets: list[VoxelSet], r: float) -> tuple[float, ...]:
 def fibonacci_directions(count: int) -> np.ndarray:
     """(count, 3) unit vectors on the golden-angle spiral."""
     if count < 2:
-        raise ValueError("need at least two directions")
+        raise ParameterError("need at least two directions")
     i = np.arange(count)
     z = 1.0 - 2.0 * (i + 0.5) / count
     rad = np.sqrt(np.maximum(1.0 - z * z, 0.0))
@@ -285,7 +286,7 @@ def gm_chain_constant(pair: PairLD, p: float, theta: float, alpha: float,
     """
     pprime = _conjugate(p)
     if math.isinf(pprime):
-        raise ValueError("p = 1 gives an L^inf shell norm; unsupported here")
+        raise ParameterError("p = 1 gives an L^inf shell norm; unsupported here")
     ramp = ramp_fraction(pair)
     c1 = _ramp_lp_coeff(pprime, ramp)
     base = pair.a_half ** (1.0 / pprime) / (HOLDER_CONSTANT * c1 * ramp ** (1.0 / pprime))
@@ -294,7 +295,7 @@ def gm_chain_constant(pair: PairLD, p: float, theta: float, alpha: float,
         # tail drop; the minimum over r is the base itself
         return base / CHAIN_SAFETY
     if not alpha * theta > 1.0:
-        raise ValueError(f"need alpha*theta > 1, got {alpha * theta}")
+        raise ParameterError(f"need alpha*theta > 1, got {alpha * theta}")
     w = WeightSpec(nu=alpha, rho=rho, theta=theta)
     wtotal = total_weight_norm(w)
     total_inv = 0.0 if math.isinf(wtotal) else 1.0 / wtotal
@@ -317,8 +318,6 @@ def eps_const(pair: PairLD, p: float, theta: float, alpha: float, rho: float = 0
     ramp = :func:`ramp_fraction` and cal the chain prefactor of
     :func:`gm_chain_constant`.
     """
-    if math.isfinite(theta) and not alpha * theta > 1.0:
-        raise ValueError(f"need alpha*theta > 1 for finite theta, got {alpha * theta}")
     pprime = _conjugate(p)
     e_exp = -decay_exponent(alpha, theta)
     cal = gm_chain_constant(pair, p, theta, alpha, rho=rho)
@@ -371,7 +370,7 @@ def z_alpha_member(f: VectorField, alpha: float, pair: PairLD, c0: float,
     the :func:`superlevel_sets` of f at ``pair.lam``, if the caller has them.
     """
     if not c0 > 1.0:
-        raise ValueError(f"c0 must exceed 1, got {c0}")
+        raise ParameterError(f"c0 must exceed 1, got {c0}")
     grid = f.grid
     sup = sup_norm(f)
     if sup == 0.0:

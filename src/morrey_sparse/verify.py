@@ -27,6 +27,7 @@ from itertools import product
 from .fields import random_solenoidal_field, vorticity_blob
 from .grid import (
     Grid3,
+    ParameterError,
     VectorField,
     VoxelSet,
     ball_power_from_spectrum,
@@ -176,7 +177,7 @@ def check_lemma_l2(f: VectorField, pair: PairLD, r: float,
     field and lambda) is kept for the next call on the same field object,
     so loop field-major."""
     if not 0.0 < r <= 1.0:
-        raise ValueError(f"scale must lie in (0, 1], got {r}")
+        raise ParameterError(f"scale must lie in (0, 1], got {r}")
     state = _field_state(f)
     lhs = state.premise_lhs(r)
     rhs = cstar(pair) * r**2.5 * state.sup("curl")
@@ -197,16 +198,15 @@ def check_lemma_gm(f: VectorField, pair: PairLD, p: float, theta: float, alpha: 
     true.  The premise value is kept per field object and (p, theta, alpha,
     rho); the thresholded field, its sup norm and its level sets per mode."""
     if mode not in ("curl", "identity"):
-        raise ValueError(f"mode must be 'curl' or 'identity', got {mode!r}")
+        raise ParameterError(f"mode must be 'curl' or 'identity', got {mode!r}")
     if not 0.0 < r <= 1.0:
-        raise ValueError(f"scale must lie in (0, 1], got {r}")
+        raise ParameterError(f"scale must lie in (0, 1], got {r}")
     r_cap = SHELL_END / (1.0 + ramp_fraction(pair))
     if r > r_cap:
-        raise ValueError(f"scale {r} exceeds the soundness cap {r_cap:.4f} "
-                         "for this pair (cutoff shell must stay inside the "
-                         "weight support)")
-    if not p > 1.0:
-        raise ValueError("p must exceed 1")
+        raise ParameterError(f"scale {r} exceeds the soundness cap {r_cap:.4f} "
+                             "for this pair (cutoff shell must stay inside the "
+                             "weight support)")
+    eps = eps_const(pair, p, theta, alpha, rho=rho)  # rejects p <= 1 before any norm work
     state = _field_state(f)
     key = (p, theta, alpha, rho)  # the premise does not depend on the mode
     if key not in state.lhs:
@@ -214,7 +214,6 @@ def check_lemma_gm(f: VectorField, pair: PairLD, p: float, theta: float, alpha: 
         params_obj = MorreyParams(p, weight, log_scale_nodes(f.grid, rho, 1.0, GM_SCALE_COUNT))
         state.lhs[key] = gm_norm(f, params_obj).value
     lhs = state.lhs[key]
-    eps = eps_const(pair, p, theta, alpha, rho=rho)
     rhs = float(eps * max(r, rho) ** -decay_exponent(alpha, theta)
                 * r ** shell_exponent(p, mode) * state.sup(mode))
     params = {"lambda": pair.lam, "delta": pair.delta, "r": r, "p": p,
@@ -222,7 +221,7 @@ def check_lemma_gm(f: VectorField, pair: PairLD, p: float, theta: float, alpha: 
     return _report(lhs, rhs, state, mode, pair.lam, r, pair.delta, params, densities)
 
 
-class ScaleTooSmallError(ValueError):
+class ScaleTooSmallError(ParameterError):
     """Construction scale falls under the grid resolution floor."""
 
 
@@ -277,7 +276,7 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         if self.lemma not in ("l2", "gm"):
-            raise ValueError(f"lemma must be 'l2' or 'gm', got {self.lemma!r}")
+            raise ParameterError(f"lemma must be 'l2' or 'gm', got {self.lemma!r}")
 
 
 @dataclass
@@ -309,6 +308,8 @@ def sweep(config: SweepConfig, threads: int = 1) -> list[VerifyReport]:
     the worker pool, which takes whole fields; ordering and values are
     independent of the pool size.
     """
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
     grid = Grid3(config.n)
     variants = [None] if config.lemma == "l2" else list(
         product(config.thetas, config.alphas, config.modes))
@@ -343,7 +344,7 @@ def sweep(config: SweepConfig, threads: int = 1) -> list[VerifyReport]:
             out.append((i, rep))
         return out
 
-    if threads <= 1:
+    if threads == 1:
         done = [check_field(item) for item in field_cells.items()]
     else:
         from concurrent.futures import ThreadPoolExecutor

@@ -13,8 +13,13 @@ import scipy
 from morrey_sparse import cli as cli_module
 from morrey_sparse import nse as nse_module
 from morrey_sparse.cli import dumps_17g, main
-from morrey_sparse.grid import Grid3, ScalarField, VectorField, load_field, save_field
+from morrey_sparse.grid import (Grid3, ParameterError, ScalarField, VectorField, load_field,
+                                save_field)
 from morrey_sparse.fields import random_solenoidal_field
+from morrey_sparse.morrey import MorreyParams, WeightSpec, log_scale_nodes
+from morrey_sparse.sparseness import (InadmissiblePairError, PairLD, ZeroFieldError,
+                                      admissible_pair)
+from morrey_sparse.verify import SweepConfig, sweep
 
 
 @pytest.fixture(scope="module")
@@ -578,3 +583,83 @@ def test_traj_naming_a_file_is_input_error(field_file, tmp_path, capsys):
     assert main(_window_args(field_file, tmp_path / "c")) == 3
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+
+def _verify(*flags: str) -> list[str]:
+    """A small verify argv: --n 16 --seeds 1 --scales 0.5 unless ``flags`` set one."""
+    base = {"--n": "16", "--seeds": "1", "--scales": "0.5"}
+    return ["verify", *(x for k, v in base.items() if k not in flags for x in (k, v)), *flags]
+
+
+OUT_OF_RANGE = [
+    ["norm", "--nu", "-1"],
+    ["norm", "--theta", "0.5"],
+    ["norm", "--p", "0.5"],
+    ["norm", "--r-max", "0.1"],
+    ["norm", "--kind", "classical", "--r-max", "2"],
+    ["norm", "--kind", "classical", "--theta", "0.5"],
+    ["norm", "--scales", "-3"],
+    ["sparseness", "--lambda", "1.5"],
+    ["sparseness", "--r", "5"],
+    ["sparseness", "--delta", "1.5"],
+    ["sparseness", "--z-alpha", "0.5", "--c0", "0.5"],
+    _verify("--n", "15"),
+    _verify("--n", "16", "--scales", "0.2"),
+    _verify("--deltas", "1.5"),
+    _verify("--scales", "1.5"),
+    _verify("--lemma", "gm", "--thetas", "2", "--alphas", "0.4"),
+    _verify("--lemma", "gm", "--thetas", "two"),
+    _verify("--lemma", "gm", "--modes", "foo"),
+    _verify("--lemma", "gm", "--p", "1"),
+    _verify("--threads", "0"),
+    ["simulate", "--n", "15"],
+    ["simulate", "--n", "16", "--dt", "1", "--t-end", "1"],
+    ["simulate", "--n", "16", "--dt", "-1"],
+    ["simulate", "--n", "16", "--snapshot-every", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=" ".join)
+def test_out_of_range_argument_is_usage_error(field_file, tmp_path, capsys, argv):
+    # the library check on the argument raises ParameterError, which alone
+    # (with argparse's own errors) exits 2: one line, no manifest
+    if argv[0] in ("norm", "sparseness"):
+        argv = [argv[0], "--field", str(field_file), *argv[1:]]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_sparseness_on_zero_field_is_computation_error(tmp_path, capsys):
+    # a failure of the data on valid arguments stays exit 1
+    path = tmp_path / "zero.fld"
+    save_field(VectorField(Grid3(16), np.zeros((3, 16, 16, 16))), path)
+    assert main(["sparseness", "--field", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: cannot threshold the zero field\n", err
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Grid3(15),
+    lambda: WeightSpec(nu=0.5, rho=1.0),
+    lambda: MorreyParams(0.5, WeightSpec(nu=0.5), (0.5,)),
+    lambda: log_scale_nodes(Grid3(16), 0.0, 1.0, count=0),
+    lambda: admissible_pair(0.4),
+    lambda: PairLD(lam=1.2, delta=0.75, h=0.1),
+    lambda: SweepConfig(lemma="l3"),
+    lambda: sweep(SweepConfig(n=16, seeds=()), threads=0),
+    lambda: nse_module.CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, c0=0.5),
+    lambda: nse_module.SolverConfig(n=16, dt=-1.0, t_end=1.0),
+], ids=["Grid3", "WeightSpec", "MorreyParams", "log_scale_nodes", "admissible_pair", "PairLD",
+        "SweepConfig", "sweep", "CriterionSpec", "SolverConfig"])
+def test_library_range_checks_raise_parameter_error(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+def test_parameter_error_is_the_usage_type():
+    assert issubclass(InadmissiblePairError, ParameterError)
+    assert issubclass(nse_module.TimeRangeError, ParameterError)
+    assert not issubclass(ZeroFieldError, ParameterError)  # data, not arguments
+    assert issubclass(ParameterError, ValueError)

@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module (``__init__``
-re-exports and is exempt).  A stdlib ``ast`` walk, so no linter is needed."""
+re-exports and is exempt), and the CLI leaves usage errors to the library's
+``ParameterError``.  Stdlib ``ast`` walks, so no linter is needed."""
 
 import ast
 import os
@@ -37,6 +38,40 @@ def test_no_unused_imports():
     assert modules
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def usage_policy(source: str) -> list[str]:
+    """What a CLI source decides about usage errors on its own: an exception
+    class it defines, and an exit-2 handler (``return EXIT_USAGE``) that
+    catches anything but ``ParameterError`` and ``argparse.ArgumentTypeError``."""
+    tree = ast.parse(source)
+    found = [f"class {node.name} (line {node.lineno})" for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)
+             and any(ast.unparse(base).endswith(("Error", "Exception")) for base in node.bases)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and any(
+                isinstance(s, ast.Return) and isinstance(s.value, ast.Name)
+                and s.value.id == "EXIT_USAGE" for s in node.body):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = sorted(ast.unparse(t) for t in types)
+            if names != ["ParameterError", "argparse.ArgumentTypeError"]:
+                found.append(f"exit-2 handler on {', '.join(names)} (line {node.lineno})")
+    return found
+
+
+def test_usage_policy_copy_is_detected():
+    src = ("class UsageError(ValueError):\n    pass\n"
+           "def main():\n    try:\n        pass\n"
+           "    except (UsageError, argparse.ArgumentTypeError):\n"
+           "        print()\n        return EXIT_USAGE\n")
+    assert usage_policy(src) == ["class UsageError (line 1)", "exit-2 handler on "
+                                 "UsageError, argparse.ArgumentTypeError (line 6)"]
+
+
+def test_cli_leaves_usage_errors_to_parameter_error():
+    # out-of-range arguments are the library's ParameterError; the CLI keeps
+    # no exception class or exit-2 type of its own
+    assert usage_policy((PACKAGE / "cli.py").read_text()) == []
 
 
 def test_package_import_leaves_out_scipy_ndimage():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -393,6 +394,12 @@ def test_spec_validation():
         CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.4, theta=2.0)  # nu*theta < 1
     with pytest.raises(ValueError):
         CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, gamma1=1.0)  # lone gamma
+
+
+def test_criterion_scale_count_is_a_constant():
+    # one node count is in use, so it is a class constant, not a constructor field
+    assert "scale_count" not in {f.name for f in dataclasses.fields(CriterionSpec)}
+    assert CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5).scale_count == 24
 
 
 # ---------------------------------------------------------------------------
