@@ -12,12 +12,14 @@ and the ball integral commute (Tonelli): ``gm_norm`` convolves |f|^p once with
 the kernel sum_i c_i w_i^p 1[ball of r_i].  The sups over all centers
 (``gm_norm`` at theta = inf, ``classical_morrey``) take each lattice shell's
 largest ball integral M_K and search the shells best first
-(``_shell_search``).  Three bounds on M_K are exact: balls are nested, so M_K
+(``_shell_search``).  Four bounds on M_K are exact: balls are nested, so M_K
 is at most the M of any larger shell (or the torus mass); |B_K| voxels hold at
-most |B_K| h^3 max|f|^p; and M_K <= M_J + (|B_K| - |B_J|) h^3 max|f|^p for a
-smaller shell J (the ring).  A shell whose layer at the least bound, widened
-by 1e-12 of the torus mass for rounding, stays below the best value lies
-strictly below the sup and is never transformed.
+most |B_K| h^3 max|f|^p; M_K <= M_J + (|B_K| - |B_J|) h^3 max|f|^p for a
+smaller shell J (the ring); and M_K(f) <= M_K(g) + |B_K| h^3 max(|f|^p -
+|g|^p, 0) for the field g before f in a series (``_ShellBounds``).  A shell
+whose layer at the least bound, widened by 1e-12 of the torus mass for
+rounding, stays below the best value lies strictly below the sup and is
+never transformed.
 
 Caveat: fields live on a torus, so complement-of-ball norms count everything
 in one fundamental cell outside the ball.  For fields that are not compactly
@@ -34,7 +36,7 @@ import numpy as np
 
 from .grid import (Field, Grid3, ParameterError, ball_convolution, ball_power_profile,
                    convolve_spectra, magnitude_power, power_spectrum, radial_kernel_spectrum,
-                   shell_runs, sliding_ball_power_multi)
+                   shell_runs, shell_table, sliding_ball_power_multi)
 
 
 @dataclass(frozen=True)
@@ -183,12 +185,26 @@ def _ring_bound(volume: np.ndarray, pmax: float, room: float) -> np.ndarray:
     return np.multiply(volume, pmax, out=np.full(volume.shape, math.inf), where=pmax < room / volume)
 
 
-def _shell_search(f: Field, p: float, scales: np.ndarray,
-                  layer) -> tuple[float, tuple[int, int, int], int]:
+class _ShellBounds:
+    """A series' last |g|^p on ``grid`` at ``p`` and, per shell of
+    ``shell_table(grid)``, a bound on g's largest ball integral (its exact max
+    widened by 1e-12 of g's mass if transformed, else the search's final
+    bound).  The next field f adds |B_K| h^3 max(|f|^p - |g|^p, 0) below f's
+    mass and 1e-12 of f's mass; the difference's rounding (2^-53 relative) is
+    far inside that slack wherever the bound binds, so searches stay exact."""
+
+    def __init__(self, grid: Grid3, p: float) -> None:
+        self.grid, self.p, self.power = grid, p, np.zeros(grid.shape)
+        self.top = np.full(shell_table(grid).index.size, math.inf)
+
+
+def _shell_search(f: Field, p: float, scales: np.ndarray, layer,
+                  bounds: _ShellBounds | None = None) -> tuple[float, tuple[int, int, int], int]:
     """sup over centers x and nodes i of ``layer(i, v)`` (increasing in v,
     vectorized), v the integral of |f|^p over B_{scales[i]}(x), with its first
     center in C order and first node there; exact layers are taken only on
-    the voxels within 1e-12 of a shell's largest ball sum."""
+    the voxels within 1e-12 of a shell's largest ball sum.  ``bounds`` of the
+    same grid and p adds (and then carries) the bounds of the previous field."""
     grid, h3 = f.grid, f.grid.voxel_volume
     power = magnitude_power(f, p)
     hat = power_spectrum(power)
@@ -198,6 +214,13 @@ def _shell_search(f: Field, p: float, scales: np.ndarray,
     top = np.full(cap.shape, mass)  # |B_K| h^3 max|f|^p, formed only below the mass
     np.multiply(cap, pmax, out=top, where=pmax < mass / cap)
     top = np.minimum(top, mass) + 1e-12 * mass
+    carry = bounds is not None and (bounds.grid, bounds.p) == (grid, p)
+    if carry:
+        table = shell_table(grid)
+        key = np.searchsorted(table.index, runs.shell)
+        rise = max(np.subtract(power, bounds.power, out=bounds.power).max(), 0.0)
+        bounds.top += _ring_bound(table.ball_count * h3, rise, mass - bounds.top) + 1e-12 * mass
+        np.minimum(top, bounds.top[key], out=top)
     done = np.zeros(runs.start.size, dtype=bool)
     best, records = -math.inf, []  # (-value, first center, node) per evaluated node
     while not done.all():
@@ -209,7 +232,7 @@ def _shell_search(f: Field, p: float, scales: np.ndarray,
         done[j] = True
         sums = ball_convolution(hat, grid, int(runs.shell[j])).ravel()
         hi = sums.max()
-        base = max(hi, 0.0) * h3 + 1e-12 * mass  # M_J, widened for rounding
+        base = top[j] = max(hi, 0.0) * h3 + 1e-12 * mass  # M_J, widened for rounding
         np.minimum(top[:j], base, out=top[:j])
         np.minimum(top[j + 1:], _ring_bound(cap[j + 1:] - cap[j], pmax, mass - base) + base,
                    out=top[j + 1:])
@@ -219,6 +242,8 @@ def _shell_search(f: Field, p: float, scales: np.ndarray,
             x = layer(i, v)
             records.append((-x.max(), int(cand[np.argmax(x)]), int(i)))
             best = max(best, x.max())
+    if carry:
+        bounds.power, bounds.top[key] = power, top
     value, flat, node = min(records)
     return float(-value), tuple(int(c) for c in np.unravel_index(flat, grid.shape)), node
 
@@ -247,11 +272,11 @@ def clm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> fl
                               params.weight.theta)[0])
 
 
-def gm_norm(f: Field, params: MorreyParams) -> GmNorm:
+def gm_norm(f: Field, params: MorreyParams, *, bounds: _ShellBounds | None = None) -> GmNorm:
     """Global Morrey-type quasi-norm: sup over all voxel centers.
 
-    theta = inf searches the lattice shells (:func:`_shell_search`).  theta = p
-    is one convolution of |f|^p with the scale-integrated kernel at unit peak
+    theta = inf searches the lattice shells (:func:`_shell_search`) from the
+    ``bounds`` of a series if given.  theta = p is one convolution of |f|^p with the scale-integrated kernel at unit peak
     (the peak taken back after the root).  Any other theta folds one sliding
     ball pass per shell as its first node (the nodes share one ball power and
     the weight is nonincreasing), coefficient sum_k c_k (w_k / w_first)^theta.
@@ -261,7 +286,7 @@ def gm_norm(f: Field, params: MorreyParams) -> GmNorm:
     theta = params.weight.theta
     if math.isinf(theta):
         value, center, node = _shell_search(f, params.p, scales,
-                                            lambda i, v: wvals[i] * v ** (1.0 / params.p))
+                                            lambda i, v: wvals[i] * v ** (1.0 / params.p), bounds)
         return GmNorm(value, center, float(scales[node]))
     if theta == params.p:
         spec, peak = radial_kernel_spectrum(f.grid, scales,
@@ -289,6 +314,8 @@ def classical_morrey(f: Field, p: float, alpha: float, r_min: float, r_max: floa
     Note the integral is NOT taken to the power 1/p; this is the raw local
     mass quantity.  Returns the sup with a witnessing (center, scale).
     """
+    if p < 1.0:
+        raise ParameterError(f"p must be >= 1, got {p}")
     if not 0.0 < r_min < r_max <= 1.0:
         raise ParameterError(f"need 0 < r_min < r_max <= 1, got [{r_min}, {r_max}]")
     if scales is None:

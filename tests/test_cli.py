@@ -16,7 +16,7 @@ from morrey_sparse.cli import dumps_17g, main
 from morrey_sparse.grid import (Grid3, ParameterError, ScalarField, VectorField, load_field,
                                 save_field)
 from morrey_sparse.fields import random_solenoidal_field
-from morrey_sparse.morrey import MorreyParams, WeightSpec, log_scale_nodes
+from morrey_sparse.morrey import MorreyParams, WeightSpec, classical_morrey, log_scale_nodes
 from morrey_sparse.sparseness import (InadmissiblePairError, PairLD, ZeroFieldError,
                                       admissible_pair)
 from morrey_sparse.verify import SweepConfig, sweep
@@ -599,6 +599,7 @@ OUT_OF_RANGE = [
     ["norm", "--kind", "classical", "--r-max", "2"],
     ["norm", "--kind", "classical", "--theta", "0.5"],
     ["norm", "--scales", "-3"],
+    ["norm", "--kind", "classical", "--p", "0.5"],
     ["sparseness", "--lambda", "1.5"],
     ["sparseness", "--r", "5"],
     ["sparseness", "--delta", "1.5"],
@@ -616,15 +617,21 @@ OUT_OF_RANGE = [
     ["simulate", "--n", "16", "--dt", "1", "--t-end", "1"],
     ["simulate", "--n", "16", "--dt", "-1"],
     ["simulate", "--n", "16", "--snapshot-every", "0"],
+    ["criterion", "--c", "-1"],
+    ["criterion", "--c", "0"],
+    ["criterion", "--alpha", "-1"],
+    ["criterion", "--beta", "-1"],
 ]
 
 
 @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=" ".join)
-def test_out_of_range_argument_is_usage_error(field_file, tmp_path, capsys, argv):
+def test_out_of_range_argument_is_usage_error(field_file, traj_dir, tmp_path, capsys, argv):
     # the library check on the argument raises ParameterError, which alone
     # (with argparse's own errors) exits 2: one line, no manifest
     if argv[0] in ("norm", "sparseness"):
         argv = [argv[0], "--field", str(field_file), *argv[1:]]
+    if argv[0] == "criterion":  # the later flag wins over CRITERION's
+        argv = [*CRITERION, "--traj", str(traj_dir), *argv[1:]]
     assert main([*argv, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
@@ -650,9 +657,17 @@ def test_sparseness_on_zero_field_is_computation_error(tmp_path, capsys):
     lambda: SweepConfig(lemma="l3"),
     lambda: sweep(SweepConfig(n=16, seeds=()), threads=0),
     lambda: nse_module.CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, c0=0.5),
+    lambda: nse_module.CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, c=0.0),
+    lambda: nse_module.CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, c=math.nan),
+    lambda: nse_module.CriterionSpec(alpha=-1.0, beta=0.5, nu_w=0.5),
+    lambda: nse_module.CriterionSpec(alpha=0.5, beta=-1.0, nu_w=0.5),
+    lambda: nse_module.CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, beta2=-1.0),
+    lambda: classical_morrey(ScalarField(Grid3(16), np.ones((16, 16, 16))), 0.5, 1.0, 0.5, 1.0),
     lambda: nse_module.SolverConfig(n=16, dt=-1.0, t_end=1.0),
 ], ids=["Grid3", "WeightSpec", "MorreyParams", "log_scale_nodes", "admissible_pair", "PairLD",
-        "SweepConfig", "sweep", "CriterionSpec", "SolverConfig"])
+        "SweepConfig", "sweep", "CriterionSpec", "CriterionSpec-c", "CriterionSpec-c-nan",
+        "CriterionSpec-alpha", "CriterionSpec-beta", "CriterionSpec-beta2", "classical_morrey",
+        "SolverConfig"])
 def test_library_range_checks_raise_parameter_error(call):
     with pytest.raises(ParameterError):
         call()

@@ -604,23 +604,96 @@ def test_shell_search_skips_shells_of_a_localized_blob(grid32, monkeypatch):
     assert res == _gm_sup_reference(f, params, power=grid_module.sliding_ball_power_multi)
 
 
-def test_ring_bound_cuts_criterion_transforms(monkeypatch):
-    # the criterion rows of a short n=32 Taylor-Green run (at n=16 the window
-    # [2h, 1] holds three shells, too few for any bound to skip one): the
-    # ring bound leaves the reports as they were and saves a quarter of the
-    # shell transforms (90 of 120)
-    from morrey_sparse.nse import CriterionSpec, SolverConfig, evaluate_criteria, simulate
+@pytest.fixture(scope="module")
+def short_tg_traj():
+    # a short n=32 Taylor-Green run with a snapshot every step (at n=16 the
+    # criterion's window [2h, 1] holds three shells, too few for any bound to
+    # skip one)
+    from morrey_sparse.nse import SolverConfig, simulate
 
-    traj = simulate(SolverConfig(n=32, dt=1e-3, t_end=0.03, ic="taylor-green", snapshot_every=1))
-    spec = CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, c0=8.0)
+    return simulate(SolverConfig(n=32, dt=1e-3, t_end=0.03, ic="taylor-green", snapshot_every=1))
+
+
+def _criterion_transforms(traj, monkeypatch, fresh=False):
+    """The criterion reports of the window opened at t = 0, and the shell
+    transforms they took; ``fresh`` searches each row without carried bounds."""
+    from morrey_sparse import nse as nse_module
+    from morrey_sparse.nse import CriterionSpec, evaluate_criteria
+
     calls = []
     real = grid_module.ball_convolution
-    monkeypatch.setattr(morrey_module, "ball_convolution", lambda *a: calls.append(1) or real(*a))
-    reports = evaluate_criteria(traj, [0.0], spec)
-    with_ring = len(calls)
-    calls.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(morrey_module, "ball_convolution", lambda *a: calls.append(1) or real(*a))
+        if fresh:
+            patch.setattr(nse_module, "gm_norm", lambda f, params, bounds: gm_norm(f, params))
+        reports = evaluate_criteria(traj, [0.0], CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5,
+                                                               c0=8.0))
+    return reports, len(calls)
+
+
+def test_ring_bound_cuts_criterion_transforms(short_tg_traj, monkeypatch):
+    # the criterion rows, each searched afresh: the ring bound leaves the
+    # reports as they were and saves a quarter of the shell transforms (90 of
+    # 120)
+    reports, with_ring = _criterion_transforms(short_tg_traj, monkeypatch, fresh=True)
     monkeypatch.setattr(morrey_module, "_ring_bound",
                         lambda volume, *_: np.full(volume.shape, math.inf))
-    assert evaluate_criteria(traj, [0.0], spec) == reports
-    assert with_ring < len(calls)
+    without, transforms = _criterion_transforms(short_tg_traj, monkeypatch, fresh=True)
+    assert without == reports
+    assert with_ring < transforms
     assert with_ring <= 90
+
+
+def test_carried_bounds_cut_criterion_transforms(short_tg_traj, monkeypatch):
+    # each row's search starts from the previous snapshot's shell bounds: the
+    # reports are those of fresh searches, in 34 shell transforms instead of 90
+    reports, carried = _criterion_transforms(short_tg_traj, monkeypatch)
+    fresh, transforms = _criterion_transforms(short_tg_traj, monkeypatch, fresh=True)
+    assert reports == fresh
+    assert carried <= 40 < transforms
+
+
+def _spike(grid, index, divisor, p):
+    data = np.zeros(grid.shape)
+    data[index] = (np.finfo(np.float64).max / divisor) ** (1.0 / p)
+    return ScalarField(grid, data)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("nu", [0.0, 0.5])
+def test_carried_bounds_match_fresh_search(short_tg_traj, p, nu):
+    # bounds carried from one field's search to the next: values, first
+    # centers and scales equal a fresh search at every step, as the scale
+    # window moves, where |f|^p rises by far (x4, from a zero field, or a
+    # voxel near float max) and where the next field is unrelated; the first
+    # window spans every shell, the next ones [0.45, 1] and [0.2, 1]
+    tg = [f for _, f in short_tg_traj.snapshots[:4]]
+    grid = tg[0].grid
+    sequences = {
+        "taylor_green": tg,
+        "unrelated": [tg[0], random_field(grid, seed=7, kmax=8)],
+        "scaled_up": [tg[0], VectorField(grid, 4.0 * tg[0].data)],
+        "from_zero": [unit_x_field(grid, 0.0), tg[-1]],
+        # the small shells leave the window while the voxel rises, then return
+        "spike": [_spike(grid, (3, 4, 5), 1e4, p), _spike(grid, (20, 4, 5), 2.0, p),
+                  _spike(grid, (20, 4, 5), 2.0, p), _spike(grid, (3, 4, 5), 4.0, p)],
+    }
+    for name, fields in sequences.items():
+        bounds = morrey_module._ShellBounds(grid, p)
+        for step, f in enumerate(fields):
+            rho = (0.0, 0.45, 0.2, 0.0)[step]
+            params = MorreyParams.default(grid, WeightSpec(nu=nu, rho=rho), p=p, count=24)
+            assert gm_norm(f, params, bounds=bounds) == gm_norm(f, params), (name, step)
+
+
+def test_carried_bounds_of_another_grid_or_p_are_ignored(short_tg_traj):
+    # a carrier filled on another grid or at another p is neither read nor
+    # written
+    _, f = short_tg_traj.snapshots[1]
+    params = MorreyParams.default(f.grid, WeightSpec(nu=0.5), p=2.0, count=24)
+    for g, p in ((random_field(Grid3(16), seed=3), 2.0), (short_tg_traj.snapshots[0][1], 3.0)):
+        bounds = morrey_module._ShellBounds(g.grid, p)
+        gm_norm(g, MorreyParams.default(g.grid, WeightSpec(nu=0.5), p=p, count=24), bounds=bounds)
+        power, top = bounds.power.copy(), bounds.top.copy()
+        assert gm_norm(f, params, bounds=bounds) == gm_norm(f, params)
+        assert np.array_equal(bounds.power, power) and np.array_equal(bounds.top, top)

@@ -309,9 +309,9 @@ def test_criterion_ball_spectra_once_per_shell(tg_traj, monkeypatch):
     # they need are one per lattice shell, not one per node
     radii = []
 
-    def spy(f, params):
+    def spy(f, params, **kwargs):
         radii.extend(params.scales)
-        return gm_norm(f, params)
+        return gm_norm(f, params, **kwargs)
 
     monkeypatch.setattr(nse_module, "gm_norm", spy)
     cache = grid_module._ball_spectrum_cached
@@ -349,9 +349,9 @@ SPECS = {
 def _count_gm_calls(monkeypatch) -> list:
     calls = []
 
-    def spy(f, params):
+    def spy(f, params, **kwargs):
         calls.append(f)
-        return gm_norm(f, params)
+        return gm_norm(f, params, **kwargs)
 
     monkeypatch.setattr(nse_module, "gm_norm", spy)
     return calls
@@ -374,6 +374,16 @@ def test_criteria_one_norm_per_window_snapshot(tg_traj, monkeypatch):
     # u mode measures the snapshot itself: each one once, in snapshot order
     snaps = [f for t, f in tg_traj.snapshots if t in in_windows]
     assert len(snaps) == len(calls) and all(a is b for a, b in zip(calls, snaps))
+
+
+@pytest.mark.parametrize("name", ["theta_inf", "omega"])
+def test_criteria_rows_match_fresh_norms(tg_traj, name, monkeypatch):
+    # the snapshot loop carries shell bounds from row to row; every row and
+    # witness equals a fresh gm_norm of its snapshot, over overlapping windows
+    spec = SPECS[name]
+    carried = evaluate_criteria(tg_traj, OVERLAPPING, spec)
+    monkeypatch.setattr(nse_module, "gm_norm", lambda f, params, bounds: gm_norm(f, params))
+    assert carried == evaluate_criteria(tg_traj, OVERLAPPING, spec)
 
 
 def test_criteria_check_every_window_first(tg_traj, monkeypatch):
