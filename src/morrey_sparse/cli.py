@@ -106,7 +106,10 @@ def _write_manifest(outdir: Path, args: argparse.Namespace, inputs: list,
 
 
 def _parse_floats(s: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in s.split(",") if v)
+    values = tuple(float(v) for v in s.split(",") if v)
+    if not values:
+        raise argparse.ArgumentTypeError(f"no number in {s!r}")
+    return values
 
 
 def _parse_center(s: str) -> tuple[int, int, int]:
@@ -308,6 +311,8 @@ def cmd_verify(args, outdir: Path) -> tuple:
     except ValueError as exc:
         raise ParameterError(f"--thetas {args.thetas}: {exc}") from exc
     modes = tuple(str(args.modes).split(","))
+    if args.seeds < 0:
+        raise ParameterError(f"--seeds must be >= 0, got {args.seeds}")
     cfg = SweepConfig(lemma=args.lemma, n=args.n, deltas=tuple(args.deltas),
                       scales=tuple(args.scales), seeds=tuple(range(args.seeds)),
                       kmax=args.kmax, adversarial=args.adversarial, p=args.p,

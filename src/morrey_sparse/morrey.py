@@ -15,11 +15,11 @@ largest ball integral M_K and search the shells best first
 (``_shell_search``).  Four bounds on M_K are exact: balls are nested, so M_K
 is at most the M of any larger shell (or the torus mass); |B_K| voxels hold at
 most |B_K| h^3 max|f|^p; M_K <= M_J + (|B_K| - |B_J|) h^3 max|f|^p for a
-smaller shell J (the ring); and M_K(f) <= M_K(g) + |B_K| h^3 max(|f|^p -
-|g|^p, 0) for the field g before f in a series (``_ShellBounds``).  A shell
-whose layer at the least bound, widened by 1e-12 of the torus mass for
-rounding, stays below the best value lies strictly below the sup and is
-never transformed.
+smaller shell J (the ring); and M_K(f) <= q M_K(g) + |B_K| h^3 max(|f|^p -
+q |g|^p, 0), q = min(1, mass_f / mass_g), for the field g before f in a
+series (``_ShellBounds``).  A shell whose layer at the least bound, widened
+by 1e-12 of the torus mass for rounding, stays below the best value lies
+strictly below the sup and is never transformed.
 
 Caveat: fields live on a torus, so complement-of-ball norms count everything
 in one fundamental cell outside the ball.  For fields that are not compactly
@@ -186,15 +186,22 @@ def _ring_bound(volume: np.ndarray, pmax: float, room: float) -> np.ndarray:
 
 
 class _ShellBounds:
-    """A series' last |g|^p on ``grid`` at ``p`` and, per shell of
-    ``shell_table(grid)``, a bound on g's largest ball integral (its exact max
-    widened by 1e-12 of g's mass if transformed, else the search's final
-    bound).  The next field f adds |B_K| h^3 max(|f|^p - |g|^p, 0) below f's
-    mass and 1e-12 of f's mass; the difference's rounding (2^-53 relative) is
-    far inside that slack wherever the bound binds, so searches stay exact."""
+    """A series' last |g|^p on ``grid`` at ``p``, its torus mass, and, per
+    shell of ``shell_table(grid)``, a bound on g's largest ball integral (its
+    exact max widened by 1e-12 of g's mass if transformed, else the search's
+    final bound).  The next field f scales g by q = min(1, mass_f / mass_g)
+    (1 while mass_g = 0), so a decaying series carries bounds that decay with
+    it: M_K(f) <= q M_K(g) + |B_K| h^3 max(|f|^p - q |g|^p, 0) for every
+    q >= 0, the rise formed below f's mass and widened by 1e-12 of f's mass.
+    Rounding stays far inside that slack wherever the bound is formed (then
+    q M_K(g) < mass_f and the ring term is below mass_f): the rounded q|g|^p
+    array G has integral at most (1 + 2^-53) q M_K(g) over any ball B (in the
+    normal range), and int_B |f|^p = int_B G + int_B (|f|^p - G) exactly, so
+    the products q|g|^p and q M_K(g) cost 2^-53 mass_f each and the difference
+    2^-53 of the ring term; searches stay exact.  q = 1 multiplies exactly."""
 
     def __init__(self, grid: Grid3, p: float) -> None:
-        self.grid, self.p, self.power = grid, p, np.zeros(grid.shape)
+        self.grid, self.p, self.power, self.mass = grid, p, np.zeros(grid.shape), 0.0
         self.top = np.full(shell_table(grid).index.size, math.inf)
 
 
@@ -218,6 +225,9 @@ def _shell_search(f: Field, p: float, scales: np.ndarray, layer,
     if carry:
         table = shell_table(grid)
         key = np.searchsorted(table.index, runs.shell)
+        q = min(1.0, mass / bounds.mass) if bounds.mass > 0.0 else 1.0  # g at f's mass
+        bounds.power *= q
+        np.multiply(bounds.top, q, out=bounds.top, where=bounds.top < math.inf)  # no inf * 0
         rise = max(np.subtract(power, bounds.power, out=bounds.power).max(), 0.0)
         bounds.top += _ring_bound(table.ball_count * h3, rise, mass - bounds.top) + 1e-12 * mass
         np.minimum(top, bounds.top[key], out=top)
@@ -243,7 +253,7 @@ def _shell_search(f: Field, p: float, scales: np.ndarray, layer,
             records.append((-x.max(), int(cand[np.argmax(x)]), int(i)))
             best = max(best, x.max())
     if carry:
-        bounds.power, bounds.top[key] = power, top
+        bounds.power, bounds.mass, bounds.top[key] = power, mass, top
     value, flat, node = min(records)
     return float(-value), tuple(int(c) for c in np.unravel_index(flat, grid.shape)), node
 

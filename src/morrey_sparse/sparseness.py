@@ -160,6 +160,8 @@ def semi_mixed(S: VoxelSet, r: float, delta: float) -> SemiMixed:
     Counts are rounded back to integers (see :func:`_count_fraction`), so the
     result matches per-center brute force exactly.
     """
+    if not 0.0 < delta < 1.0:
+        raise ParameterError(f"delta must lie in (0,1), got {delta}")
     density = _count_fraction(sliding_ball_sum(S, r), ball_kernel(S.grid, r).voxel_count)
     flat = int(np.argmax(density))
     witness = tuple(int(c) for c in np.unravel_index(flat, S.grid.shape))

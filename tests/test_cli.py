@@ -13,12 +13,12 @@ import scipy
 from morrey_sparse import cli as cli_module
 from morrey_sparse import nse as nse_module
 from morrey_sparse.cli import dumps_17g, main
-from morrey_sparse.grid import (Grid3, ParameterError, ScalarField, VectorField, load_field,
-                                save_field)
+from morrey_sparse.grid import (Grid3, ParameterError, ScalarField, VectorField, VoxelSet,
+                                load_field, save_field)
 from morrey_sparse.fields import random_solenoidal_field
 from morrey_sparse.morrey import MorreyParams, WeightSpec, classical_morrey, log_scale_nodes
 from morrey_sparse.sparseness import (InadmissiblePairError, PairLD, ZeroFieldError,
-                                      admissible_pair)
+                                      admissible_pair, semi_mixed)
 from morrey_sparse.verify import SweepConfig, sweep
 
 
@@ -603,6 +603,7 @@ OUT_OF_RANGE = [
     ["sparseness", "--lambda", "1.5"],
     ["sparseness", "--r", "5"],
     ["sparseness", "--delta", "1.5"],
+    ["sparseness", "--lambda", "0.45", "--delta", "1.5"],
     ["sparseness", "--z-alpha", "0.5", "--c0", "0.5"],
     _verify("--n", "15"),
     _verify("--n", "16", "--scales", "0.2"),
@@ -613,6 +614,7 @@ OUT_OF_RANGE = [
     _verify("--lemma", "gm", "--modes", "foo"),
     _verify("--lemma", "gm", "--p", "1"),
     _verify("--threads", "0"),
+    _verify("--seeds", "-1"),
     ["simulate", "--n", "15"],
     ["simulate", "--n", "16", "--dt", "1", "--t-end", "1"],
     ["simulate", "--n", "16", "--dt", "-1"],
@@ -638,6 +640,20 @@ def test_out_of_range_argument_is_usage_error(field_file, traj_dir, tmp_path, ca
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv", [_verify("--scales", ","), _verify("--scales", ""),
+                                  _verify("--deltas", ","), ["criterion", "--at", ","]],
+                         ids=" ".join)
+def test_empty_number_list_is_usage_error(traj_dir, tmp_path, capsys, argv):
+    # a comma list with no number fails its argparse type, as --center 1,2
+    # does: exit 2 with argparse's error line, no outputs
+    if argv[0] == "criterion":  # the later flag wins over CRITERION's
+        argv = [*CRITERION, "--traj", str(traj_dir), *argv[1:]]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(f"morrey-sparse {argv[0]}: error: argument --"), err
+    assert not any(tmp_path.iterdir())
+
+
 def test_sparseness_on_zero_field_is_computation_error(tmp_path, capsys):
     # a failure of the data on valid arguments stays exit 1
     path = tmp_path / "zero.fld"
@@ -654,6 +670,7 @@ def test_sparseness_on_zero_field_is_computation_error(tmp_path, capsys):
     lambda: log_scale_nodes(Grid3(16), 0.0, 1.0, count=0),
     lambda: admissible_pair(0.4),
     lambda: PairLD(lam=1.2, delta=0.75, h=0.1),
+    lambda: semi_mixed(VoxelSet(Grid3(16), np.ones((16, 16, 16), dtype=bool)), 0.5, 1.5),
     lambda: SweepConfig(lemma="l3"),
     lambda: sweep(SweepConfig(n=16, seeds=()), threads=0),
     lambda: nse_module.CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, c0=0.5),
@@ -665,9 +682,9 @@ def test_sparseness_on_zero_field_is_computation_error(tmp_path, capsys):
     lambda: classical_morrey(ScalarField(Grid3(16), np.ones((16, 16, 16))), 0.5, 1.0, 0.5, 1.0),
     lambda: nse_module.SolverConfig(n=16, dt=-1.0, t_end=1.0),
 ], ids=["Grid3", "WeightSpec", "MorreyParams", "log_scale_nodes", "admissible_pair", "PairLD",
-        "SweepConfig", "sweep", "CriterionSpec", "CriterionSpec-c", "CriterionSpec-c-nan",
-        "CriterionSpec-alpha", "CriterionSpec-beta", "CriterionSpec-beta2", "classical_morrey",
-        "SolverConfig"])
+        "semi_mixed", "SweepConfig", "sweep", "CriterionSpec", "CriterionSpec-c",
+        "CriterionSpec-c-nan", "CriterionSpec-alpha", "CriterionSpec-beta", "CriterionSpec-beta2",
+        "classical_morrey", "SolverConfig"])
 def test_library_range_checks_raise_parameter_error(call):
     with pytest.raises(ParameterError):
         call()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import fft
 
 from morrey_sparse import grid as grid_module
@@ -614,9 +616,10 @@ def short_tg_traj():
     return simulate(SolverConfig(n=32, dt=1e-3, t_end=0.03, ic="taylor-green", snapshot_every=1))
 
 
-def _criterion_transforms(traj, monkeypatch, fresh=False):
-    """The criterion reports of the window opened at t = 0, and the shell
-    transforms they took; ``fresh`` searches each row without carried bounds."""
+def _criterion_transforms(traj, monkeypatch, fresh=False, field_mode="u"):
+    """The criterion reports of the window opened at t = 0 on ``field_mode``,
+    and the shell transforms they took; ``fresh`` searches each row without
+    carried bounds."""
     from morrey_sparse import nse as nse_module
     from morrey_sparse.nse import CriterionSpec, evaluate_criteria
 
@@ -627,7 +630,7 @@ def _criterion_transforms(traj, monkeypatch, fresh=False):
         if fresh:
             patch.setattr(nse_module, "gm_norm", lambda f, params, bounds: gm_norm(f, params))
         reports = evaluate_criteria(traj, [0.0], CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5,
-                                                               c0=8.0))
+                                                               c0=8.0, field_mode=field_mode))
     return reports, len(calls)
 
 
@@ -645,12 +648,16 @@ def test_ring_bound_cuts_criterion_transforms(short_tg_traj, monkeypatch):
 
 
 def test_carried_bounds_cut_criterion_transforms(short_tg_traj, monkeypatch):
-    # each row's search starts from the previous snapshot's shell bounds: the
-    # reports are those of fresh searches, in 34 shell transforms instead of 90
-    reports, carried = _criterion_transforms(short_tg_traj, monkeypatch)
-    fresh, transforms = _criterion_transforms(short_tg_traj, monkeypatch, fresh=True)
-    assert reports == fresh
-    assert carried <= 40 < transforms
+    # each row's search starts from the previous snapshot's shell bounds,
+    # scaled by the decay of |f|^p's mass: the reports are those of fresh
+    # searches, in 20 shell transforms instead of 90 on u and on omega, one per
+    # row after the first
+    for mode in ("u", "omega"):
+        reports, carried = _criterion_transforms(short_tg_traj, monkeypatch, field_mode=mode)
+        fresh, transforms = _criterion_transforms(short_tg_traj, monkeypatch, fresh=True,
+                                                  field_mode=mode)
+        assert reports == fresh, mode
+        assert carried <= 20 < transforms, (mode, carried, transforms)
 
 
 def _spike(grid, index, divisor, p):
@@ -659,14 +666,41 @@ def _spike(grid, index, divisor, p):
     return ScalarField(grid, data)
 
 
+@pytest.fixture(scope="module")
+def short_runs():
+    # n=32 random and ABC runs with a snapshot every step: |u|^p's mass
+    # decays, so the carried bounds are scaled down at each step
+    from morrey_sparse.nse import SolverConfig, simulate
+
+    return {ic: [f for _, f in simulate(SolverConfig(n=32, dt=1e-3, t_end=0.003, ic=ic,
+                                                     snapshot_every=1, seed=5)).snapshots]
+            for ic in ("random", "abc")}
+
+
+def _cut_half(data):
+    # the vector components on the lower half of the first axis, 0 elsewhere
+    n = data.shape[-1]
+    return np.where(np.arange(n)[:, None, None] < n // 2, data, 0.0)
+
+
+def _scaled(f, factor, bump=None):
+    data = factor * f.data
+    if bump is not None:
+        data[bump] += 0.5
+    return VectorField(f.grid, data)
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
 @pytest.mark.parametrize("nu", [0.0, 0.5])
-def test_carried_bounds_match_fresh_search(short_tg_traj, p, nu):
+def test_carried_bounds_match_fresh_search(short_tg_traj, short_runs, p, nu):
     # bounds carried from one field's search to the next: values, first
     # centers and scales equal a fresh search at every step, as the scale
     # window moves, where |f|^p rises by far (x4, from a zero field, or a
-    # voxel near float max) and where the next field is unrelated; the first
-    # window spans every shell, the next ones [0.45, 1] and [0.2, 1]
+    # voxel near float max), where the next field is unrelated, and where the
+    # mass falls so that g is scaled by q = mass_f / mass_g < 1 (uniform
+    # decay, decay with a one-voxel rise, to a zero field, the decaying runs);
+    # the first window spans every shell, the next ones [0.45, 1] and [0.2, 1],
+    # and each sequence runs again with the first window throughout
     tg = [f for _, f in short_tg_traj.snapshots[:4]]
     grid = tg[0].grid
     sequences = {
@@ -677,13 +711,52 @@ def test_carried_bounds_match_fresh_search(short_tg_traj, p, nu):
         # the small shells leave the window while the voxel rises, then return
         "spike": [_spike(grid, (3, 4, 5), 1e4, p), _spike(grid, (20, 4, 5), 2.0, p),
                   _spike(grid, (20, 4, 5), 2.0, p), _spike(grid, (3, 4, 5), 4.0, p)],
+        "decay": [tg[0], _scaled(tg[0], 0.99), _scaled(tg[0], 0.98)],
+        "decay_local_rise": [tg[0], _scaled(tg[0], 0.99, bump=(0, 9, 17, 3))],
+        # half the mass goes, the other half stays where it was: no rise over
+        # g, but a rise over q g
+        "half_cut": [tg[0], VectorField(grid, _cut_half(tg[0].data))],
+        "growth": [tg[0], _scaled(tg[0], 1.5)],
+        "to_zero": [tg[0], unit_x_field(grid, 0.0)],
+        **short_runs,
     }
     for name, fields in sequences.items():
-        bounds = morrey_module._ShellBounds(grid, p)
-        for step, f in enumerate(fields):
-            rho = (0.0, 0.45, 0.2, 0.0)[step]
-            params = MorreyParams.default(grid, WeightSpec(nu=nu, rho=rho), p=p, count=24)
-            assert gm_norm(f, params, bounds=bounds) == gm_norm(f, params), (name, step)
+        for windows in ((0.0, 0.45, 0.2, 0.0), (0.0,) * 4):
+            bounds = morrey_module._ShellBounds(grid, p)
+            for step, f in enumerate(fields):
+                params = MorreyParams.default(grid, WeightSpec(nu=nu, rho=windows[step]), p=p,
+                                              count=24)
+                assert gm_norm(f, params, bounds=bounds) == gm_norm(f, params), (name, step)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.sampled_from((8, 12, 16)), p=st.sampled_from((1.0, 2.0, 3.0)),
+       nu=st.sampled_from((0.0, 0.5)),
+       steps=st.lists(st.tuples(st.sampled_from((None, None, 1, 2, "spike", "cut")),
+                                st.sampled_from((0.0, 1e-300, 0.5, 0.99, 1.0, 1.01, 4.0)),
+                                st.sampled_from((0.0, 0.3, 0.6))),
+                      min_size=2, max_size=5))
+def test_carried_search_equals_fresh_search_property(n, p, nu, steps):
+    # a series of drawn fields, each either a new one (random or a one-voxel
+    # spike), the last one, or the last one cut to one half of the box,
+    # rescaled by a drawn factor, with a drawn scale window: the carried
+    # search equals a fresh one at every step (value, first center in C
+    # order, node)
+    grid = Grid3(n, box_len=2.5)  # room for a few shells below r = 1 at n=8
+    bounds = morrey_module._ShellBounds(grid, p)
+    data = random_field(grid, seed=0).data
+    for kind, factor, rho in steps:
+        if kind == "spike":
+            data = np.zeros((3,) + grid.shape)
+            data[0, 1, 2, 3] = 1.0
+        elif kind == "cut":
+            data = _cut_half(data)
+        elif kind is not None:
+            data = random_field(grid, seed=kind).data
+        data = factor * data
+        f = VectorField(grid, data)
+        params = MorreyParams.default(grid, WeightSpec(nu=nu, rho=rho), p=p, count=12)
+        assert gm_norm(f, params, bounds=bounds) == gm_norm(f, params), (kind, factor, rho)
 
 
 def test_carried_bounds_of_another_grid_or_p_are_ignored(short_tg_traj):
