@@ -7,8 +7,8 @@ import math
 
 import numpy as np
 
-from .grid import (Grid3, ParameterError, VectorField, _irfftn, _rfftn, curl_hat, project_hat,
-                   rfft_wavenumbers)
+from .grid import (Grid3, ParameterError, VectorField, _frequencies, _irfftn, _rfftn, curl_hat,
+                   project_hat, wavenumbers)
 
 
 def smoothstep(t):
@@ -38,16 +38,17 @@ def random_solenoidal_field(grid: Grid3, kmax: int, seed: int, amplitude: float 
     """Divergence-free Gaussian random field with integer modes |k| <= kmax.
 
     Normalized so the pointwise sup of |f| equals ``amplitude``; fully
-    determined by ``seed``.  The noise spectrum is cut to the band, projected
-    and transformed back once.
+    determined by ``seed``.  The noise spectrum is cut to the band on the
+    integer |m|^2 (for kmax < n/2 no Nyquist plane passes), projected and
+    transformed back once.
     """
     if kmax < 1:
         raise ParameterError(f"kmax must be >= 1, got {kmax}")
     fh = _rfftn(np.random.default_rng(seed).standard_normal((3,) + grid.shape))
-    k0 = 2.0 * math.pi / grid.box_len
-    fh *= rfft_wavenumbers(grid)[3] <= (kmax * k0) ** 2 * (1.0 + 1e-12)
+    ix, iy, iz = _frequencies(grid.n)
+    fh *= ix**2 + iy**2 + iz**2 <= kmax**2
     fh[:, 0, 0, 0] = 0.0
-    fh = project_hat(fh, grid)  # the noise spectrum is freed before the inverse
+    fh = project_hat(fh, wavenumbers(grid))  # the noise spectrum is freed before the inverse
     return _scaled_to_sup(grid, _irfftn(fh, grid.n), amplitude)
 
 
@@ -94,8 +95,9 @@ def vorticity_blob(grid: Grid3, center: tuple[int, int, int], sigma: float,
     """
     a = np.asarray(axis, dtype=np.float64)
     a /= math.sqrt(float(a @ a))
-    wh = curl_hat(a[:, None, None, None] * _rfftn(periodized_gaussian(grid, center, sigma)), grid)
-    wh = curl_hat(wh, grid)  # the first curl is freed before the inverse
+    k = wavenumbers(grid)
+    wh = curl_hat(a[:, None, None, None] * _rfftn(periodized_gaussian(grid, center, sigma)), k)
+    wh = curl_hat(wh, k)  # the first curl is freed before the inverse
     return _scaled_to_sup(grid, _irfftn(wh, grid.n), amplitude)
 
 

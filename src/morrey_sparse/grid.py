@@ -23,9 +23,9 @@ inverse transform of its spectrum times a cached ball spectrum
 one ball (:func:`shell_runs`); the sums are checked against a transform-free
 brute force over the same ball.
 Every 3-D transform of the package runs on ``scipy.fft`` through
-:func:`_rfftn`/:func:`_irfftn`, and the spectral-space operators
-(:func:`curl_hat`, :func:`project_hat`) are shared by the field operators and
-the solver.
+:func:`_rfftn`/:func:`_irfftn`, or :func:`_rfftn_block`/:func:`_irfftn_block`
+on the solver's 2/3 block; the spectral-space operators (:func:`curl_hat`,
+:func:`project_hat`) take the :class:`Wavenumbers` of either layout.
 
 Every voxel ball is symmetric under the min-image reflection y -> -y, so its
 spectrum is real: the imaginary parts the transform leaves are rounding (at
@@ -223,31 +223,40 @@ def _frequencies(n: int):
     return full.reshape(n, 1, 1), full.reshape(1, n, 1), half.reshape(1, 1, -1)
 
 
-@lru_cache(maxsize=8)
-def rfft_wavenumbers(grid: Grid3):
-    """Broadcastable wavenumber arrays (kx, ky, kz) and |k|^2 for the grid's
-    real FFT layout (read-only).
+class Wavenumbers(NamedTuple):
+    """Broadcastable wavenumbers of one spectral layout (read-only), Nyquist
+    entries zeroed (the self-aliased Nyquist plane breaks the evenness of
+    quadratic multipliers), and the divisor inverting -Laplace: |k|^2 with
+    its zeros set to 1."""
 
-    The Nyquist entries are zeroed: the self-aliased Nyquist plane breaks the
-    evenness of quadratic multipliers (projection, curl compositions), and
-    band-limited fields carry no content there anyway.
-    """
+    kx: np.ndarray
+    ky: np.ndarray
+    kz: np.ndarray
+    divisor: np.ndarray
+
+
+def block_extent(n: int) -> int:
+    """m = ceil(n/3): the 2/3 block keeps the frequencies |i| < n/3, indices
+    0..m-1 and n-m+1..n-1 on the two full axes and 0..m-1 on the half axis,
+    (2m-1)^2 m modes."""
+    return -(-n // 3)
+
+
+@lru_cache(maxsize=16)
+def wavenumbers(grid: Grid3, block: bool = False) -> Wavenumbers:
+    """The :class:`Wavenumbers` of the grid's rfft layout, or of its 2/3 block."""
     n, k0 = grid.n, TAU / grid.box_len
     kx, ky, kz = (i * k0 for i in _frequencies(n))
     kx[n // 2] = ky[:, n // 2] = kz[..., -1] = 0.0
+    if block:
+        m = block_extent(n)
+        keep = np.r_[0:m, n - m + 1:n]
+        kx, ky, kz = kx[keep], ky[:, keep], kz[..., :m]
     k2 = kx**2 + ky**2 + kz**2
-    for arr in (kx, ky, kz, k2):
+    out = Wavenumbers(kx, ky, kz, np.where(k2 == 0.0, 1.0, k2))
+    for arr in out:
         arr.setflags(write=False)
-    return kx, ky, kz, k2
-
-
-@lru_cache(maxsize=8)
-def _k2_divisor(grid: Grid3) -> np.ndarray:
-    """|k|^2 with its zeros set to 1: the read-only divisor inverting -Laplace."""
-    k2 = rfft_wavenumbers(grid)[3]
-    div = np.where(k2 == 0.0, 1.0, k2)
-    div.setflags(write=False)
-    return div
+    return out
 
 
 def _rfftn(data: np.ndarray) -> np.ndarray:
@@ -258,40 +267,78 @@ def _irfftn(hat: np.ndarray, n: int) -> np.ndarray:
     return fft.irfftn(hat, s=(n, n, n), axes=(-3, -2, -1))
 
 
-def curl_hat(fh: np.ndarray, grid: Grid3) -> np.ndarray:
-    """Spectrum of the curl, i k x fh, of a vector spectrum (a new array)."""
-    kx, ky, kz, _ = rfft_wavenumbers(grid)
+def _block_axis(a: np.ndarray, axis: int, n: int) -> np.ndarray:
+    """``a`` with its block ``axis`` (-3 or -2) zero-padded from 2m-1 entries
+    to n (scatter), or with an n-entry axis cut to the block's 2m-1 (gather):
+    the first m entries and the last m-1, two slice copies either way."""
+    tail, m = (slice(None),) * (-1 - axis), block_extent(n)
+    lo, hi = (..., slice(m)) + tail, (..., slice(1 - m, None)) + tail
+    if a.shape[axis] == n:
+        return np.concatenate((a[lo], a[hi]), axis=axis)
+    out = np.zeros(a.shape[:axis] + (n,) + a.shape[axis:][1:], dtype=a.dtype)
+    out[lo], out[hi] = a[lo], a[hi]
+    return out
+
+
+def _rfftn_block(data: np.ndarray) -> np.ndarray:
+    """The 2/3 block of the transform of n^3 samples, in the passes of
+    :func:`_irfftn_block` reversed: the real pass along z kept to m entries,
+    then along y on the n m lines, then along x on the (2m-1) m lines."""
+    n = data.shape[-1]
+    a = fft.rfftn(data, axes=(-1,))[..., :block_extent(n)]
+    a = _block_axis(fft.fftn(a, axes=(-2,)), -2, n)
+    return _block_axis(fft.fftn(a, axes=(-3,)), -3, n)
+
+
+def _irfftn_block(bh: np.ndarray, n: int) -> np.ndarray:
+    """n^3 samples of a 2/3-block spectrum, skipping the lines that are zero:
+    along x on the block's (2m-1) m lines, then zero-padded along y on n m
+    lines, then the real pass along z padded to n/2 + 1."""
+    a = fft.ifftn(_block_axis(bh, -3, n), axes=(-3,), overwrite_x=True)
+    a = fft.ifftn(_block_axis(a, -2, n), axes=(-2,), overwrite_x=True)
+    return fft.irfftn(a, s=(n,), axes=(-1,))
+
+
+def curl_hat(fh: np.ndarray, k: Wavenumbers) -> np.ndarray:
+    """Spectrum of the curl, i k x fh, of a vector spectrum on the layout of
+    ``k`` (a new array)."""
     ch = np.empty_like(fh)
-    ch[0] = 1j * (ky * fh[2] - kz * fh[1])
-    ch[1] = 1j * (kz * fh[0] - kx * fh[2])
-    ch[2] = 1j * (kx * fh[1] - ky * fh[0])
+    ch[0] = 1j * (k.ky * fh[2] - k.kz * fh[1])
+    ch[1] = 1j * (k.kz * fh[0] - k.kx * fh[2])
+    ch[2] = 1j * (k.kx * fh[1] - k.ky * fh[0])
     return ch
 
 
-def project_hat(fh: np.ndarray, grid: Grid3) -> np.ndarray:
-    """Leray projection of a vector spectrum (a new array; k = 0 untouched)."""
-    kx, ky, kz, _ = rfft_wavenumbers(grid)
-    kdotf = (kx * fh[0] + ky * fh[1] + kz * fh[2]) / _k2_divisor(grid)
+def project_hat(fh: np.ndarray, k: Wavenumbers) -> np.ndarray:
+    """Leray projection of a vector spectrum on the layout of ``k`` (a new
+    array; k = 0 untouched); k . fh is divided part by part, as numpy's
+    complex-by-real division is a slower complex one."""
+    kdotf = k.kx * fh[0]
+    kdotf += k.ky * fh[1]
+    kdotf += k.kz * fh[2]
+    kdotf.real /= k.divisor
+    kdotf.imag /= k.divisor
     out = np.empty_like(fh)
-    for c, k in enumerate((kx, ky, kz)):
-        out[c] = fh[c] - k * kdotf
+    for c in range(3):
+        out[c] = fh[c] - k[c] * kdotf
     return out
 
 
 def curl(f: VectorField) -> VectorField:
     """Spectral curl; exact for band-limited fields, divergence-free output."""
-    return VectorField._adopt(f.grid, _irfftn(curl_hat(_rfftn(f.data), f.grid), f.grid.n))
+    return VectorField._adopt(f.grid, _irfftn(curl_hat(_rfftn(f.data), wavenumbers(f.grid)),
+                                              f.grid.n))
 
 
 def divergence(f: VectorField) -> ScalarField:
-    kx, ky, kz, _ = rfft_wavenumbers(f.grid)
+    kx, ky, kz, _ = wavenumbers(f.grid)
     fh = _rfftn(f.data)
     dh = 1j * (kx * fh[0] + ky * fh[1] + kz * fh[2])
     return ScalarField._adopt(f.grid, _irfftn(dh, f.grid.n))
 
 
 def gradient(s: ScalarField) -> VectorField:
-    kx, ky, kz, _ = rfft_wavenumbers(s.grid)
+    kx, ky, kz, _ = wavenumbers(s.grid)
     sh = _rfftn(s.data)
     gh = np.stack([1j * kx * sh, 1j * ky * sh, 1j * kz * sh])
     return VectorField._adopt(s.grid, _irfftn(gh, s.grid.n))
@@ -299,7 +346,8 @@ def gradient(s: ScalarField) -> VectorField:
 
 def leray_project(f: VectorField) -> VectorField:
     """Project onto divergence-free fields (mean flow untouched)."""
-    return VectorField._adopt(f.grid, _irfftn(project_hat(_rfftn(f.data), f.grid), f.grid.n))
+    return VectorField._adopt(f.grid, _irfftn(project_hat(_rfftn(f.data), wavenumbers(f.grid)),
+                                              f.grid.n))
 
 
 def biot_savart(omega: VectorField) -> VectorField:
@@ -308,8 +356,9 @@ def biot_savart(omega: VectorField) -> VectorField:
     u_hat = i k x omega_hat / |k|^2, zero at k = 0.  curl(biot_savart(w)) == w
     for mean-zero solenoidal w.
     """
-    uh = curl_hat(_rfftn(omega.data), omega.grid)
-    uh /= _k2_divisor(omega.grid)
+    k = wavenumbers(omega.grid)
+    uh = curl_hat(_rfftn(omega.data), k)
+    uh /= k.divisor
     uh[:, 0, 0, 0] = 0.0
     return VectorField._adopt(omega.grid, _irfftn(uh, omega.grid.n))
 

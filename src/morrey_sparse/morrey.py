@@ -237,7 +237,7 @@ def _shell_search(f: Field, p: float, scales: np.ndarray, layer,
         bound = np.maximum.reduceat(layer(np.arange(scales.size), top[runs.run]), runs.start)
         bound[done] = -math.inf
         j = int(np.argmax(bound))
-        if bound[j] * (1.0 + 1e-12) < best:
+        if bound[j] * (1.0 + 1e-12) < best or bound[j] <= 0.0 <= best:  # 0: a zero field
             break
         done[j] = True
         sums = ball_convolution(hat, grid, int(runs.shell[j])).ravel()

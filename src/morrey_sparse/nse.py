@@ -3,10 +3,11 @@ dynamic restricted-Morrey criterion evaluators.
 
 The stepper is integrating-factor RK4 (the viscous factor is exact, so pure
 Fourier-mode decay is reproduced to rounding), with a 2/3-rule dealiased
-convective term and Leray projection; viscosity is fixed at 1.  Decaying box
-flows have no escape times, so criterion evaluation also accepts
-user-selected reference times; the evaluated quantities are the point, not
-the blow-up dichotomy.
+convective term and Leray projection; viscosity is fixed at 1.  The state
+holds only the modes the 2/3 rule retains, and its transforms skip the lines
+that are zero there.  Decaying box flows have no escape times, so criterion
+evaluation also accepts user-selected reference times; the evaluated
+quantities are the point, not the blow-up dichotomy.
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ import numpy as np
 
 from .fields import random_solenoidal_field
 from .grid import (
-    TAU,
     FieldFileError,
     Grid3,
     ParameterError,
     VectorField,
-    _frequencies,
-    _irfftn,
-    _rfftn,
+    _irfftn_block,
+    _rfftn_block,
     curl,
     curl_hat,
     load_field,
@@ -38,6 +37,7 @@ from .grid import (
     read_field_header,
     save_field,
     sup_norm,
+    wavenumbers,
 )
 from .morrey import (MorreyParams, WeightSpec, _ShellBounds, decay_exponent, gm_norm,
                      log_scale_nodes)
@@ -165,13 +165,14 @@ def initial_condition(name: str, grid: Grid3, params: dict | None = None,
 def simulate(config: SolverConfig, out=None) -> Trajectory:
     """Integrate the incompressible momentum equation from the configured flow.
 
-    Integrating-factor RK4 in spectral space; convective term dealiased by the
-    2/3 rule and Leray-projected each evaluation.  Snapshots are taken every
+    Integrating-factor RK4 on the 2/3 block |i|, |j|, |k| < n/3 (outside it
+    the dealiased convective term is zero, so a random start needs ``kmax``
+    below n/3), convective term Leray-projected.  Snapshots are taken every
     ``snapshot_every`` steps (plus t = 0 and the final time); the norm series
-    is recorded at every step.  A step costs 36 transforms: the physical u and
-    omega that record a state also feed the next step's first stage.  A
-    non-finite initial condition raises ``NonFiniteDataError`` (a ValueError)
-    before the first step.
+    is recorded at every step.  A step costs 36 block transforms, each with
+    one real pass: the physical u and omega that record a state also feed
+    the next step's first stage.  A non-finite initial condition raises
+    ``NonFiniteDataError`` (a ValueError) before the first step.
 
     Without ``out`` the snapshots are kept in memory.  With a directory
     ``out``, each snapshot file is written as soon as the snapshot is taken,
@@ -182,23 +183,21 @@ def simulate(config: SolverConfig, out=None) -> Trajectory:
     directory does not load as a trajectory.
     """
     grid = Grid3(config.n)
+    if config.ic == "random" and config.ic_params.get("kmax", 0) >= grid.n / 3.0:
+        raise ParameterError(f"kmax={config.ic_params['kmax']} must lie below n/3 = "
+                             f"{grid.n / 3.0:.4g}, the modes the 2/3 rule retains")
     u0 = initial_condition(config.ic, grid, config.ic_params, config.seed)
     u0.validate_finite()
     cfl = 0.5 * grid.spacing / max(1.0, sup_norm(u0))
     if config.dt > cfl:
         raise ParameterError(f"dt={config.dt} violates the step bound {cfl:.3e}")
 
-    # the 2/3 cut and the viscous factor use the raw frequencies: the
-    # derivative wavenumbers zero Nyquist, which must not pass the cut
-    ix, iy, iz = _frequencies(grid.n)
-    cut = grid.n / 3.0
-    dealias = (np.abs(ix) < cut) & (np.abs(iy) < cut) & (np.abs(iz) < cut)
-    k0 = TAU / grid.box_len
-    k2visc = (ix * k0) ** 2 + (iy * k0) ** 2 + (iz * k0) ** 2
-    half = np.exp(-VISCOSITY * k2visc * config.dt / 2.0)
+    k = wavenumbers(grid, block=True)
+    half = np.exp(-VISCOSITY * (k.kx**2 + k.ky**2 + k.kz**2) * config.dt / 2.0)
     full = half * half
     # project the initial data; analytic ICs are solenoidal already
-    uh = project_hat(_rfftn(u0.data), grid)
+    uh = project_hat(_rfftn_block(u0.data), k)
+    buf = np.empty((4,) + grid.shape)  # the cross product and one spare slab
 
     nsteps = int(round(config.t_end / config.dt))
     rows = {name: [] for name in SERIES_COLUMNS}
@@ -206,7 +205,7 @@ def simulate(config: SolverConfig, out=None) -> Trajectory:
     writer = None if out is None else _TrajectoryWriter(out)
 
     def record(step: int, t: float, uh_now):
-        u_phys, w_phys = _physical(uh_now, grid)
+        u_phys, w_phys = _physical(uh_now, k, grid.n)
         umag2 = np.einsum("cijk,cijk->ijk", u_phys, u_phys)
         wmag2 = np.einsum("cijk,cijk->ijk", w_phys, w_phys)
         rows["t"].append(t)
@@ -223,12 +222,12 @@ def simulate(config: SolverConfig, out=None) -> Trajectory:
         return u_phys, w_phys
 
     def stage(uh_stage):
-        return _nonlinear(*_physical(uh_stage, grid), grid, dealias)
+        return _nonlinear(*_physical(uh_stage, k, grid.n), k, buf)
 
     u_w = record(0, 0.0, uh)
     t = 0.0
     for step in range(1, nsteps + 1):
-        n1 = _nonlinear(*u_w, grid, dealias)
+        n1 = _nonlinear(*u_w, k, buf)
         n2 = stage(half * (uh + 0.5 * config.dt * n1))
         n3 = stage(half * uh + 0.5 * config.dt * n2)
         n4 = stage(full * uh + config.dt * half * n3)
@@ -246,25 +245,24 @@ def simulate(config: SolverConfig, out=None) -> Trajectory:
     return Trajectory(grid, series, writer.snapshots, files)
 
 
-def _physical(uh, grid: Grid3):
-    """Physical u and omega of a velocity spectrum."""
-    return _irfftn(uh, grid.n), _irfftn(curl_hat(uh, grid), grid.n)
+def _physical(uh, k, n: int):
+    """Physical u and omega of a 2/3-block velocity spectrum."""
+    return _irfftn_block(uh, n), _irfftn_block(curl_hat(uh, k), n)
 
 
-def _nonlinear(u, w, grid: Grid3, dealias):
-    """P[u x omega] in spectral space, 2/3-dealiased, from physical u and omega.
+def _nonlinear(u, w, k, buf):
+    """P[u x omega] on the 2/3 block, from physical u and omega; the cross
+    product is written into ``buf[:3]``, with ``buf[3]`` as a spare slab.
 
     Rotational form: (u . grad)u = omega x u + grad(|u|^2/2); the gradient
     part is absorbed into pressure by the projection, so P[u x omega] is the
     projected convective term with a third fewer transforms.
     """
-    cross = np.empty_like(u)
-    cross[0] = u[1] * w[2] - u[2] * w[1]
-    cross[1] = u[2] * w[0] - u[0] * w[2]
-    cross[2] = u[0] * w[1] - u[1] * w[0]
-    ch = _rfftn(cross)
-    ch *= dealias
-    return project_hat(ch, grid)
+    for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(u[a], w[b], out=buf[c])
+        np.multiply(u[b], w[a], out=buf[3])
+        buf[c] -= buf[3]
+    return project_hat(_rfftn_block(buf[:3]), k)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,9 @@ from .morrey import WeightSpec
 #: Provenance: max observed ratio 1.3342035913447365 over the seeded
 #: calibration set of `calibrate_holder_constant` (n=16, 50 localized f /
 #: global g pairs, the (p, theta, nu, rho) grid below), times a 1.25 safety
-#: factor.  Regenerate with `calibrate_holder_constant()` if the norm kernels
-#: change.
+#: factor.  With the random fields cut Nyquist-clean the same set gives
+#: 1.3104934858420378, below it, and the constant stays frozen.  Regenerate
+#: with `calibrate_holder_constant()` if the norm kernels change.
 HOLDER_CONSTANT = 1.6677544891809206
 
 

@@ -383,6 +383,15 @@ def test_kmax_below_one_is_usage_error(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+def test_simulate_kmax_at_the_two_thirds_cut_is_usage_error(tmp_path, capsys):
+    # the solver steps the modes below n/3 = 5.33 only: one usage line, no outputs
+    assert main(["simulate", "--ic", "random", "--n", "16", "--kmax", "6",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: kmax=6 must lie below n/3 = 5.333, the modes the 2/3 rule retains"]
+    assert not any(tmp_path.iterdir())
+
+
 def _simulate_tg(out, steps: int) -> int:
     with contextlib.redirect_stdout(io.StringIO()):
         return main(["simulate", "--n", "16", "--dt", "1e-3", "--t-end", repr(steps * 1e-3),

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from morrey_sparse.grid import (Grid3, VectorField, _irfftn, _rfftn, divergence, leray_project,
-                                rfft_wavenumbers, sup_norm)
+from morrey_sparse.grid import (Grid3, VectorField, _frequencies, _irfftn, _rfftn, divergence,
+                                leray_project, sup_norm)
 from morrey_sparse.fields import (
     bump_gradient,
     localized_field,
@@ -37,15 +37,27 @@ def test_random_solenoidal_rejects_an_empty_band(grid16, monkeypatch, kmax):
 
 def test_random_solenoidal_matches_two_pass_reference(grid32):
     # the projection as a multiplier on the cut noise spectrum equals the
-    # projection of the cut field, a second transform pair, to rounding
+    # projection of the cut field, a second transform pair, to rounding; the
+    # band is cut on the integer |m|^2, so no Nyquist plane passes
+    ix, iy, iz = _frequencies(grid32.n)
     for kmax, seed, amplitude in ((8, 1, 1.0), (4, 5, 3.0)):
         fh = _rfftn(np.random.default_rng(seed).standard_normal((3,) + grid32.shape))
-        fh *= rfft_wavenumbers(grid32)[3] <= kmax**2 * (1.0 + 1e-12)
+        fh *= ix**2 + iy**2 + iz**2 <= kmax**2
         fh[:, 0, 0, 0] = 0.0
         ref = leray_project(VectorField(grid32, _irfftn(fh, grid32.n))).data
         ref = ref * (amplitude / math.sqrt(np.einsum("cijk,cijk->ijk", ref, ref).max()))
         f = random_solenoidal_field(grid32, kmax, seed, amplitude)
         assert np.abs(f.data - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n, kmax", [(16, 5), (32, 8), (64, 16)])
+def test_random_solenoidal_no_nyquist_content(n, kmax):
+    # the band is cut on the integer |m|^2: below n/2 it holds no mode of a
+    # Nyquist plane, content that curl (and the solver's 2/3 block) cannot see
+    fh = _rfftn(random_solenoidal_field(Grid3(n), kmax, seed=3).data)
+    h = n // 2
+    nyquist = max(np.abs(fh[:, h]).max(), np.abs(fh[:, :, h]).max(), np.abs(fh[..., h]).max())
+    assert nyquist <= 1e-14 * np.abs(fh).max()
 
 
 def test_random_solenoidal_one_transform_pair(grid16, monkeypatch):

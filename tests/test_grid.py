@@ -17,7 +17,12 @@ from morrey_sparse.grid import (
     ScalarField,
     VectorField,
     VoxelSet,
+    _irfftn,
+    _irfftn_block,
+    _rfftn,
+    _rfftn_block,
     ball_kernel,
+    block_extent,
     ball_lp_bruteforce,
     biot_savart,
     count_dtype,
@@ -30,6 +35,7 @@ from morrey_sparse.grid import (
     sliding_ball_lp,
     sliding_ball_sum,
     sup_norm,
+    wavenumbers,
 )
 from morrey_sparse.fields import (
     bump_gradient,
@@ -259,6 +265,30 @@ def test_biot_savart_inverts_curl(grid16):
     assert np.abs(divergence(u).data).max() < 1e-10
     back = curl(u)
     assert np.abs(back.data - omega.data).max() < 1e-9 * max(1.0, sup_norm(omega))
+
+
+@pytest.mark.parametrize("n", [8, 16, 18, 32])
+def test_block_transforms_match_the_full_layout(n):
+    # the 2/3 block is the frequencies |i| < n/3; its pruned passes equal the
+    # full transform gathered to the block (forward) or of the block scattered
+    # into zeros (inverse), to rounding, and the block's wavenumbers are the
+    # full layout's there
+    m = block_extent(n)
+    keep = np.r_[0:m, n - m + 1:n]
+    freq = fft.fftfreq(n, d=1.0 / n)
+    assert sorted(np.abs(freq[keep])) == sorted(np.abs(freq[np.abs(freq) < n / 3.0]))
+    u = np.random.default_rng(n).standard_normal((3, n, n, n))
+    sub = np.ix_(keep, keep, range(m))
+    block = (slice(None),) + sub
+    bh = _rfftn_block(u)
+    assert np.abs(bh - _rfftn(u)[block]).max() <= 1e-13 * np.abs(bh).max()
+    padded = np.zeros((3, n, n, n // 2 + 1), dtype=complex)
+    padded[block] = bh
+    assert np.abs(_irfftn_block(bh, n) - _irfftn(padded, n)).max() <= 1e-13 * np.abs(u).max()
+    full, part = wavenumbers(Grid3(n)), wavenumbers(Grid3(n), block=True)
+    for a, b in zip(full, part):
+        assert np.array_equal(np.broadcast_to(a, (n, n, n // 2 + 1))[sub],
+                              np.broadcast_to(b, bh.shape[1:]))
 
 
 def test_sup_norm(grid32):

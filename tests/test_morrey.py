@@ -606,6 +606,31 @@ def test_shell_search_skips_shells_of_a_localized_blob(grid32, monkeypatch):
     assert res == _gm_sup_reference(f, params, power=grid_module.sliding_ball_power_multi)
 
 
+def test_shell_search_of_a_zero_field_takes_one_transform(grid32, monkeypatch):
+    # every bound of a zero field is 0, so the first shell transformed answers
+    # for all of them: value 0 at voxel 0 and the first node, as the search
+    # that transformed every shell gave; the carrier then holds g = 0 with
+    # zero bounds, and the next field searches as a fresh one
+    zero = unit_x_field(grid32, 0.0)
+    params = MorreyParams.default(grid32, WeightSpec(nu=0.5), count=32)
+    bounds = morrey_module._ShellBounds(grid32, 2.0)
+    calls = []
+    real = grid_module.ball_convolution
+    with monkeypatch.context() as patch:
+        patch.setattr(morrey_module, "ball_convolution", lambda *a: calls.append(1) or real(*a))
+        res = gm_norm(zero, params, bounds=bounds)
+        assert len(calls) == 1
+        assert classical_morrey(zero, 2.0, 1.0, 0.3, 1.0) == _classical_sup_reference(
+            zero, 2.0, 1.0, log_scale_nodes(grid32, 0.3, 1.0, 32))
+        assert len(calls) == 2
+    assert res == _gm_sup_reference(zero, params) == GmNorm(0.0, (0, 0, 0), params.scales[0])
+    key = np.searchsorted(grid_module.shell_table(grid32).index,
+                          grid_module.shell_runs(grid32, params.scales).shell)
+    assert bounds.mass == 0.0 and not bounds.power.any() and not bounds.top[key].any()
+    f = random_field(grid32, seed=5)
+    assert gm_norm(f, params, bounds=bounds) == gm_norm(f, params)
+
+
 @pytest.fixture(scope="module")
 def short_tg_traj():
     # a short n=32 Taylor-Green run with a snapshot every step (at n=16 the

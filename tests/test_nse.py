@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from morrey_sparse.fields import random_solenoidal_field, vorticity_blob
 from morrey_sparse.grid import (
     Grid3,
     NonFiniteDataError,
+    ParameterError,
     ball_kernel,
     biot_savart,
     curl,
@@ -174,6 +177,43 @@ def test_solver_transforms_per_step(monkeypatch):
         return count[0]
 
     assert transforms(6) - transforms(3) == 36 * 3
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent / "golden").glob("solver_*.json")),
+                         ids=lambda path: path.stem)
+def test_solver_series_match_golden(path):
+    # the solver's fixed point: n=16 runs (tests/golden/write_solver_series.py)
+    # reproduce their recorded series within 1e-12 relative; a recorded exact
+    # zero within 1e-12 of its column's largest value
+    golden = json.loads(path.read_text())
+    case = golden["case"]
+    traj = simulate(SolverConfig(n=case["n"], dt=case["dt"], t_end=case["steps"] * case["dt"],
+                                 ic=case["ic"], snapshot_every=case["steps"]))
+    assert list(traj.series) == list(golden["series"])
+    for column, values in golden["series"].items():
+        want = np.asarray(values)
+        tol = 1e-12 * np.where(want == 0.0, np.abs(want).max(), np.abs(want))
+        assert traj.series[column].shape == want.shape, column
+        assert (np.abs(traj.series[column] - want) <= tol).all(), column
+
+
+def test_random_start_energy_budget():
+    # dE/dt = -2 Z at viscosity 1 (Z = |omega|^2 / 2 integrated): a random
+    # start has no content on the Nyquist planes, which curl cannot see, so
+    # the centred difference of the energy meets the enstrophy
+    traj = simulate(SolverConfig(n=32, dt=1e-3, t_end=2e-3, ic="random", ic_params={"kmax": 8},
+                                 seed=3))
+    energy, enstrophy = traj.series["energy"], traj.series["enstrophy"]
+    residual = abs((energy[2] - energy[0]) / 2e-3 + 2.0 * enstrophy[1]) / (2.0 * enstrophy[1])
+    assert residual <= 1e-2
+
+
+def test_random_start_kmax_below_the_two_thirds_cut():
+    # the state holds the modes |i|, |j|, |k| < n/3 only: kmax 5 fits at
+    # n=16, kmax 6 would lose modes of the initial condition
+    simulate(SolverConfig(n=16, dt=1e-3, t_end=1e-3, ic="random", ic_params={"kmax": 5}))
+    with pytest.raises(ParameterError, match="kmax=6 must lie below n/3"):
+        simulate(SolverConfig(n=16, dt=1e-3, t_end=1e-3, ic="random", ic_params={"kmax": 6}))
 
 
 def test_abc_and_random_ics():

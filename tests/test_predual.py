@@ -269,8 +269,10 @@ def test_holder_pairing_inequality_fresh_pairs():
 
 
 def test_holder_constant_provenance():
-    # the frozen constant is 1.25 x the calibration maximum; kernel drift that
-    # moves the calibration would silently invalidate it
-    calibrated = 1.3342035913447365
+    # the frozen constant is 1.25 x the calibration maximum of its ensemble
+    # as first drawn; the random g are Nyquist-clean since, and the ensemble's
+    # maximum fell below it.  Kernel drift that moves the calibration would
+    # silently invalidate the constant
+    frozen, calibrated = 1.3342035913447365, 1.3104934858420378
     assert calibrate_holder_constant() == pytest.approx(calibrated, rel=1e-9)
-    assert HOLDER_CONSTANT == 1.25 * calibrated
+    assert calibrated <= frozen and HOLDER_CONSTANT == 1.25 * frozen
