@@ -1,5 +1,5 @@
 """Admissible (lambda, delta) pairs, super-level sets, semi-mixedness, and
-the directional (1D) sparseness scan.
+scale-comparable membership.
 
 Run:  python3 demos/sparseness_and_pairs.py
 """
@@ -10,7 +10,6 @@ from morrey_sparse.sparseness import (
     InadmissiblePairError,
     admissible_pair,
     semi_mixed,
-    sparse_1d,
     sparse_constants,
     superlevel_sets,
     z_alpha_member,
@@ -41,11 +40,6 @@ for r in (0.3, 0.6, 1.0, 1.5):
     res = semi_mixed(sets["S_1+"], r, pair.delta)
     print(f"  r={r:4.1f}: max density {res.max_density:.3f} at {res.witness} "
           f"-> {'semi-mixed' if res.ok else 'NOT semi-mixed'} at ratio {pair.delta}")
-
-ratio, direction = sparse_1d(sets["S_1+"], (16, 16, 16), 1.0, ndir=256)
-print(f"\nbest 1D trace ratio through the core at r=1: {ratio:.3f} along "
-      f"({direction[0]:+.2f}, {direction[1]:+.2f}, {direction[2]:+.2f})")
-print(f"cube-root benchmark delta^(1/3) = {pair.delta ** (1 / 3):.3f}")
 
 ok, witnesses = z_alpha_member(blob, 0.5, pair, c0=1.5)
 print(f"\nscale-comparable membership (alpha=1/2, c0=1.5): "

@@ -44,7 +44,6 @@ from .sparseness import (
     eps_const,
     kappa,
     semi_mixed,
-    sparse_1d,
     sparse_3d,
     superlevel_sets,
     z_alpha_member,

@@ -427,6 +427,9 @@ def main(argv=None) -> int:
     except (ValueError, SolverInstabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    except (OverflowError, FloatingPointError) as exc:  # an in-range exponent's power
+        print(f"error: float64 overflow: {exc.args[-1]}", file=sys.stderr)
+        return EXIT_COMPUTE
 
 
 if __name__ == "__main__":

@@ -70,7 +70,7 @@ def localized_field(grid: Grid3, kmax: int, seed: int, radius: float = 0.8,
 
 def periodized_gaussian(grid: Grid3, center: tuple[int, int, int], sigma: float) -> np.ndarray:
     """Smooth periodic Gaussian bump: product of 1D image sums (|m| <= 3)."""
-    if sigma < 1.5 * grid.spacing:
+    if not sigma >= 1.5 * grid.spacing:
         raise ParameterError(f"sigma {sigma} under-resolved on spacing {grid.spacing}")
     coords = grid.axis_coords()
     axes = []

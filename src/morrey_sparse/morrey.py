@@ -53,8 +53,8 @@ class WeightSpec:
     theta: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.nu < 0.0:
-            raise ParameterError(f"weight exponent must be >= 0, got nu={self.nu}")
+        if not 0.0 <= self.nu < math.inf:
+            raise ParameterError(f"weight exponent must be finite and >= 0, got nu={self.nu}")
         if not 0.0 <= self.rho < 1.0:
             raise ParameterError(f"lower cutoff must lie in [0, 1), got rho={self.rho}")
         if not self.theta > 1.0:
@@ -69,7 +69,8 @@ class WeightSpec:
         s = np.asarray(s, dtype=np.float64)
         inside = (s >= self.rho) & (s <= 1.0) & (s > 0.0)
         out = np.zeros_like(s)
-        np.power(s, -self.nu, out=out, where=inside)
+        with np.errstate(over="raise"):  # an overflowing weight raises FloatingPointError
+            np.power(s, -self.nu, out=out, where=inside)
         return out if out.ndim else float(out)
 
 
@@ -88,8 +89,8 @@ class MorreyParams:
     scales: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.p < 1.0:
-            raise ParameterError(f"p must be >= 1, got {self.p}")
+        if not 1.0 <= self.p < math.inf:
+            raise ParameterError(f"p must be finite and >= 1, got {self.p}")
         sc = tuple(float(s) for s in self.scales)
         if not sc:
             raise ParameterError("scale list must be non-empty")
@@ -108,8 +109,8 @@ def log_scale_nodes(grid: Grid3, rho: float, r_max: float = 1.0, count: int = 32
     if count < 1:
         raise ParameterError(f"scale count must be >= 1, got {count}")
     lo = max(rho, 2.0 * grid.spacing)
-    if not lo < r_max:
-        raise ParameterError(f"empty scale range [{lo}, {r_max}]")
+    if not lo < r_max <= 1.0:
+        raise ParameterError(f"scale range [{lo}, {r_max}] must be non-empty and end at most at 1")
     return tuple(np.geomspace(lo, r_max, count))
 
 
@@ -324,8 +325,8 @@ def classical_morrey(f: Field, p: float, alpha: float, r_min: float, r_max: floa
     Note the integral is NOT taken to the power 1/p; this is the raw local
     mass quantity.  Returns the sup with a witnessing (center, scale).
     """
-    if p < 1.0:
-        raise ParameterError(f"p must be >= 1, got {p}")
+    if not (1.0 <= p < math.inf and math.isfinite(alpha)):
+        raise ParameterError(f"need a finite p >= 1 and a finite alpha, got p={p}, alpha={alpha}")
     if not 0.0 < r_min < r_max <= 1.0:
         raise ParameterError(f"need 0 < r_min < r_max <= 1, got [{r_min}, {r_max}]")
     if scales is None:

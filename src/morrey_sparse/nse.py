@@ -78,10 +78,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0 or self.t_end <= 0.0:
-            raise ParameterError("dt and t_end must be positive")
-        if self.snapshot_every < 1:
-            raise ParameterError("snapshot_every must be >= 1")
+        if not (0.0 < self.dt < math.inf and 0.0 < self.t_end < math.inf):
+            raise ParameterError(f"dt={self.dt} and t_end={self.t_end} must be finite and > 0")
+        if self.snapshot_every < 1 or self.seed < 0:
+            raise ParameterError(f"need snapshot_every >= 1, seed >= 0: {self.snapshot_every}, {self.seed}")
 
 
 class SnapshotFiles(Sequence):
@@ -341,15 +341,15 @@ class CriterionSpec:
             raise ParameterError("window_mode must be 'velocity' or 'vorticity'")
         if self.reference not in ("u", "omega"):
             raise ParameterError("reference must be 'u' or 'omega'")
-        if not self.c0 > 1.0:
-            raise ParameterError("c0 must exceed 1")
-        if self.eps0 < 0.0:
-            raise ParameterError("eps0 must be nonnegative")
+        if not 1.0 < self.c0 < math.inf:
+            raise ParameterError(f"c0 must lie in (1, inf), got {self.c0}")
         if not 0.0 < self.c < math.inf:
             raise ParameterError(f"c must be positive and finite, got {self.c}")
-        for name, value in (("alpha", self.alpha), ("beta", self.beta), ("beta2", self.beta2)):
-            if value is not None and value < 0.0:
-                raise ParameterError(f"{name} must be nonnegative, got {value}")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta), ("beta2", self.beta2),
+                            ("eps0", self.eps0)):
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ParameterError(f"{name} must be finite and nonnegative, got {value}")
+        WeightSpec(nu=self.nu_w, theta=self.theta)  # checks nu_w and theta
         if math.isfinite(self.theta) and not self.nu_w * self.theta > 1.0:
             raise ParameterError("need nu_w * theta > 1 for finite theta")
         if (self.gamma1 is None) != (self.gamma2 is None):

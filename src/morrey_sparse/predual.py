@@ -177,7 +177,7 @@ def _complement_profile(f: Field, mags: _Magnitudes, center: tuple[int, int, int
 
 def _conjugate(p: float) -> float:
     """Hoelder conjugate exponent: inf for p = 1, 1 for p = inf."""
-    if p < 1.0:
+    if not p >= 1.0:
         raise ParameterError(f"p must be >= 1, got {p}")
     if p == 1.0:
         return math.inf

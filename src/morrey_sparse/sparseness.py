@@ -1,4 +1,4 @@
-"""Super-level sets, 1D/3D sparseness, admissible threshold/ratio pairs, and
+"""Super-level sets, 3D sparseness, admissible threshold/ratio pairs, and
 the explicit constants of the sparseness implications.
 
 Conventions.  A set is 3D delta-sparse around x0 at scale r when it fills at
@@ -177,49 +177,6 @@ def max_densities(sets: list[VoxelSet], r: float) -> tuple[float, ...]:
                  for S in sets)
 
 
-def fibonacci_directions(count: int) -> np.ndarray:
-    """(count, 3) unit vectors on the golden-angle spiral."""
-    if count < 2:
-        raise ParameterError("need at least two directions")
-    i = np.arange(count)
-    z = 1.0 - 2.0 * (i + 0.5) / count
-    rad = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    phi = i * math.pi * (3.0 - math.sqrt(5.0))
-    return np.stack([rad * np.cos(phi), rad * np.sin(phi), z], axis=1)
-
-
-def segment_trace_ratios(S: VoxelSet, center: tuple[int, int, int], r: float,
-                         dirs: np.ndarray) -> np.ndarray:
-    """Trace measure / (2r) of S along (center - r v, center + r v) per row v.
-
-    Segments are sampled at spacing/2 steps; the mask is trilinearly
-    interpolated and the samples averaged.
-    """
-    from scipy.ndimage import map_coordinates  # not loaded on package import
-    grid = S.grid
-    step = grid.spacing / 2.0
-    m = int(math.floor(r / step + 1e-9))
-    s = np.arange(-m, m + 1) * step
-    base = np.asarray(center, dtype=np.float64).reshape(3, 1, 1)
-    coords = base + dirs.T[:, :, None] * (s[None, None, :] / grid.spacing)
-    vals = map_coordinates(S.mask.astype(np.float64), coords.reshape(3, -1),
-                           order=1, mode="grid-wrap")
-    return vals.reshape(len(dirs), s.size).mean(axis=1)
-
-
-def sparse_1d(S: VoxelSet, center: tuple[int, int, int], r: float,
-              ndir: int = 256) -> tuple[float, np.ndarray]:
-    """Best (smallest) segment trace ratio over sampled directions.
-
-    Existence claims are verified up to the direction resolution of the
-    golden-angle sample.
-    """
-    dirs = fibonacci_directions(ndir)
-    ratios = segment_trace_ratios(S, center, r, dirs)
-    best = int(np.argmin(ratios))
-    return float(ratios[best]), dirs[best]
-
-
 # ---------------------------------------------------------------------------
 # implication constants
 # ---------------------------------------------------------------------------
@@ -320,9 +277,9 @@ def eps_const(pair: PairLD, p: float, theta: float, alpha: float, rho: float = 0
     ramp = :func:`ramp_fraction` and cal the chain prefactor of
     :func:`gm_chain_constant`.
     """
+    cal = gm_chain_constant(pair, p, theta, alpha, rho=rho)  # rejects theta = 0 before the division
     pprime = _conjugate(p)
     e_exp = -decay_exponent(alpha, theta)
-    cal = gm_chain_constant(pair, p, theta, alpha, rho=rho)
     return (cal * UNIT_BALL_VOLUME * pair.a_half ** (1.0 - 1.0 / pprime)
             * pair.b_half ** (e_exp / 3.0) * ramp_fraction(pair))
 
@@ -371,8 +328,8 @@ def z_alpha_member(f: VectorField, alpha: float, pair: PairLD, c0: float,
     Membership is sound-for-pass at the sampled scales only.  ``sets`` are
     the :func:`superlevel_sets` of f at ``pair.lam``, if the caller has them.
     """
-    if not c0 > 1.0:
-        raise ParameterError(f"c0 must exceed 1, got {c0}")
+    if not (1.0 < c0 < math.inf and math.isfinite(alpha)):
+        raise ParameterError(f"need c0 in (1, inf) and a finite alpha, got c0={c0}, alpha={alpha}")
     grid = f.grid
     sup = sup_norm(f)
     if sup == 0.0:

@@ -12,13 +12,14 @@ import scipy
 
 from morrey_sparse import cli as cli_module
 from morrey_sparse import nse as nse_module
+from morrey_sparse import predual as predual_module
 from morrey_sparse.cli import dumps_17g, main
 from morrey_sparse.grid import (Grid3, ParameterError, ScalarField, VectorField, VoxelSet,
                                 load_field, save_field)
-from morrey_sparse.fields import random_solenoidal_field
+from morrey_sparse.fields import random_solenoidal_field, vorticity_blob
 from morrey_sparse.morrey import MorreyParams, WeightSpec, classical_morrey, log_scale_nodes
 from morrey_sparse.sparseness import (InadmissiblePairError, PairLD, ZeroFieldError,
-                                      admissible_pair, semi_mixed)
+                                      admissible_pair, eps_const, semi_mixed, z_alpha_member)
 from morrey_sparse.verify import SweepConfig, sweep
 
 
@@ -632,6 +633,34 @@ OUT_OF_RANGE = [
     ["criterion", "--c", "0"],
     ["criterion", "--alpha", "-1"],
     ["criterion", "--beta", "-1"],
+    # NaN fails every accept-form check; infinite sizes and exponents are out too
+    ["norm", "--nu", "nan"],
+    ["norm", "--nu", "inf"],
+    ["norm", "--p", "nan"],
+    ["norm", "--p", "inf"],
+    ["norm", "--r-max", "2"],
+    ["norm", "--kind", "lm", "--p", "nan"],
+    ["norm", "--kind", "classical", "--p", "nan"],
+    ["norm", "--kind", "classical", "--alpha", "nan"],
+    ["norm", "--kind", "classical", "--alpha", "inf"],
+    ["sparseness", "--z-alpha", "nan"],
+    ["sparseness", "--z-alpha", "0.5", "--c0", "inf"],
+    _verify("--lemma", "gm", "--alphas", "nan"),
+    _verify("--lemma", "gm", "--p", "nan"),
+    _verify("--lemma", "gm", "--thetas", "0"),
+    ["simulate", "--n", "16", "--t-end", "inf"],
+    ["simulate", "--n", "16", "--t-end", "nan"],
+    ["simulate", "--n", "16", "--dt", "nan"],
+    ["simulate", "--n", "16", "--seed", "-1"],
+    ["criterion", "--alpha", "nan"],
+    ["criterion", "--alpha", "inf"],
+    ["criterion", "--beta", "inf"],
+    ["criterion", "--nu-w", "nan"],
+    ["criterion", "--nu-w", "inf"],
+    ["criterion", "--eps0", "nan"],
+    ["criterion", "--eps0", "inf"],
+    ["criterion", "--p", "nan"],
+    ["criterion", "--c0", "inf"],
 ]
 
 
@@ -672,6 +701,18 @@ def test_sparseness_on_zero_field_is_computation_error(tmp_path, capsys):
     assert err == "error: cannot threshold the zero field\n", err
 
 
+@pytest.mark.parametrize("argv", [["norm", "--nu", "1e308"],
+                                  _verify("--lemma", "gm", "--thetas", "1e308")], ids=" ".join)
+def test_overflowing_exponent_is_computation_error(field_file, tmp_path, capsys, argv):
+    # an in-range exponent whose power leaves float64 (the weight s^-nu, a
+    # weight tail integral) is a numerical failure: exit 1, one error line
+    if argv[0] == "norm":
+        argv = [argv[0], "--field", str(field_file), *argv[1:]]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: float64 overflow: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("call", [
     lambda: Grid3(15),
     lambda: WeightSpec(nu=0.5, rho=1.0),
@@ -690,10 +731,42 @@ def test_sparseness_on_zero_field_is_computation_error(tmp_path, capsys):
     lambda: nse_module.CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, beta2=-1.0),
     lambda: classical_morrey(ScalarField(Grid3(16), np.ones((16, 16, 16))), 0.5, 1.0, 0.5, 1.0),
     lambda: nse_module.SolverConfig(n=16, dt=-1.0, t_end=1.0),
+    lambda: WeightSpec(nu=math.nan),
+    lambda: WeightSpec(nu=math.inf),
+    lambda: MorreyParams(math.nan, WeightSpec(nu=0.5), (0.5,)),
+    lambda: MorreyParams(math.inf, WeightSpec(nu=0.5), (0.5,)),
+    lambda: log_scale_nodes(Grid3(16), 0.0, 2.0),
+    lambda: classical_morrey(ScalarField(Grid3(16), np.ones((16, 16, 16))), math.nan, 1.0,
+                             0.5, 1.0),
+    lambda: classical_morrey(ScalarField(Grid3(16), np.ones((16, 16, 16))), 2.0, math.nan,
+                             0.5, 1.0),
+    lambda: predual_module._conjugate(math.nan),
+    lambda: eps_const(admissible_pair(0.75), 2.0, 0.0, 0.5),
+    lambda: nse_module.CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, eps0=math.nan),
+    lambda: nse_module.CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, eps0=math.inf),
+    lambda: nse_module.CriterionSpec(alpha=math.nan, beta=0.5, nu_w=0.5),
+    lambda: nse_module.CriterionSpec(alpha=0.5, beta=math.inf, nu_w=0.5),
+    lambda: nse_module.CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, beta2=math.nan),
+    lambda: nse_module.CriterionSpec(alpha=0.5, beta=0.5, nu_w=math.nan),
+    lambda: nse_module.CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, c0=math.inf),
+    lambda: z_alpha_member(random_solenoidal_field(Grid3(16), 4, 3), math.nan,
+                           admissible_pair(0.75), 2.0),
+    lambda: z_alpha_member(random_solenoidal_field(Grid3(16), 4, 3), 0.5,
+                           admissible_pair(0.75), math.inf),
+    lambda: nse_module.SolverConfig(n=16, dt=math.nan, t_end=1.0),
+    lambda: nse_module.SolverConfig(n=16, dt=1e-3, t_end=math.inf),
+    lambda: nse_module.SolverConfig(n=16, dt=1e-3, t_end=1.0, seed=-1),
+    lambda: vorticity_blob(Grid3(16), (8, 8, 8), sigma=math.nan),
 ], ids=["Grid3", "WeightSpec", "MorreyParams", "log_scale_nodes", "admissible_pair", "PairLD",
         "semi_mixed", "SweepConfig", "sweep", "CriterionSpec", "CriterionSpec-c",
         "CriterionSpec-c-nan", "CriterionSpec-alpha", "CriterionSpec-beta", "CriterionSpec-beta2",
-        "classical_morrey", "SolverConfig"])
+        "classical_morrey", "SolverConfig", "WeightSpec-nu-nan", "WeightSpec-nu-inf",
+        "MorreyParams-p-nan", "MorreyParams-p-inf", "log_scale_nodes-r-max", "classical_morrey-p-nan",
+        "classical_morrey-alpha-nan", "_conjugate-nan", "eps_const-theta-0", "CriterionSpec-eps0-nan",
+        "CriterionSpec-eps0-inf", "CriterionSpec-alpha-nan", "CriterionSpec-beta-inf",
+        "CriterionSpec-beta2-nan", "CriterionSpec-nu_w-nan", "CriterionSpec-c0-inf",
+        "z_alpha_member-alpha-nan", "z_alpha_member-c0-inf", "SolverConfig-dt-nan",
+        "SolverConfig-t_end-inf", "SolverConfig-seed", "vorticity_blob-sigma-nan"])
 def test_library_range_checks_raise_parameter_error(call):
     with pytest.raises(ParameterError):
         call()

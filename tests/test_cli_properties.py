@@ -1,7 +1,9 @@
-"""Property test of the CLI's input boundary: a mutated field file, run
-directory (``meta.json``, ``series.csv``) or ``--config`` file ends in a
-documented exit code and, when it fails, in exactly one ``... error:`` line on
-stderr: never in a traceback (an exception escaping ``main``)."""
+"""Property tests of the CLI's input boundary: a mutated field file, run
+directory (``meta.json``, ``series.csv``) or ``--config`` file, or an edge
+value of any numeric flag, ends in a documented exit code and, when it fails,
+in exactly one ``... error:`` line on stderr: never in a traceback (an
+exception escaping ``main``).  A flag value outside its documented range
+exits 2 and writes no manifest."""
 
 import contextlib
 import io
@@ -116,7 +118,7 @@ def mutate_run(run: Path, edit) -> None:
         (run / "series.csv").write_text((run / "series.csv").read_text()[:rest[0]])
 
 
-def assert_clean_exit(argv: list[str]) -> None:
+def assert_clean_exit(argv: list[str]) -> int:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
@@ -127,6 +129,7 @@ def assert_clean_exit(argv: list[str]) -> None:
         lines = text.splitlines()
         assert lines and ERROR_LINE.match(lines[-1]), text
         assert sum(bool(ERROR_LINE.match(ln)) for ln in lines) == 1, text
+    return rc
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +177,110 @@ def test_mutated_config_file_exits_cleanly(inputs, command, data):
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         assert_clean_exit(argv + ["--config", str(path), "--out", tmp])
+
+
+# ---------------------------------------------------------------------------
+# numeric flags: each drawn from the edge values, on a small base argv that
+# makes the flag count ("{field}" and "{run}" are the module's inputs)
+# ---------------------------------------------------------------------------
+
+EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "", ",", "1e308", "x")
+#: resource-sized values stay out: 1e308 as an end time is a step count
+SMALL_VALUES = tuple(v for v in EDGE_VALUES if v != "1e308")
+INF = math.inf
+H = 2 * math.pi / N  # the grid spacing
+
+NORM = ["norm", "--field", "{field}", "--scales", "4"]
+CLASSICAL = [*NORM, "--kind", "classical"]
+SPARSENESS = ["sparseness", "--field", "{field}"]
+VERIFY = ["verify", "--n", "16", "--seeds", "1", "--scales", "0.5", "--kmax", "4"]
+VERIFY_GM = [*VERIFY, "--lemma", "gm"]
+SIMULATE = ["simulate", "--n", "16", "--dt", "2e-3", "--t-end", "4e-3", "--snapshot-every", "1"]
+RANDOM_START = [*SIMULATE, "--ic", "random", "--kmax", "4"]
+CRITERION_RUN = [*CRITERION, "--traj", "{run}"]
+
+
+def real(lo: float, hi: float, *, lo_open: bool = False, hi_open: bool = True):
+    """The documented range of a real flag, lo <= x < hi by default, as a
+    test of the flag's text."""
+    def documented(text: str) -> bool:
+        try:
+            x = float(text)
+        except ValueError:
+            return False
+        return (lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi)
+    return documented
+
+
+def whole(lo: int):
+    """The documented range of an integer flag: an integer x >= lo."""
+    def documented(text: str) -> bool:
+        try:
+            return int(text) >= lo
+        except ValueError:
+            return False
+    return documented
+
+
+# (base argv, flag, documented range, drawn values): README's table of
+# ranges, on these bases (n=16, alpha = nu_w = 0.5, a run over [0, 0.2] whose
+# sup |u| is 1)
+FLAGS = [
+    (NORM, "--p", real(1, INF), EDGE_VALUES),
+    (NORM, "--theta", real(1, INF, lo_open=True, hi_open=False), EDGE_VALUES),
+    (NORM, "--nu", real(0, INF), EDGE_VALUES),
+    (NORM, "--rho", real(0, 1), EDGE_VALUES),
+    (NORM, "--r-max", real(2 * H, 1, lo_open=True, hi_open=False), EDGE_VALUES),
+    (NORM, "--scales", whole(1), EDGE_VALUES),
+    ([*NORM, "--kind", "lm"], "--center", lambda text: False, EDGE_VALUES),
+    (CLASSICAL, "--p", real(1, INF), EDGE_VALUES),
+    (CLASSICAL, "--alpha", real(-INF, INF, lo_open=True), EDGE_VALUES),
+    (CLASSICAL, "--r-min", real(0, 1, lo_open=True), EDGE_VALUES),
+    (CLASSICAL, "--r-max", real(2 * H, 1, lo_open=True, hi_open=False), EDGE_VALUES),
+    (SPARSENESS, "--pair-from-delta", real(0.7, 1, lo_open=True), EDGE_VALUES),
+    (SPARSENESS, "--lambda", real(0, 1, lo_open=True), EDGE_VALUES),
+    (SPARSENESS, "--delta", real(0.7, 1, lo_open=True), EDGE_VALUES),
+    (SPARSENESS, "--r", real(0, math.pi, lo_open=True), EDGE_VALUES),
+    (SPARSENESS, "--z-alpha", real(-INF, INF, lo_open=True), EDGE_VALUES),
+    ([*SPARSENESS, "--z-alpha", "0.5"], "--c0", real(1, INF, lo_open=True), EDGE_VALUES),
+    (VERIFY, "--n", whole(8), EDGE_VALUES),
+    (VERIFY, "--deltas", real(0.7, 1, lo_open=True), EDGE_VALUES),
+    (VERIFY, "--scales", real(H, 1, lo_open=True, hi_open=False), EDGE_VALUES),
+    (VERIFY, "--seeds", whole(0), EDGE_VALUES),
+    (VERIFY, "--kmax", whole(1), EDGE_VALUES),
+    (VERIFY, "--threads", whole(1), EDGE_VALUES),
+    (VERIFY_GM, "--p", real(1, INF, lo_open=True), EDGE_VALUES),
+    (VERIFY_GM, "--thetas", real(2, INF, lo_open=True, hi_open=False), EDGE_VALUES),
+    (VERIFY_GM, "--alphas", real(0, INF), EDGE_VALUES),
+    (VERIFY_GM, "--rho", real(0, 1), EDGE_VALUES),
+    (SIMULATE, "--n", whole(8), EDGE_VALUES),
+    (SIMULATE, "--dt", real(0, 0.5 * H, lo_open=True, hi_open=False), EDGE_VALUES),
+    (SIMULATE, "--t-end", real(0, INF, lo_open=True), SMALL_VALUES),
+    (SIMULATE, "--snapshot-every", whole(1), EDGE_VALUES),
+    (SIMULATE, "--amplitude", real(-INF, INF, lo_open=True), EDGE_VALUES),
+    (SIMULATE, "--seed", whole(0), EDGE_VALUES),
+    (RANDOM_START, "--kmax", whole(1), EDGE_VALUES),
+    (CRITERION_RUN, "--alpha", real(0, INF), EDGE_VALUES),
+    (CRITERION_RUN, "--beta", real(0, INF), EDGE_VALUES),
+    (CRITERION_RUN, "--nu-w", real(0, INF), EDGE_VALUES),
+    (CRITERION_RUN, "--p", real(1, INF), EDGE_VALUES),
+    (CRITERION_RUN, "--theta", real(2, INF, lo_open=True, hi_open=False), EDGE_VALUES),
+    (CRITERION_RUN, "--eps0", real(0, INF), EDGE_VALUES),
+    (CRITERION_RUN, "--c", real(0, INF, lo_open=True), EDGE_VALUES),
+    (CRITERION_RUN, "--c0", real(1, INF, lo_open=True), EDGE_VALUES),
+    (CRITERION_RUN, "--at", real(0, 0.2, hi_open=False), EDGE_VALUES),
+]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(case=st.sampled_from(FLAGS), data=st.data())
+def test_numeric_flag_edge_values_exit_cleanly(inputs, case, data):
+    base, flag, documented, values = case
+    value = data.draw(st.sampled_from(values))
+    argv = [a.format(field=inputs / "f.fld", run=inputs / "run") for a in base]
+    with tempfile.TemporaryDirectory() as tmp:
+        # "--flag=value" so that "-inf" and "" reach the flag's type
+        rc = assert_clean_exit([*argv, f"{flag}={value}", "--out", tmp])
+        if not documented(value):
+            assert rc == 2, (flag, value, rc)
+            assert not (Path(tmp) / "manifest.json").exists()

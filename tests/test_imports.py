@@ -75,7 +75,7 @@ def test_cli_leaves_usage_errors_to_parameter_error():
 
 
 def test_package_import_leaves_out_scipy_ndimage():
-    # scipy.ndimage loads only when sparseness.segment_trace_ratios runs
+    # the package never imports scipy.ndimage
     code = "import sys, morrey_sparse; print('scipy.ndimage' in sys.modules)"
     path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},

@@ -15,11 +15,9 @@ from morrey_sparse.sparseness import (
     bump_chain_constant,
     cstar,
     eps_const,
-    fibonacci_directions,
     kappa,
     max_densities,
     semi_mixed,
-    sparse_1d,
     sparse_3d,
     sparse_constants,
     superlevel_sets,
@@ -260,63 +258,6 @@ def test_semi_mixed_slab_stack():
 
 
 # ---------------------------------------------------------------------------
-# 1D sparseness
-# ---------------------------------------------------------------------------
-
-
-def test_fibonacci_directions_unit():
-    dirs = fibonacci_directions(128)
-    assert dirs.shape == (128, 3)
-    assert np.abs(np.einsum("ij,ij->i", dirs, dirs) - 1.0).max() < 1e-12
-    # reasonable coverage: max pairwise gap below 30 degrees
-    dots = dirs @ dirs.T
-    np.fill_diagonal(dots, -1.0)
-    assert np.degrees(np.arccos(dots.max(axis=1))).max() < 30.0
-
-
-def test_sparse_1d_empty(grid16):
-    empty = VoxelSet(grid16, np.zeros(grid16.shape, dtype=bool))
-    ratio, _ = sparse_1d(empty, (3, 3, 3), 1.0)
-    assert ratio == 0.0
-
-
-def test_sparse_1d_slab():
-    grid = Grid3(64)
-    r = 10.0 * grid.spacing  # slab thickness r/10 = 2 voxel planes exactly
-    y0 = grid.box_len / 2.0
-    S = slab_set(grid, 1, y0 - r / 10.0, y0 + r / 10.0)
-    center = (5, 32, 40)  # y index 32 = slab center
-    ratio, direction = sparse_1d(S, center, r, ndir=256)
-    assert ratio == pytest.approx(0.1, abs=0.03)
-    assert abs(direction[1]) > 0.99  # the winning direction is the slab normal
-    # a direction in the slab plane keeps the whole segment inside the slab
-    from morrey_sparse.sparseness import segment_trace_ratios
-
-    in_plane = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    ratios = segment_trace_ratios(S, center, r, in_plane)
-    assert ratios.min() > 0.99
-
-
-def test_3d_implies_1d_cuberoot():
-    # sets passing the 3D density bound delta admit a direction with trace
-    # ratio <= delta^(1/3) (+ direction-sampling tolerance)
-    grid = Grid3(32)
-    rng = np.random.default_rng(44)
-    delta = 0.75
-    r = 1.0
-    checked = 0
-    for trial in range(8):
-        mask = rng.random(grid.shape) < rng.uniform(0.1, 0.5)
-        S = VoxelSet(grid, mask)
-        center = tuple(int(v) for v in rng.integers(0, 32, 3))
-        if sparse_3d(S, center, r) <= delta:
-            ratio, _ = sparse_1d(S, center, r, ndir=256)
-            assert ratio <= delta ** (1.0 / 3.0) + 0.05
-            checked += 1
-    assert checked >= 4
-
-
-# ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
 
@@ -395,21 +336,3 @@ def test_z_alpha_one_forward_transform_per_set(monkeypatch):
     ok, witnesses = z_alpha_member(f, 0.5, admissible_pair(0.75), c0=1.2)
     assert not ok and len(witnesses) == 10
     assert forward[0] == len(SET_LABELS)  # one per mask, shared by all 9 scales
-
-
-def test_z_alpha_one_dimensional_consistency():
-    # passing membership stays consistent with the 1D cube-root relation at
-    # the passing scale, checked at the blob center
-    from morrey_sparse.fields import vorticity_blob
-    from morrey_sparse.grid import sup_norm
-    from morrey_sparse.sparseness import superlevel_sets
-
-    grid = Grid3(32)
-    pair = admissible_pair(0.75)
-    f = vorticity_blob(grid, (16, 16, 16), sigma=0.35, amplitude=1.0)
-    ok, _ = z_alpha_member(f, 0.5, pair, c0=1.5)
-    assert ok
-    sets = superlevel_sets(f, pair.lam)
-    scale = sup_norm(f) ** -0.5
-    ratio, _ = sparse_1d(sets["S_1+"], (16, 16, 16), scale, ndir=256)
-    assert ratio <= pair.delta ** (1.0 / 3.0) + 0.05
