@@ -112,6 +112,14 @@ def _parse_floats(s: str) -> tuple[float, ...]:
     return values
 
 
+def _require_finite(args: argparse.Namespace, *names: str) -> None:
+    """Flags that some kinds or lemmas do not read must still be finite."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and not np.isfinite(value).all():
+            raise ParameterError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
 def _parse_center(s: str) -> tuple[int, int, int]:
     parts = [int(v) for v in s.split(",")]
     if len(parts) != 3:
@@ -242,6 +250,7 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
 
 
 def cmd_norm(args, outdir: Path) -> tuple:
+    _require_finite(args, "alpha", "r_min")
     f = load_field(args.field)
     w = WeightSpec(nu=args.nu, rho=args.rho, theta=args.theta)
     grid = f.grid
@@ -306,6 +315,7 @@ def cmd_sparseness(args, outdir: Path) -> tuple:
 
 
 def cmd_verify(args, outdir: Path) -> tuple:
+    _require_finite(args, "p", "alphas")
     try:  # a comma list kept as text in the manifest, so argparse does not convert it
         thetas = tuple(float(s) for s in args.thetas.split(","))
     except ValueError as exc:

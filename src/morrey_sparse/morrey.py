@@ -219,9 +219,7 @@ def _shell_search(f: Field, p: float, scales: np.ndarray, layer,
     runs = shell_runs(grid, scales)
     mass = float(hat[0, 0, 0].real) * h3  # the torus integral of |f|^p
     pmax, cap = power.max(), runs.ball_count * h3
-    top = np.full(cap.shape, mass)  # |B_K| h^3 max|f|^p, formed only below the mass
-    np.multiply(cap, pmax, out=top, where=pmax < mass / cap)
-    top = np.minimum(top, mass) + 1e-12 * mass
+    top = np.minimum(_ring_bound(cap, pmax, mass), mass) + 1e-12 * mass  # ring from the empty ball
     carry = bounds is not None and (bounds.grid, bounds.p) == (grid, p)
     if carry:
         table = shell_table(grid)
@@ -259,6 +257,18 @@ def _shell_search(f: Field, p: float, scales: np.ndarray, layer,
     return float(-value), tuple(int(c) for c in np.unravel_index(flat, grid.shape)), node
 
 
+def _local_fold(f: Field, params: MorreyParams, center: tuple[int, int, int],
+                complement: bool) -> float:
+    """The scale fold of w(r) ||f||_{L^p(A_r)} at one center, A_r the ball
+    B_r(center) or (``complement``) the torus minus it."""
+    scales = _supported_scales(params)
+    ball, total = ball_power_profile(f, params.p, center, scales)
+    power = np.maximum(total - ball, 0.0) if complement else ball
+    weighted = params.weight.value(scales) * power ** (1.0 / params.p)
+    return float(_fold_scales(weighted[:, None], _trapezoid_logr_coeffs(scales),
+                              params.weight.theta)[0])
+
+
 def lm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> float:
     """Local Morrey-type quasi-norm centered at one voxel.
 
@@ -266,21 +276,12 @@ def lm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> flo
     [w(r) ||f||_{L^p(B_r(center))}]^theta dr, to the power 1/theta;
     theta = inf: max over the nodes of w(r) ||f||_{L^p(B_r(center))}.
     """
-    scales = _supported_scales(params)
-    ball, _ = ball_power_profile(f, params.p, center, scales)
-    weighted = params.weight.value(scales) * ball ** (1.0 / params.p)
-    return float(_fold_scales(weighted[:, None], _trapezoid_logr_coeffs(scales),
-                              params.weight.theta)[0])
+    return _local_fold(f, params, center, complement=False)
 
 
 def clm_norm(f: Field, params: MorreyParams, center: tuple[int, int, int]) -> float:
     """Complementary local norm: L^p over the torus minus the ball."""
-    scales = _supported_scales(params)
-    ball, total = ball_power_profile(f, params.p, center, scales)
-    comp = np.maximum(total - ball, 0.0) ** (1.0 / params.p)
-    weighted = params.weight.value(scales) * comp
-    return float(_fold_scales(weighted[:, None], _trapezoid_logr_coeffs(scales),
-                              params.weight.theta)[0])
+    return _local_fold(f, params, center, complement=True)
 
 
 def gm_norm(f: Field, params: MorreyParams, *, bounds: _ShellBounds | None = None) -> GmNorm:

@@ -279,16 +279,11 @@ def detect_escape_times(series: dict[str, np.ndarray], which: str = "u") -> list
     col = {"u": "u_sup", "omega": "omega_sup"}.get(which)
     if col is None:
         raise ParameterError(f"which must be 'u' or 'omega', got {which!r}")
-    t = np.asarray(series["t"])
-    v = np.asarray(series[col])
+    t, v = np.asarray(series["t"]), np.asarray(series[col])
     if t.size == 0:
         raise ValueError("empty series")
-    suffix_min = math.inf
-    qualifies = np.zeros(v.size, dtype=bool)
-    for k in range(v.size - 2, -1, -1):
-        suffix_min = min(suffix_min, v[k + 1])
-        qualifies[k] = v[k] < suffix_min
-    return [float(tk) for tk, q in zip(t, qualifies) if q]
+    later = np.minimum.accumulate(v[:0:-1])[::-1]  # the min of v[k+1:] at k
+    return [float(tk) for tk, vk, m in zip(t, v, later) if vk < m]
 
 
 class DissipationScale(NamedTuple):

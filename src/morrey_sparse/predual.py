@@ -40,29 +40,24 @@ class DualWeightDomainError(ParameterError):
     """Dual weight requested where its defining integral is zero."""
 
 
-def _tail_power_integral(w: WeightSpec, a: float) -> float:
-    """integral_a^1 s^(-nu*theta) ds for a in [0, 1], finite theta; +inf when divergent."""
+def _power_integral(w: WeightSpec, lo: float, hi: float) -> float:
+    """integral_lo^hi s^(-nu*theta) ds for 0 <= lo, finite theta: 0 when
+    hi <= lo, +inf when it diverges at lo = 0 (nu*theta >= 1)."""
     nt = w.nu * w.theta
-    if a >= 1.0:
+    if hi <= lo:
         return 0.0
-    if w.log_tail:
-        return math.inf if a == 0.0 else math.log(1.0 / a)
-    if a == 0.0:
-        return math.inf if nt > 1.0 else 1.0 / (1.0 - nt)
-    return (1.0 - a ** (1.0 - nt)) / (1.0 - nt)
-
-
-def _head_power_integral(w: WeightSpec, b: float) -> float:
-    """integral_rho^min(b,1) s^(-nu*theta) ds for finite theta; +inf when divergent."""
-    nt = w.nu * w.theta
-    hi = min(b, 1.0)
-    if hi <= w.rho:
-        return 0.0
-    if w.rho == 0.0 and nt >= 1.0:
+    if lo == 0.0 and (nt > 1.0 or w.log_tail):
         return math.inf
     if w.log_tail:
-        return math.log(hi / w.rho)
-    return (hi ** (1.0 - nt) - w.rho ** (1.0 - nt)) / (1.0 - nt)
+        return math.log(hi / lo)
+    return (hi ** (1.0 - nt) - lo ** (1.0 - nt)) / (1.0 - nt)
+
+
+def _tail_norm(w: WeightSpec, a: float) -> float:
+    """||w||_{L^theta(a, inf)} for a = max(t, rho) < 1."""
+    if math.isinf(w.theta):
+        return a ** (-w.nu) if a > 0.0 or w.nu == 0.0 else math.inf
+    return _power_integral(w, a, 1.0) ** (1.0 / w.theta)
 
 
 def weight_tail_norm(w: WeightSpec, t: float) -> float:
@@ -71,47 +66,34 @@ def weight_tail_norm(w: WeightSpec, t: float) -> float:
     Piecewise: constant on (0, rho], power-law core on (rho, 1), zero for
     t >= 1; logarithmic antiderivative when nu*theta == 1.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ParameterError(f"t must be positive, got {t}")
-    if t >= 1.0:
-        return 0.0
-    a = max(t, w.rho)
-    if math.isinf(w.theta):
-        return a ** (-w.nu) if a > 0.0 else math.inf
-    return _tail_power_integral(w, a) ** (1.0 / w.theta)
+    return 0.0 if t >= 1.0 else _tail_norm(w, max(t, w.rho))
 
 
 def total_weight_norm(w: WeightSpec) -> float:
     """||w||_{L^theta(0, inf)} (tail norm at t -> 0+)."""
-    if math.isinf(w.theta):
-        if w.rho > 0.0:
-            return w.rho ** (-w.nu)
-        return math.inf if w.nu > 0.0 else 1.0
-    return _tail_power_integral(w, w.rho) ** (1.0 / w.theta)
+    return _tail_norm(w, w.rho)
 
 
 def dual_weight(w: WeightSpec, t: float, variant: str = "tilde") -> float:
     """Pointwise dual weight of the truncated power weight (theta < inf).
 
     ``tilde``: w(t)^(theta-1) / integral_t^inf w^theta; defined for t < 1.
-    ``bar``:   w(t)^(theta-1) / integral_0^t w^theta; defined past rho.
+    ``bar``:   w(t)^(theta-1) / integral_0^t w^theta; defined past rho, and
+    0 where that integral diverges.
     """
     if math.isinf(w.theta):
         raise ParameterError("dual weights are defined for theta < inf")
     if variant not in ("tilde", "bar"):
         raise ParameterError(f"unknown variant {variant!r}")
-    wt = float(w.value(t))
-    if variant == "tilde":
-        denom = _tail_power_integral(w, max(t, w.rho))
-        if denom <= 0.0:
-            raise DualWeightDomainError(f"tail integral vanishes at t={t} (support ends at 1)")
-        return wt ** (w.theta - 1.0) / denom
-    denom = _head_power_integral(w, t)
+    lo, hi = (max(t, w.rho), 1.0) if variant == "tilde" else (w.rho, min(t, 1.0))
+    denom = _power_integral(w, lo, hi)
     if denom == 0.0:
-        raise DualWeightDomainError(f"head integral vanishes at t={t} (support starts at {w.rho})")
+        raise DualWeightDomainError(f"integral of w^theta over [{lo}, {hi}] vanishes at t={t}")
     if math.isinf(denom):
         return 0.0
-    return wt ** (w.theta - 1.0) / denom
+    return float(w.value(t)) ** (w.theta - 1.0) / denom
 
 
 def dual_weight_power_law(nu: float, theta: float, t: float, variant: str = "tilde") -> float:
@@ -191,12 +173,8 @@ def _inverse_tail_drop(w: WeightSpec, thetaprime: float, t: float) -> float:
     if math.isinf(w.theta):
         # theta' = 1; inverse sup-norm of the tail
         return max(t, w.rho) ** (w.nu * thetaprime)
-    T = _tail_power_integral(w, max(t, w.rho))
-    if T == 0.0:
-        return math.inf
-    if math.isinf(T):
-        return 0.0
-    return T ** (-thetaprime / w.theta)
+    T = _power_integral(w, max(t, w.rho), 1.0)
+    return math.inf if T == 0.0 else T ** (-thetaprime / w.theta)  # inf ** -x == 0.0
 
 
 def stieltjes_predual_integral(f: Field, p: float, w: WeightSpec,

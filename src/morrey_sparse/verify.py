@@ -180,7 +180,7 @@ def check_lemma_l2(f: VectorField, pair: PairLD, r: float,
         raise ParameterError(f"scale must lie in (0, 1], got {r}")
     state = _field_state(f)
     lhs = state.premise_lhs(r)
-    rhs = cstar(pair) * r**2.5 * state.sup("curl")
+    rhs = cstar(pair) * r ** shell_exponent(2.0, "curl") * state.sup("curl")
     params = {"lambda": pair.lam, "delta": pair.delta, "r": r, "mode": "l2"}
     return _report(lhs, rhs, state, "curl", pair.lam, kappa(pair) * r, pair.delta,
                    params, densities)

@@ -661,6 +661,13 @@ OUT_OF_RANGE = [
     ["criterion", "--eps0", "inf"],
     ["criterion", "--p", "nan"],
     ["criterion", "--c0", "inf"],
+    # flags the chosen kind or lemma does not read must still be finite
+    ["norm", "--alpha", "nan"],
+    ["norm", "--alpha", "inf"],
+    ["norm", "--kind", "lm", "--alpha", "nan"],
+    ["norm", "--r-min", "nan"],
+    _verify("--p", "nan"),
+    _verify("--alphas", "nan"),
 ]
 
 

@@ -233,6 +233,10 @@ FLAGS = [
     (NORM, "--r-max", real(2 * H, 1, lo_open=True, hi_open=False), EDGE_VALUES),
     (NORM, "--scales", whole(1), EDGE_VALUES),
     ([*NORM, "--kind", "lm"], "--center", lambda text: False, EDGE_VALUES),
+    # the flags of another kind or lemma only need to be finite
+    *[(kind, flag, real(-INF, INF, lo_open=True), EDGE_VALUES)
+      for kind in (NORM, [*NORM, "--kind", "lm"], [*NORM, "--kind", "clm"])
+      for flag in ("--alpha", "--r-min")],
     (CLASSICAL, "--p", real(1, INF), EDGE_VALUES),
     (CLASSICAL, "--alpha", real(-INF, INF, lo_open=True), EDGE_VALUES),
     (CLASSICAL, "--r-min", real(0, 1, lo_open=True), EDGE_VALUES),
@@ -249,6 +253,8 @@ FLAGS = [
     (VERIFY, "--seeds", whole(0), EDGE_VALUES),
     (VERIFY, "--kmax", whole(1), EDGE_VALUES),
     (VERIFY, "--threads", whole(1), EDGE_VALUES),
+    (VERIFY, "--p", real(-INF, INF, lo_open=True), EDGE_VALUES),
+    (VERIFY, "--alphas", real(-INF, INF, lo_open=True), EDGE_VALUES),
     (VERIFY_GM, "--p", real(1, INF, lo_open=True), EDGE_VALUES),
     (VERIFY_GM, "--thetas", real(2, INF, lo_open=True, hi_open=False), EDGE_VALUES),
     (VERIFY_GM, "--alphas", real(0, INF), EDGE_VALUES),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from morrey_sparse.grid import Grid3, VectorField
+from morrey_sparse.grid import Grid3, ParameterError, VectorField
 from morrey_sparse.fields import bump_gradient, localized_field, random_solenoidal_field
 from morrey_sparse.morrey import MorreyParams, WeightSpec, gm_norm
 from morrey_sparse.predual import (
@@ -32,6 +32,9 @@ def test_tail_norm_sup_form():
     assert weight_tail_norm(w, 0.1) == pytest.approx(0.25**-0.5, rel=1e-12)  # clamps at rho
     assert weight_tail_norm(w, 1.0) == 0.0
     assert weight_tail_norm(w, 2.0) == 0.0
+    for t in (0.0, -1.0, math.nan):  # nan fails the accept-form check too
+        with pytest.raises(ParameterError):
+            weight_tail_norm(w, t)
 
 
 def test_tail_norm_log_edge_case():
@@ -100,6 +103,10 @@ def test_dual_weight_bar_variant():
     t = 0.6
     num, _ = quad(lambda s: s ** (-2.0), 0.25, t)
     assert dual_weight(w, t, "bar") == pytest.approx(t**-1.0 / num, rel=1e-9)
+    # rho = 0 with nu theta within rounding of 1 (the log tail): the head
+    # integral diverges at 0, so the dual weight is 0
+    for nu in (0.5 * (1 - 1e-14), 0.5, 0.5 * (1 + 1e-14)):
+        assert dual_weight(WeightSpec(nu=nu, rho=0.0, theta=2.0), 0.5, "bar") == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -119,10 +119,11 @@ def test_float32_counts_equal_brute_force(f, lam, radius):
     r = radius * f.grid.spacing
     sets = list(superlevel_sets(omega, lam).values())
     kernel = ball_kernel(f.grid, r)
-    balls = [kernel.mask(c) for c in product(range(f.grid.n), repeat=3)]
+    centers = list(product(range(f.grid.n), repeat=3))
+    balls = [kernel.mask(c) for c in centers]
     counts = np.array([[int(S.mask[ball].sum()) for ball in balls] for S in sets])
     brute = tuple(float(c) / kernel.voxel_count for c in counts.max(axis=1))
     assert max_densities(sets, r) == brute
-    centers = list(product(range(f.grid.n), repeat=3))
+    # the counts are sparse_3d's, one ball mask per center shared by the six sets
     assert brute == tuple(sparse_3d(S, centers[int(np.argmax(c))], r)
                           for S, c in zip(sets, counts))
