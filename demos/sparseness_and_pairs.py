@@ -4,13 +4,17 @@ scale-comparable membership.
 Run:  python3 demos/sparseness_and_pairs.py
 """
 
+import math
+
 from morrey_sparse.grid import Grid3
 from morrey_sparse.fields import vorticity_blob
 from morrey_sparse.sparseness import (
     InadmissiblePairError,
     admissible_pair,
+    cstar,
+    eps_const,
+    kappa,
     semi_mixed,
-    sparse_constants,
     superlevel_sets,
     z_alpha_member,
 )
@@ -24,8 +28,8 @@ for d in (0.65, 0.7, 0.75, 0.85, 0.95):
     except InadmissiblePairError as exc:
         print(f"{d:6.2f}  inadmissible: {exc}")
         continue
-    c = sparse_constants(pair)
-    print(f"{d:6.2f} {pair.lam:9.6f} {c.kappa:9.6f} {c.cstar:11.4e} {c.eps:17.4e}")
+    print(f"{d:6.2f} {pair.lam:9.6f} {kappa(pair):9.6f} {cstar(pair):11.4e} "
+          f"{eps_const(pair, 2.0, math.inf, 0.5):17.4e}")
 
 grid = Grid3(32)
 pair = admissible_pair(0.75)

@@ -37,7 +37,6 @@ from .nse import (
 from .predual import dual_weight, predual_bound, stieltjes_predual_integral, weight_tail_norm
 from .sparseness import (
     PairLD,
-    SparseConstants,
     VoxelSet,
     admissible_pair,
     cstar,

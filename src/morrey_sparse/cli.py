@@ -43,8 +43,8 @@ from .nse import (
     simulate,
     write_series,
 )
-from .sparseness import (admissible_pair, semi_mixed, sparse_constants, superlevel_sets,
-                         z_alpha_member)
+from .sparseness import (admissible_pair, bump_chain_constant, cstar, eps_const, kappa,
+                         semi_mixed, superlevel_sets, z_alpha_member)
 from .verify import SweepConfig, summarize, sweep
 
 EXIT_OK = 0
@@ -92,8 +92,7 @@ def _write_manifest(outdir: Path, args: argparse.Namespace, inputs: list,
                     outputs: list, t0: float) -> None:
     manifest = {
         "command": args.command,
-        "params": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in vars(args).items() if not k.startswith("_")},
+        "params": {k: v for k, v in vars(args).items() if not k.startswith("_")},
         "version": __version__,
         "input_hashes": {str(p): _sha256(Path(p)) for p in inputs if Path(p).is_file()},
         "outputs": sorted(str(p) for p in outputs),
@@ -106,7 +105,10 @@ def _write_manifest(outdir: Path, args: argparse.Namespace, inputs: list,
 
 
 def _parse_floats(s: str) -> tuple[float, ...]:
-    values = tuple(float(v) for v in s.split(",") if v)
+    try:
+        values = tuple(float(v) for v in s.split(",") if v)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {s!r}") from None
     if not values:
         raise argparse.ArgumentTypeError(f"no number in {s!r}")
     return values
@@ -121,10 +123,11 @@ def _require_finite(args: argparse.Namespace, *names: str) -> None:
 
 
 def _parse_center(s: str) -> tuple[int, int, int]:
-    parts = [int(v) for v in s.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("center must be i,j,k")
-    return tuple(parts)
+    try:  # a non-integer or a count other than three
+        i, j, k = (int(v) for v in s.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected three integers i,j,k, got {s!r}") from None
+    return i, j, k
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,8 +258,8 @@ def cmd_norm(args, outdir: Path) -> tuple:
     w = WeightSpec(nu=args.nu, rho=args.rho, theta=args.theta)
     grid = f.grid
     report: dict = {"kind": args.kind, "params": {
-        "p": args.p, "theta": "inf" if math.isinf(args.theta) else args.theta,
-        "nu": args.nu, "rho": args.rho}, "quadrature_nodes": args.scales}
+        "p": args.p, "theta": args.theta, "nu": args.nu, "rho": args.rho},
+        "quadrature_nodes": args.scales}
     if args.kind == "classical":
         r_min = args.r_min if args.r_min is not None else 2 * grid.spacing
         res = classical_morrey(f, args.p, args.alpha, r_min, args.r_max, count=args.scales)
@@ -281,12 +284,12 @@ def cmd_sparseness(args, outdir: Path) -> tuple:
     outputs = []
     if args.pair_from_delta is not None:
         pair = admissible_pair(args.pair_from_delta)
-        consts = sparse_constants(pair)
-        report = {"delta": pair.delta, "lambda": pair.lam, "h": pair.h,
-                  "kappa": consts.kappa, "cstar": consts.cstar, "eps": consts.eps,
-                  "cal": consts.cal}
+        kap = kappa(pair)
+        report = {"delta": pair.delta, "lambda": pair.lam, "h": pair.h, "kappa": kap,
+                  "cstar": cstar(pair), "eps": eps_const(pair, 2.0, math.inf, 0.5),
+                  "cal": bump_chain_constant(pair)}
         outputs.append(_write_json(outdir / "pair_report.json", report))
-        print(f"delta={pair.delta} -> lambda={pair.lam:.6f} (kappa={consts.kappa:.6f})")
+        print(f"delta={pair.delta} -> lambda={pair.lam:.6f} (kappa={kap:.6f})")
         if args.field is None:
             return [], outputs
     if args.field is None:

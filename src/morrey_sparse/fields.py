@@ -52,20 +52,17 @@ def random_solenoidal_field(grid: Grid3, kmax: int, seed: int, amplitude: float 
     return _scaled_to_sup(grid, _irfftn(fh, grid.n), amplitude)
 
 
-def localized_field(grid: Grid3, kmax: int, seed: int, radius: float = 0.8,
-                    center: tuple[int, int, int] | None = None,
-                    amplitude: float = 1.0) -> VectorField:
-    """Random field cut off smoothly to compact support inside B_radius(center).
+def localized_field(grid: Grid3, kmax: int, seed: int, radius: float = 0.8) -> VectorField:
+    """Random field cut off smoothly to compact support inside B_radius of
+    the center voxel (n/2, n/2, n/2), with sup |f| = 1.
 
     Not solenoidal (the cutoff breaks that); intended as the dual-side test
     function for pairing bounds, which require localization.
     """
-    if center is None:
-        center = (grid.n // 2, grid.n // 2, grid.n // 2)
-    base = random_solenoidal_field(grid, kmax, seed, amplitude=1.0)
-    dist = grid.spacing * np.sqrt(grid.shell_index(center))
+    base = random_solenoidal_field(grid, kmax, seed)
+    dist = grid.spacing * np.sqrt(grid.shell_index((grid.n // 2,) * 3))
     window = radial_plateau(dist, 0.5 * radius, radius)
-    return _scaled_to_sup(grid, base.data * window, amplitude)
+    return _scaled_to_sup(grid, base.data * window, 1.0)
 
 
 def periodized_gaussian(grid: Grid3, center: tuple[int, int, int], sigma: float) -> np.ndarray:

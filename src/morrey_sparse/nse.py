@@ -39,8 +39,7 @@ from .grid import (
     sup_norm,
     wavenumbers,
 )
-from .morrey import (MorreyParams, WeightSpec, _ShellBounds, decay_exponent, gm_norm,
-                     log_scale_nodes)
+from .morrey import MorreyParams, WeightSpec, _ShellBounds, decay_exponent, gm_norm
 from .sparseness import shell_exponent
 
 VISCOSITY = 1.0
@@ -134,12 +133,17 @@ SERIES_COLUMNS = ("t", "u_sup", "omega_sup", "energy", "enstrophy")
 
 def initial_condition(name: str, grid: Grid3, params: dict | None = None,
                       seed: int = 0) -> VectorField:
-    """Built-in initial flows: shear, taylor-green, abc, random."""
+    """Built-in initial flows: shear, taylor-green, abc (A = B = C = 1),
+    random.  ``params`` may set ``amplitude`` (every flow) and ``kmax``
+    (read by random only); any other key is a ``ParameterError``."""
     params = dict(params or {})
+    amp = float(params.pop("amplitude", 1.0))
+    kmax = params.pop("kmax", max(2, grid.n // 8))
+    if params:
+        raise ParameterError(f"unknown initial-condition parameters {sorted(params)}")
     x = grid.axis_coords()
     X, Y, Z = x[:, None, None], x[None, :, None], x[None, None, :]
     shape = grid.shape
-    amp = float(params.pop("amplitude", 1.0))
     if name == "shear":
         data = np.zeros((3,) + shape)
         data[0] = amp * np.broadcast_to(np.sin(Y), shape)
@@ -150,15 +154,13 @@ def initial_condition(name: str, grid: Grid3, params: dict | None = None,
         data[1] = -amp * np.cos(X) * np.sin(Y) * np.cos(Z)
         return VectorField._adopt(grid, data)
     if name == "abc":
-        a, b, c = (float(params.pop(key, 1.0)) for key in ("a", "b", "c"))
         data = np.empty((3,) + shape)
-        data[0] = amp * (a * np.sin(Z) + c * np.cos(Y))
-        data[1] = amp * (b * np.sin(X) + a * np.cos(Z))
-        data[2] = amp * (c * np.sin(Y) + b * np.cos(X))
+        data[0] = amp * (np.sin(Z) + np.cos(Y))
+        data[1] = amp * (np.sin(X) + np.cos(Z))
+        data[2] = amp * (np.sin(Y) + np.cos(X))
         return VectorField._adopt(grid, data)
     if name == "random":
-        kmax = int(params.pop("kmax", max(2, grid.n // 8)))
-        return random_solenoidal_field(grid, kmax, seed, amplitude=amp)
+        return random_solenoidal_field(grid, int(kmax), seed, amplitude=amp)
     raise ParameterError(f"unknown initial condition {name!r}")
 
 
@@ -433,8 +435,8 @@ def evaluate_criteria(traj: Trajectory, times, spec: CriterionSpec) -> list[Crit
         # the true eta and its clip flag)
         rho_w = min(eta.value, 1.0 - 0.5 * traj.grid.spacing)
         weight = WeightSpec(nu=spec.nu_w, rho=rho_w, theta=spec.theta)
-        scales = log_scale_nodes(traj.grid, rho_w, 1.0, spec.scale_count)
-        gm = gm_norm(measured, MorreyParams(spec.p, weight, scales), bounds=bounds)
+        params = MorreyParams.default(traj.grid, weight, p=spec.p, count=spec.scale_count)
+        gm = gm_norm(measured, params, bounds=bounds)
         if spec.gamma1 is not None:
             rhs = spec.eps0 * u_sup_s**spec.gamma1 * omega_sup_s**spec.gamma2
         else:

@@ -74,8 +74,8 @@ class PairLD:
         if not 0.0 < self.delta < 1.0:
             raise ParameterError(f"delta must lie in (0,1), got {self.delta}")
         if not self.delta_lambda > 1.0:
-            raise InadmissiblePairError(
-                f"need 1/(1+lambda) < delta: lambda={self.lam}, delta={self.delta}")
+            raise InadmissiblePairError(f"delta={self.delta} gives lambda={self.lam:.6f} with "
+                                        f"1/(1+lambda)={1 / (1 + self.lam):.6f} >= delta")
 
     @property
     def delta_lambda(self) -> float:
@@ -96,16 +96,12 @@ def admissible_pair(delta: float) -> PairLD:
     """The canonical admissible pair for a ratio delta.
 
     h = (2/pi) arcsin((1-delta^2)/(1+delta^2)) and lambda = (1-h)/(2-h); the
-    pair is rejected when 1/(1+lambda) >= delta.
+    pair is rejected (by :class:`PairLD`) when 1/(1+lambda) >= delta.
     """
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must lie in (0,1), got {delta}")
     h = (2.0 / math.pi) * math.asin((1.0 - delta * delta) / (1.0 + delta * delta))
-    lam = (1.0 - h) / (2.0 - h)
-    if not 1.0 / (1.0 + lam) < delta:
-        raise InadmissiblePairError(
-            f"delta={delta} gives lambda={lam:.6f} with 1/(1+lambda)={1 / (1 + lam):.6f} >= delta")
-    return PairLD(lam, delta, h)
+    return PairLD((1.0 - h) / (2.0 - h), delta, h)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +229,11 @@ def ramp_fraction(pair: PairLD) -> float:
     return pair.b_half ** (1.0 / 3.0) - 1.0
 
 
+def soundness_cap(pair: PairLD) -> float:
+    """Largest scale r whose widened cutoff shell (1 + ramp) r ends by SHELL_END."""
+    return SHELL_END / (1.0 + ramp_fraction(pair))
+
+
 def gm_chain_constant(pair: PairLD, p: float, theta: float, alpha: float,
                       rho: float = 0.0) -> float:
     """Prefactor for the Morrey-type implication threshold.
@@ -258,7 +259,7 @@ def gm_chain_constant(pair: PairLD, p: float, theta: float, alpha: float,
     w = WeightSpec(nu=alpha, rho=rho, theta=theta)
     wtotal = total_weight_norm(w)
     total_inv = 0.0 if math.isinf(wtotal) else 1.0 / wtotal
-    r_cap = min(CHAIN_R_MAX, SHELL_END / (1.0 + ramp))
+    r_cap = min(CHAIN_R_MAX, soundness_cap(pair))
     e_neg = decay_exponent(alpha, theta)  # = -E > 0
     best = math.inf
     for r in np.geomspace(max(rho, 0.02), r_cap, 64):
@@ -288,28 +289,6 @@ def shell_exponent(p: float, mode: str) -> float:
     """S = 4 - 3/p' (mode "curl") or 3 - 3/p' (mode "identity"): the power of
     the scale r in the Morrey-type implication threshold."""
     return (4.0 if mode == "curl" else 3.0) - 3.0 / _conjugate(p)
-
-
-@dataclass(frozen=True)
-class SparseConstants:
-    """Derived constants for one admissible pair (and one exponent triple)."""
-
-    kappa: float
-    cstar: float
-    eps: float
-    cal: float
-    eps_cal: float
-
-
-def sparse_constants(pair: PairLD, p: float = 2.0, theta: float = math.inf,
-                     alpha: float = 0.5, rho: float = 0.0) -> SparseConstants:
-    return SparseConstants(
-        kappa=kappa(pair),
-        cstar=cstar(pair),
-        eps=eps_const(pair, p, theta, alpha, rho=rho),
-        cal=bump_chain_constant(pair),
-        eps_cal=gm_chain_constant(pair, p, theta, alpha, rho=rho),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -37,17 +37,16 @@ from .grid import (
     power_spectrum,
     sup_norm,
 )
-from .morrey import MorreyParams, WeightSpec, decay_exponent, gm_norm, log_scale_nodes
+from .morrey import MorreyParams, WeightSpec, decay_exponent, gm_norm
 from .sparseness import (
-    SHELL_END,
     PairLD,
     admissible_pair,
     cstar,
     eps_const,
     kappa,
     max_densities,
-    ramp_fraction,
     shell_exponent,
+    soundness_cap,
     superlevel_sets,
 )
 
@@ -201,7 +200,7 @@ def check_lemma_gm(f: VectorField, pair: PairLD, p: float, theta: float, alpha: 
         raise ParameterError(f"mode must be 'curl' or 'identity', got {mode!r}")
     if not 0.0 < r <= 1.0:
         raise ParameterError(f"scale must lie in (0, 1], got {r}")
-    r_cap = SHELL_END / (1.0 + ramp_fraction(pair))
+    r_cap = soundness_cap(pair)
     if r > r_cap:
         raise ParameterError(f"scale {r} exceeds the soundness cap {r_cap:.4f} "
                              "for this pair (cutoff shell must stay inside the "
@@ -210,8 +209,8 @@ def check_lemma_gm(f: VectorField, pair: PairLD, p: float, theta: float, alpha: 
     state = _field_state(f)
     key = (p, theta, alpha, rho)  # the premise does not depend on the mode
     if key not in state.lhs:
-        weight = WeightSpec(nu=alpha, rho=rho, theta=theta)
-        params_obj = MorreyParams(p, weight, log_scale_nodes(f.grid, rho, 1.0, GM_SCALE_COUNT))
+        params_obj = MorreyParams.default(f.grid, WeightSpec(nu=alpha, rho=rho, theta=theta),
+                                          p=p, count=GM_SCALE_COUNT)
         state.lhs[key] = gm_norm(f, params_obj).value
     lhs = state.lhs[key]
     rhs = float(eps * max(r, rho) ** -decay_exponent(alpha, theta)

@@ -699,6 +699,23 @@ def test_empty_number_list_is_usage_error(traj_dir, tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (_verify("--alphas", "x"), "expected comma-separated numbers, got 'x'"),
+    (_verify("--deltas", "0.7,y"), "expected comma-separated numbers, got '0.7,y'"),
+    (["norm", "--kind", "lm", "--center", "x"], "expected three integers i,j,k, got 'x'"),
+], ids=["verify --alphas", "verify --deltas", "norm --center"])
+def test_malformed_list_names_what_the_flag_expects(field_file, tmp_path, capsys, argv,
+                                                    expected):
+    # argparse's message names the type function unless it raises
+    # ArgumentTypeError: the error line says what the flag takes instead
+    if argv[0] == "norm":
+        argv = [argv[0], "--field", str(field_file), *argv[1:]]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "_parse_" not in err and err.splitlines()[-1].endswith(expected), err
+    assert not any(tmp_path.iterdir())
+
+
 def test_sparseness_on_zero_field_is_computation_error(tmp_path, capsys):
     # a failure of the data on valid arguments stays exit 1
     path = tmp_path / "zero.fld"

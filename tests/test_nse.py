@@ -226,6 +226,21 @@ def test_abc_and_random_ics():
         initial_condition("vortex-sheet", g)
 
 
+@pytest.mark.parametrize("ic, params", [("abc", {"a": 2.0}), ("random", {"kmx": 3})])
+def test_unknown_initial_condition_parameter_is_rejected(ic, params):
+    # the ABC coefficients are fixed at 1 and a misspelt key is not ignored
+    with pytest.raises(ParameterError, match="unknown initial-condition parameters"):
+        initial_condition(ic, Grid3(16), params)
+
+
+@pytest.mark.parametrize("ic", ["shear", "taylor-green", "abc", "random"])
+def test_every_initial_condition_accepts_amplitude_and_kmax(ic):
+    # the keys the CLI passes for every flow; kmax is read by random only
+    g = Grid3(16)
+    u = initial_condition(ic, g, {"amplitude": 2.0, "kmax": 3}, seed=1)
+    assert sup_norm(u) == pytest.approx(2.0 * sup_norm(initial_condition(ic, g, {"kmax": 3}, seed=1)))
+
+
 # ---------------------------------------------------------------------------
 # escape times
 # ---------------------------------------------------------------------------

@@ -15,11 +15,11 @@ from morrey_sparse.sparseness import (
     bump_chain_constant,
     cstar,
     eps_const,
+    gm_chain_constant,
     kappa,
     max_densities,
     semi_mixed,
     sparse_3d,
-    sparse_constants,
     superlevel_sets,
     z_alpha_member,
 )
@@ -130,8 +130,8 @@ def test_constants_continuous_on_grid():
             pair = admissible_pair(float(d))
         except InadmissiblePairError:
             continue
-        c = sparse_constants(pair)
-        for v in (c.kappa, c.cstar, c.eps, c.cal, c.eps_cal):
+        for v in (kappa(pair), cstar(pair), eps_const(pair, 2.0, math.inf, 0.5),
+                  bump_chain_constant(pair), gm_chain_constant(pair, 2.0, math.inf, 0.5)):
             assert math.isfinite(v) and v > 0.0
 
 
