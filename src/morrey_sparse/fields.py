@@ -39,14 +39,15 @@ def random_solenoidal_field(grid: Grid3, kmax: int, seed: int, amplitude: float 
 
     Normalized so the pointwise sup of |f| equals ``amplitude``; fully
     determined by ``seed``.  The noise spectrum is cut to the band on the
-    integer |m|^2 (for kmax < n/2 no Nyquist plane passes), projected and
-    transformed back once.
+    integer |m|^2 and off the Nyquist planes (which curl cannot see),
+    projected and transformed back once.
     """
     if kmax < 1:
         raise ParameterError(f"kmax must be >= 1, got {kmax}")
     fh = _rfftn(np.random.default_rng(seed).standard_normal((3,) + grid.shape))
     ix, iy, iz = _frequencies(grid.n)
-    fh *= ix**2 + iy**2 + iz**2 <= kmax**2
+    below_nyquist = np.maximum(np.maximum(abs(ix), abs(iy)), iz) < grid.n // 2
+    fh *= (ix**2 + iy**2 + iz**2 <= kmax**2) & below_nyquist
     fh[:, 0, 0, 0] = 0.0
     fh = project_hat(fh, wavenumbers(grid))  # the noise spectrum is freed before the inverse
     return _scaled_to_sup(grid, _irfftn(fh, grid.n), amplitude)

@@ -127,17 +127,6 @@ def superlevel_sets(f: VectorField, lam: float) -> dict[str, VoxelSet]:
     return out
 
 
-def _count_fraction(counts, voxel_count: int):
-    """Ball sums of a 0/1 mask as fractions of the ball.
-
-    The sums are integers; the FFT path carries rounding dust, so they are
-    rounded back and clipped to [0, voxel_count] before dividing.  Both steps
-    are monotone, so the fraction of a max is the max of the fractions.  The
-    division is in float64 whatever precision the counts came in.
-    """
-    return np.clip(np.rint(counts), 0.0, voxel_count).astype(np.float64) / voxel_count
-
-
 def sparse_3d(S: VoxelSet, center: tuple[int, int, int], r: float) -> float:
     """Voxel-counted density of S in the ball B_r(center), in [0, 1]."""
     kernel = ball_kernel(S.grid, r)
@@ -153,24 +142,20 @@ class SemiMixed(NamedTuple):
 def semi_mixed(S: VoxelSet, r: float, delta: float) -> SemiMixed:
     """Worst-case ball density over every center, via one mask convolution.
 
-    Counts are rounded back to integers (see :func:`_count_fraction`), so the
-    result matches per-center brute force exactly.
+    The ball sums are the integer counts within 0.05 (the FFT path carries
+    rounding dust): the largest sum, rounded and clipped to [0, |B|], is the
+    largest count, its density that count over |B| in float64, and the
+    witness the first voxel in C order whose sum reaches the count - 0.5.
+    So the result matches per-center brute force exactly.
     """
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must lie in (0,1), got {delta}")
-    density = _count_fraction(sliding_ball_sum(S, r), ball_kernel(S.grid, r).voxel_count)
-    flat = int(np.argmax(density))
-    witness = tuple(int(c) for c in np.unravel_index(flat, S.grid.shape))
-    max_density = float(density.reshape(-1)[flat])
+    voxel_count = ball_kernel(S.grid, r).voxel_count
+    sums = sliding_ball_sum(S, r)
+    count = min(max(round(float(sums.max())), 0), voxel_count)
+    witness = tuple(int(c) for c in np.unravel_index(np.argmax(sums >= count - 0.5), S.grid.shape))
+    max_density = count / voxel_count
     return SemiMixed(max_density <= delta, max_density, witness)
-
-
-def max_densities(sets: list[VoxelSet], r: float) -> tuple[float, ...]:
-    """Per set, the ``max_density`` of :func:`semi_mixed` at scale r (one
-    inverse transform each)."""
-    voxel_count = ball_kernel(sets[0].grid, r).voxel_count
-    return tuple(float(_count_fraction(sliding_ball_sum(S, r).max(), voxel_count))
-                 for S in sets)
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +312,15 @@ def z_alpha_member(f: VectorField, alpha: float, pair: PairLD, c0: float,
     comp = np.abs(f.data).argmax(axis=0)
     dominant = 2 * comp + (np.take_along_axis(f.data, comp[None], axis=0)[0] < 0.0)
 
+    masks = list((sets or superlevel_sets(f, pair.lam)).values())
     ok_any = np.zeros((6,) + grid.shape, dtype=bool)
-    for si, S in enumerate((sets or superlevel_sets(f, pair.lam)).values()):
-        for r in scales:
-            r = float(r)
-            density = _count_fraction(sliding_ball_sum(S, r), ball_kernel(grid, r).voxel_count)
-            ok_any[si] |= density <= pair.delta
+    for r in map(float, scales):
+        # a ball passes when its sum is at most K + 0.5, K the largest count
+        # with K/|B| <= delta by the division of semi_mixed (its rounding rule)
+        size = ball_kernel(grid, r).voxel_count
+        k = int(np.searchsorted(np.arange(size + 1) / size, pair.delta, "right")) - 1
+        for si, S in enumerate(masks):
+            ok_any[si] |= sliding_ball_sum(S, r) <= k + 0.5
     ok_vox = np.take_along_axis(ok_any, dominant[None], axis=0)[0]
     failing = np.argwhere(~ok_vox)
     witnesses = [tuple(int(v) for v in row) for row in failing[:10]]

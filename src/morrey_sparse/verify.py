@@ -44,7 +44,7 @@ from .sparseness import (
     cstar,
     eps_const,
     kappa,
-    max_densities,
+    semi_mixed,
     shell_exponent,
     soundness_cap,
     superlevel_sets,
@@ -157,10 +157,10 @@ def _report(lhs: float, rhs: float, state: _FieldState, mode: str, lam: float,
         return VerifyReport(lhs, rhs, holds, True, (0.0,) * 6, params, degenerate=True)
     if not (holds or densities):
         return VerifyReport(lhs, rhs, holds, None, (), params)
-    per_set = max_densities(state.level_sets(mode, lam), radius)
-    conclusion = all(d <= delta for d in per_set)
+    results = [semi_mixed(S, radius, delta) for S in state.level_sets(mode, lam)]
     marginal = holds and lhs > (1.0 - GUARD_BAND) * rhs
-    return VerifyReport(lhs, rhs, holds, conclusion, per_set, params, marginal=marginal)
+    return VerifyReport(lhs, rhs, holds, all(res.ok for res in results),
+                        tuple(res.max_density for res in results), params, marginal=marginal)
 
 
 def check_lemma_l2(f: VectorField, pair: PairLD, r: float,

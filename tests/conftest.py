@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from morrey_sparse.grid import Grid3, VectorField
 from morrey_sparse.fields import random_solenoidal_field
+
+# every property test is reproducible and untimed; each sets its own max_examples
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

@@ -38,8 +38,6 @@ CONFIG_KEYS = {
 }
 DELETE = "<delete>"
 
-property_settings = settings(derandomize=True, database=None, deadline=None, max_examples=100)
-
 # no "/" in generated strings: a mutated file name stays inside the run directory
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 40), st.text(alphabet="abu_.,-0 ", max_size=6),
@@ -143,7 +141,7 @@ def inputs(tmp_path_factory):
     return root
 
 
-@property_settings
+@settings(max_examples=100)
 @given(edit=FIELD_EDITS, command=st.sampled_from(FIELD_COMMANDS))
 def test_mutated_field_file_exits_cleanly(inputs, edit, command):
     with tempfile.TemporaryDirectory() as tmp:
@@ -152,7 +150,7 @@ def test_mutated_field_file_exits_cleanly(inputs, edit, command):
         assert_clean_exit(command + ["--field", str(path), "--out", tmp])
 
 
-@property_settings
+@settings(max_examples=100)
 @given(edit=RUN_EDITS)
 def test_mutated_run_directory_exits_cleanly(inputs, edit):
     with tempfile.TemporaryDirectory() as tmp:
@@ -162,7 +160,7 @@ def test_mutated_run_directory_exits_cleanly(inputs, edit):
         assert_clean_exit(CRITERION + ["--traj", str(run), "--out", tmp])
 
 
-@property_settings
+@settings(max_examples=100)
 @given(command=st.sampled_from(sorted(CONFIG_KEYS)), data=st.data())
 def test_mutated_config_file_exits_cleanly(inputs, command, data):
     keys = st.one_of(st.sampled_from(CONFIG_KEYS[command]), st.text(alphabet="abz_-", max_size=5))
@@ -278,7 +276,7 @@ FLAGS = [
 ]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@settings(max_examples=600)
 @given(case=st.sampled_from(FLAGS), data=st.data())
 def test_numeric_flag_edge_values_exit_cleanly(inputs, case, data):
     base, flag, documented, values = case

@@ -37,8 +37,8 @@ def test_random_solenoidal_rejects_an_empty_band(grid16, monkeypatch, kmax):
 
 def test_random_solenoidal_matches_two_pass_reference(grid32):
     # the projection as a multiplier on the cut noise spectrum equals the
-    # projection of the cut field, a second transform pair, to rounding; the
-    # band is cut on the integer |m|^2, so no Nyquist plane passes
+    # projection of the cut field, a second transform pair, to rounding; for
+    # kmax < n/2 the |m|^2 cut alone keeps every Nyquist plane out
     ix, iy, iz = _frequencies(grid32.n)
     for kmax, seed, amplitude in ((8, 1, 1.0), (4, 5, 3.0)):
         fh = _rfftn(np.random.default_rng(seed).standard_normal((3,) + grid32.shape))
@@ -50,10 +50,10 @@ def test_random_solenoidal_matches_two_pass_reference(grid32):
         assert np.abs(f.data - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("n, kmax", [(16, 5), (32, 8), (64, 16)])
+@pytest.mark.parametrize("n, kmax", [(16, 5), (32, 8), (64, 16), (16, 8), (32, 16)])
 def test_random_solenoidal_no_nyquist_content(n, kmax):
-    # the band is cut on the integer |m|^2: below n/2 it holds no mode of a
-    # Nyquist plane, content that curl (and the solver's 2/3 block) cannot see
+    # the band holds no mode of a Nyquist plane, content that curl (and the
+    # solver's 2/3 block) cannot see, also where kmax reaches n/2
     fh = _rfftn(random_solenoidal_field(Grid3(n), kmax, seed=3).data)
     h = n // 2
     nyquist = max(np.abs(fh[:, h]).max(), np.abs(fh[:, :, h]).max(), np.abs(fh[..., h]).max())

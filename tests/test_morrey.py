@@ -754,7 +754,7 @@ def test_carried_bounds_match_fresh_search(short_tg_traj, short_runs, p, nu):
                 assert gm_norm(f, params, bounds=bounds) == gm_norm(f, params), (name, step)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(n=st.sampled_from((8, 12, 16)), p=st.sampled_from((1.0, 2.0, 3.0)),
        nu=st.sampled_from((0.0, 0.5)),
        steps=st.lists(st.tuples(st.sampled_from((None, None, 1, 2, "spike", "cut")),

@@ -17,7 +17,6 @@ from morrey_sparse.sparseness import (
     eps_const,
     gm_chain_constant,
     kappa,
-    max_densities,
     semi_mixed,
     sparse_3d,
     superlevel_sets,
@@ -197,29 +196,31 @@ def test_sparse_3d_halfspace():
 
 
 def test_one_spectrum_per_set(grid16, monkeypatch):
-    # semi_mixed and max_densities on one set share its mask spectrum: one
-    # forward transform per count precision, whatever the callers and radii
+    # semi_mixed calls on one set share its mask spectrum: one forward
+    # transform per count precision, whatever the radii, and float32 and
+    # float64 counts give the same density and witness
     from morrey_sparse import grid as grid_module
 
     single = grid_module.SINGLE_COUNT_VOXELS
     warm, S = (VoxelSet(grid16, random_field(grid16, seed=s).data[0] > 0.3) for s in (7, 8))
     for cut in (0, single):  # fill the ball-spectrum cache at both radii and precisions
         monkeypatch.setattr(grid_module, "SINGLE_COUNT_VOXELS", cut)
-        max_densities([warm], 0.9)
-        max_densities([warm], 0.5)
+        semi_mixed(warm, 0.9, 0.75)
+        semi_mixed(warm, 0.5, 0.75)
     forward = []
     real = grid_module.fft.rfftn
     monkeypatch.setattr(grid_module.fft, "rfftn",
                         lambda a, *args, **kw: forward.append(a.dtype) or real(a, *args, **kw))
-    res = semi_mixed(S, 0.9, 0.75)
-    assert max_densities([S], 0.9) == (res.max_density,)
-    assert max_densities([S], 0.5) == (semi_mixed(S, 0.5, 0.75).max_density,)
+    res, small = semi_mixed(S, 0.9, 0.75), semi_mixed(S, 0.5, 0.75)
+    assert semi_mixed(S, 0.9, 0.75) == res
     assert forward == [np.float32]
     monkeypatch.setattr(grid_module, "SINGLE_COUNT_VOXELS", 0)  # float64 counts
-    max_densities([S], 0.9)
     assert semi_mixed(S, 0.9, 0.75) == res
+    assert semi_mixed(S, 0.5, 0.75) == small
     assert forward == [np.float32, np.float64]
     assert set(S.hats) == {np.float32, np.float64}
+    for r, got in ((0.9, res), (0.5, small)):
+        assert sparse_3d(S, got.witness, r) == got.max_density
 
 
 def test_semi_mixed_matches_bruteforce(grid16):
