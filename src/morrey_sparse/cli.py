@@ -257,6 +257,8 @@ def cmd_norm(args, outdir: Path) -> tuple:
     f = load_field(args.field)
     w = WeightSpec(nu=args.nu, rho=args.rho, theta=args.theta)
     grid = f.grid
+    if args.center is not None and not all(0 <= c < grid.n for c in args.center):
+        raise ParameterError(f"center {args.center} outside [0, {grid.n}) per axis")
     report: dict = {"kind": args.kind, "params": {
         "p": args.p, "theta": args.theta, "nu": args.nu, "rho": args.rho},
         "quadrature_nodes": args.scales}
@@ -273,14 +275,13 @@ def cmd_norm(args, outdir: Path) -> tuple:
                           argmax_r=res.scale if res.scale is not None else "none")
         else:
             center = args.center or (0, 0, 0)
-            if not all(0 <= c < grid.n for c in center):
-                raise ParameterError(f"center {center} outside [0, {grid.n}) per axis")
             fn = lm_norm if args.kind == "lm" else clm_norm
             report.update(norm=fn(f, params, center), center=list(center))
     return [args.field], [_write_json(outdir / "norm_report.json", report)]
 
 
 def cmd_sparseness(args, outdir: Path) -> tuple:
+    _require_finite(args, "c0")
     outputs = []
     if args.pair_from_delta is not None:
         pair = admissible_pair(args.pair_from_delta)
@@ -318,12 +319,16 @@ def cmd_sparseness(args, outdir: Path) -> tuple:
 
 
 def cmd_verify(args, outdir: Path) -> tuple:
-    _require_finite(args, "p", "alphas")
+    _require_finite(args, "p", "alphas", "rho")
     try:  # a comma list kept as text in the manifest, so argparse does not convert it
         thetas = tuple(float(s) for s in args.thetas.split(","))
     except ValueError as exc:
         raise ParameterError(f"--thetas {args.thetas}: {exc}") from exc
+    if any(math.isnan(theta) for theta in thetas):
+        raise ParameterError(f"--thetas must not be nan, got {args.thetas}")
     modes = tuple(str(args.modes).split(","))
+    if not set(modes) <= {"curl", "identity"}:
+        raise ParameterError(f"--modes names only curl and identity, got {args.modes}")
     if args.seeds < 0:
         raise ParameterError(f"--seeds must be >= 0, got {args.seeds}")
     cfg = SweepConfig(lemma=args.lemma, n=args.n, deltas=tuple(args.deltas),
@@ -392,11 +397,10 @@ def cmd_criterion(args, outdir: Path) -> tuple:
     names = ("t_ref", "s", "eta", "criterion_lhs", "criterion_rhs", "satisfied")
     csv_path = write_series(outdir / "criterion.csv",
                             {c: [row[k] for row in rows] for k, c in enumerate(names)})
-    # merged time series: criterion columns filled at window snapshots,
-    # blank everywhere else
+    # merged time series: criterion columns filled at window snapshots, blank
+    # elsewhere (a row's time is its series time: both step * dt, read exactly)
     by_time = {row[0]: row for _, rep in evaluated for row in rep.rows}
-    matches = [next((row for tt, row in by_time.items() if abs(tt - t) < 1e-12), None)
-               for t in traj.series["t"]]
+    matches = [by_time.get(t) for t in traj.series["t"].tolist()]
     columns = {c: traj.series[c] for c in SERIES_COLUMNS}
     for k, name in enumerate(("eta", "criterion_lhs", "criterion_rhs", "satisfied"), start=1):
         columns[name] = [None if row is None else row[k] for row in matches]

@@ -115,17 +115,13 @@ class Trajectory:
     grid: Grid3
     series: dict[str, np.ndarray]
     snapshots: Sequence[tuple[float, VectorField]]
+    snapshot_times: list[float]  # known without loading any field
     files: list[Path] = field(default_factory=list)
 
     def series_at(self, t: float, column: str) -> float:
         ts = self.series["t"]
         idx = int(np.argmin(np.abs(ts - t)))
         return float(self.series[column][idx])
-
-    def snapshot_times(self) -> list[float]:
-        """The snapshot times, read without loading any field."""
-        snaps = self.snapshots
-        return [t for t, _ in (snaps.entries if isinstance(snaps, SnapshotFiles) else snaps)]
 
 
 SERIES_COLUMNS = ("t", "u_sup", "omega_sup", "energy", "enstrophy")
@@ -204,6 +200,7 @@ def simulate(config: SolverConfig, out=None) -> Trajectory:
     nsteps = int(round(config.t_end / config.dt))
     rows = {name: [] for name in SERIES_COLUMNS}
     snapshots: list[tuple[float, VectorField]] = []
+    snapshot_times: list[float] = []
     writer = None if out is None else _TrajectoryWriter(out)
 
     def record(step: int, t: float, uh_now):
@@ -217,6 +214,7 @@ def simulate(config: SolverConfig, out=None) -> Trajectory:
         rows["enstrophy"].append(0.5 * float(wmag2.sum()) * grid.voxel_volume)
         if step % config.snapshot_every == 0 or step == nsteps:
             snap = VectorField._adopt(grid, u_phys)
+            snapshot_times.append(t)
             if writer is None:
                 snapshots.append((t, snap))
             else:
@@ -242,9 +240,9 @@ def simulate(config: SolverConfig, out=None) -> Trajectory:
 
     series = {name: np.asarray(vals) for name, vals in rows.items()}
     if writer is None:
-        return Trajectory(grid, series, snapshots)
+        return Trajectory(grid, series, snapshots, snapshot_times)
     files = writer.finish(grid, series)
-    return Trajectory(grid, series, writer.snapshots, files)
+    return Trajectory(grid, series, writer.snapshots, snapshot_times, files)
 
 
 def _physical(uh, k, n: int):
@@ -309,9 +307,7 @@ class CriterionSpec:
     ``field_mode`` picks the measured field (u or omega); ``reference`` the
     norm entering the cutoff and threshold (defaults to omega); the threshold
     exponent family is "curl" when the thresholded field is the curl of the
-    measured one, "identity" otherwise (resolved automatically).  The mixed
-    variant uses both norms: cutoff c u^(-beta) w^(-beta2) and threshold
-    eps0 u^gamma1 w^gamma2.
+    measured one, "identity" otherwise (resolved automatically).
     """
 
     alpha: float
@@ -325,9 +321,6 @@ class CriterionSpec:
     field_mode: str = "u"
     window_mode: str = "vorticity"
     reference: str = "omega"
-    beta2: float | None = None
-    gamma1: float | None = None
-    gamma2: float | None = None
     #: scale nodes of each snapshot's weighted global norm
     scale_count: ClassVar[int] = 24
 
@@ -342,23 +335,16 @@ class CriterionSpec:
             raise ParameterError(f"c0 must lie in (1, inf), got {self.c0}")
         if not 0.0 < self.c < math.inf:
             raise ParameterError(f"c must be positive and finite, got {self.c}")
-        for name, value in (("alpha", self.alpha), ("beta", self.beta), ("beta2", self.beta2),
-                            ("eps0", self.eps0)):
-            if value is not None and not 0.0 <= value < math.inf:
+        for name, value in (("alpha", self.alpha), ("beta", self.beta), ("eps0", self.eps0)):
+            if not 0.0 <= value < math.inf:
                 raise ParameterError(f"{name} must be finite and nonnegative, got {value}")
         WeightSpec(nu=self.nu_w, theta=self.theta)  # checks nu_w and theta
         if math.isfinite(self.theta) and not self.nu_w * self.theta > 1.0:
             raise ParameterError("need nu_w * theta > 1 for finite theta")
-        if (self.gamma1 is None) != (self.gamma2 is None):
-            raise ParameterError("mixed thresholds need both gamma1 and gamma2")
 
     @property
     def exponent_mode(self) -> str:
         return "curl" if (self.field_mode == "u" and self.reference == "omega") else "identity"
-
-    @property
-    def mixed(self) -> bool:
-        return self.beta2 is not None or self.gamma1 is not None
 
 
 def criterion_exponent(spec: CriterionSpec) -> float:
@@ -402,7 +388,6 @@ def evaluate_criteria(traj: Trajectory, times, spec: CriterionSpec) -> list[Crit
     from the previous row's bounds scaled to its mass (``_ShellBounds``, one
     per call): the bench's n=32 rows take 40 shell transforms, not 210."""
     ts = traj.series["t"]
-    snapshot_times = traj.snapshot_times()
     windows = []
     for t_ref in times:
         if not (ts[0] - 1e-12 <= t_ref <= ts[-1] + 1e-12):
@@ -410,25 +395,19 @@ def evaluate_criteria(traj: Trajectory, times, spec: CriterionSpec) -> list[Crit
         scale = (spec.c0 * traj.series_at(t_ref, "omega_sup") if spec.window_mode == "vorticity"
                  else (spec.c0 * traj.series_at(t_ref, "u_sup")) ** 2)
         w_lo, w_hi = t_ref + 1.0 / (4.0 * scale), t_ref + 1.0 / scale
-        idx = [i for i, t in enumerate(snapshot_times) if w_lo - 1e-12 <= t <= w_hi + 1e-12]
+        idx = [i for i, t in enumerate(traj.snapshot_times) if w_lo - 1e-12 <= t <= w_hi + 1e-12]
         if len(idx) < 3:
             raise SchedulingError(
                 f"{len(idx)} snapshots in window [{w_lo:.4f}, {w_hi:.4f}]; need >= 3 "
                 "(raise the snapshot cadence)")
         windows.append(((w_lo, w_hi), idx))
-    exponent = math.nan if spec.mixed else criterion_exponent(spec)
+    exponent = criterion_exponent(spec)
     rows = {}  # snapshot index -> (ratio, row, gm, eta)
     bounds = _ShellBounds(traj.grid, spec.p)
     for i in sorted({i for _, idx in windows for i in idx}):
         t, u_s = traj.snapshots[i]
-        u_sup_s = traj.series_at(t, "u_sup")
-        omega_sup_s = traj.series_at(t, "omega_sup")
-        ref = {"u": u_sup_s, "omega": omega_sup_s}[spec.reference]
-        if spec.beta2 is None:
-            eta = dissipation_scale(ref, spec.beta, spec.c, traj.grid)
-        else:  # c u^-beta w^-beta2 is the omega cutoff with c u^-beta for c
-            eta = dissipation_scale(omega_sup_s, spec.beta2, spec.c * u_sup_s ** (-spec.beta),
-                                    traj.grid)
+        ref = traj.series_at(t, f"{spec.reference}_sup")
+        eta = dissipation_scale(ref, spec.beta, spec.c, traj.grid)
         measured = u_s if spec.field_mode == "u" else curl(u_s)
         # a cutoff at exactly 1 collapses the scale window; keep half a voxel
         # of support so the quantity stays defined (the report still carries
@@ -437,10 +416,7 @@ def evaluate_criteria(traj: Trajectory, times, spec: CriterionSpec) -> list[Crit
         weight = WeightSpec(nu=spec.nu_w, rho=rho_w, theta=spec.theta)
         params = MorreyParams.default(traj.grid, weight, p=spec.p, count=spec.scale_count)
         gm = gm_norm(measured, params, bounds=bounds)
-        if spec.gamma1 is not None:
-            rhs = spec.eps0 * u_sup_s**spec.gamma1 * omega_sup_s**spec.gamma2
-        else:
-            rhs = spec.eps0 * ref**exponent
+        rhs = spec.eps0 * ref**exponent
         ratio = 0.0 if gm.value == 0.0 else (math.inf if rhs == 0.0 else gm.value / rhs)
         rows[i] = (ratio, (t, eta.value, gm.value, rhs, ratio <= 1.0), gm, eta)
     reports = []
@@ -551,7 +527,8 @@ def load_trajectory(indir) -> Trajectory:
     except ValueError as exc:
         raise TrajectoryFileError(f"{meta_path} declares an invalid grid: {exc}") from exc
     snapshots = SnapshotFiles(indir, [(float(t), name) for t, name in entries])
-    _check_times(np.array([t for t, _ in snapshots.entries]), meta_path)
+    times = [t for t, _ in snapshots.entries]
+    _check_times(np.array(times), meta_path)
     series: dict[str, list[float]] = {c: [] for c in SERIES_COLUMNS}
     series_path = indir / series_name
     if not series_path.is_file():
@@ -575,4 +552,4 @@ def load_trajectory(indir) -> Trajectory:
             if read_field_header(fh) != (grid, 3):
                 raise TrajectoryFileError(f"{path} does not hold a 3-component field on "
                                           f"the grid of {meta_path} ({grid})")
-    return Trajectory(grid, arrays, snapshots, [series_path, *snaps, meta_path])
+    return Trajectory(grid, arrays, snapshots, times, [series_path, *snaps, meta_path])

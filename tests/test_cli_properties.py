@@ -244,6 +244,7 @@ FLAGS = [
     (SPARSENESS, "--delta", real(0.7, 1, lo_open=True), EDGE_VALUES),
     (SPARSENESS, "--r", real(0, math.pi, lo_open=True), EDGE_VALUES),
     (SPARSENESS, "--z-alpha", real(-INF, INF, lo_open=True), EDGE_VALUES),
+    (SPARSENESS, "--c0", real(-INF, INF, lo_open=True), EDGE_VALUES),
     ([*SPARSENESS, "--z-alpha", "0.5"], "--c0", real(1, INF, lo_open=True), EDGE_VALUES),
     (VERIFY, "--n", whole(8), EDGE_VALUES),
     (VERIFY, "--deltas", real(0.7, 1, lo_open=True), EDGE_VALUES),
@@ -253,6 +254,8 @@ FLAGS = [
     (VERIFY, "--threads", whole(1), EDGE_VALUES),
     (VERIFY, "--p", real(-INF, INF, lo_open=True), EDGE_VALUES),
     (VERIFY, "--alphas", real(-INF, INF, lo_open=True), EDGE_VALUES),
+    (VERIFY, "--rho", real(-INF, INF, lo_open=True), EDGE_VALUES),
+    (VERIFY, "--thetas", real(-INF, INF, hi_open=False), EDGE_VALUES),  # all but nan
     (VERIFY_GM, "--p", real(1, INF, lo_open=True), EDGE_VALUES),
     (VERIFY_GM, "--thetas", real(2, INF, lo_open=True, hi_open=False), EDGE_VALUES),
     (VERIFY_GM, "--alphas", real(0, INF), EDGE_VALUES),

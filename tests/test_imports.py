@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module (``__init__``
-re-exports and is exempt), and the CLI leaves usage errors to the library's
-``ParameterError``.  Stdlib ``ast`` walks, so no linter is needed."""
+re-exports and is exempt), the CLI leaves usage errors to the library's
+``ParameterError``, and ``grid`` is the one module that reaches an FFT
+library.  Stdlib ``ast`` walks, so no linter is needed."""
 
 import ast
 import os
@@ -72,6 +73,45 @@ def test_cli_leaves_usage_errors_to_parameter_error():
     # out-of-range arguments are the library's ParameterError; the CLI keeps
     # no exception class or exit-2 type of its own
     assert usage_policy((PACKAGE / "cli.py").read_text()) == []
+
+
+FFT_MODULES = ("scipy.fft", "scipy.fftpack", "numpy.fft", "np.fft")
+
+
+def fft_uses(source: str) -> list[str]:
+    """Where a source reaches an FFT module: an import of one (or of a name
+    from one), or an attribute such as ``np.fft`` or ``scipy.fft``."""
+    def is_fft(name: str) -> bool:
+        return any(name == m or name.startswith(m + ".") for m in FFT_MODULES)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names if is_fft(name)]
+    return found
+
+
+def test_fft_use_is_detected():
+    src = ("import numpy as np\nimport scipy.fft\nfrom scipy import fft\n"
+           "from numpy.fft import rfftn\nx = np.fft.rfftn(y)\nfrom .grid import _rfftn\n")
+    assert fft_uses(src) == ["scipy.fft (line 2)", "scipy.fft (line 3)", "numpy.fft (line 4)",
+                             "numpy.fft.rfftn (line 4)", "np.fft (line 5)"]
+
+
+def test_grid_is_the_one_spectral_layer():
+    # every transform runs through grid's wrappers, so no other module
+    # imports an FFT library or calls np.fft
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "grid.py")
+    found = {p.name: fft_uses(p.read_text()) for p in modules}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+    assert fft_uses((PACKAGE / "grid.py").read_text())  # the check sees grid's own import
 
 
 def test_package_import_leaves_out_scipy_ndimage():

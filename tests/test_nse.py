@@ -382,22 +382,12 @@ def test_criterion_scheduling_error(tg_traj):
         evaluate_criterion(tg_traj, 0.25, spec)  # window past the run end
 
 
-def test_criterion_mixed_variant(tg_traj):
-    spec = CriterionSpec(alpha=0.5, beta=0.25, nu_w=0.5, eps0=5.0,
-                         beta2=0.25, gamma1=0.5, gamma2=0.5)
-    rep = evaluate_criterion(tg_traj, 0.0, spec)
-    assert math.isnan(rep.exponent)  # mixed thresholds carry explicit gammas
-    assert rep.rhs > 0.0
-
-
 #: overlapping windows on tg_traj: 8 snapshots each, 9 distinct
 OVERLAPPING = (0.0, 0.01, 0.02)
 SPECS = {
     "theta_inf": CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5),
     "theta_3": CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, theta=3.0),
     "omega": CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, field_mode="omega"),
-    "mixed": CriterionSpec(alpha=0.5, beta=0.25, nu_w=0.5, eps0=5.0,
-                           beta2=0.25, gamma1=0.5, gamma2=0.5),
 }
 
 
@@ -417,6 +407,7 @@ def test_criteria_match_per_time_reports(tg_traj, name):
     spec = SPECS[name]
     shared = evaluate_criteria(tg_traj, OVERLAPPING, spec)
     assert shared == [evaluate_criterion(tg_traj, t, spec) for t in OVERLAPPING]
+    assert all(rep.exponent == criterion_exponent(spec) for rep in shared)
     windows = [{row[0] for row in rep.rows} for rep in shared]
     assert windows[0] & windows[1] & windows[2]  # the windows do overlap
 
@@ -457,8 +448,13 @@ def test_spec_validation():
         CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, c0=0.5)
     with pytest.raises(ValueError):
         CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.4, theta=2.0)  # nu*theta < 1
-    with pytest.raises(ValueError):
-        CriterionSpec(alpha=0.5, beta=0.5, nu_w=0.5, gamma1=1.0)  # lone gamma
+
+
+def test_criterion_spec_fields():
+    # the paper's one criterion: one cutoff exponent, one reference norm
+    assert [f.name for f in dataclasses.fields(CriterionSpec)] == [
+        "alpha", "beta", "nu_w", "p", "theta", "c", "c0", "eps0", "field_mode",
+        "window_mode", "reference"]
 
 
 def test_criterion_scale_count_is_a_constant():
@@ -480,7 +476,7 @@ def test_trajectory_roundtrip(tmp_path, tg_traj):
     assert np.array_equal(back.series["t"], tg_traj.series["t"])
     assert np.allclose(back.series["energy"], tg_traj.series["energy"], rtol=0, atol=0)
     assert len(back.snapshots) == len(tg_traj.snapshots)
-    assert back.snapshot_times() == tg_traj.snapshot_times()
+    assert back.snapshot_times == tg_traj.snapshot_times
     t0, f0 = back.snapshots[-1]
     assert np.array_equal(f0.data, tg_traj.snapshots[-1][1].data)
     # snapshots read from disk give the reports of the run held in memory
@@ -508,4 +504,4 @@ def test_streamed_run_matches_saved_run(tmp_path):
     assert len(streamed.snapshots) == len(held.snapshots)
     for (ts, fs), (th, fh) in zip(streamed.snapshots, held.snapshots):
         assert ts == th and np.array_equal(fs.data, fh.data)
-    assert streamed.snapshot_times() == held.snapshot_times()
+    assert streamed.snapshot_times == held.snapshot_times == [t for t, _ in held.snapshots]

@@ -3,14 +3,25 @@ oracle, at lambda = 2, which is exact on the lattice: a field on grid n,
 tiled twice per axis onto grid 2n (spacing h/2) and multiplied by 2, has
 its lattice offsets preserved, so the fine grid's ball B_r is the coarse
 grid's B_{2r}.  Curl scales by lambda^2, super-level sets of the
-vorticity tile, and their semi-mixedness at r equals the coarse one at 2r."""
+vorticity tile, and their semi-mixedness at r equals the coarse one at 2r.
+The weighted global norm at theta = inf scales by 2^(1 - 3/p + nu), the
+classical quantity at alpha = 3 - p is invariant, the criterion exponent
+makes lhs / rhs scale-free, and the solver maps time t to t/4."""
+
+import math
 
 import numpy as np
 import pytest
 
-from morrey_sparse.fields import random_solenoidal_field
+from morrey_sparse import nse as nse_module
+from morrey_sparse.fields import random_solenoidal_field, vorticity_blob
 from morrey_sparse.grid import Grid3, VectorField, curl
+from morrey_sparse.morrey import MorreyParams, WeightSpec, classical_morrey, gm_norm
+from morrey_sparse.nse import CriterionSpec, SolverConfig, criterion_exponent, simulate
 from morrey_sparse.sparseness import semi_mixed, superlevel_sets
+
+#: relative tolerance of a scaled value: the probes saw at most 4.3e-16
+RTOL = 1e-14
 
 
 def _tiled(f: VectorField) -> VectorField:
@@ -38,3 +49,65 @@ def test_semi_mixed_under_the_scaling(n, kmax, seed):
                 for delta in (0.3, 0.6):
                     assert (semi_mixed(S_fine, t * h / 2.0, delta)
                             == semi_mixed(S, t * h, delta)), (lam, label, t, delta)
+
+
+COARSE = {"random-4-2": lambda grid: random_solenoidal_field(grid, 4, 2),
+          "random-5-7": lambda grid: random_solenoidal_field(grid, 5, 7),
+          "blob": lambda grid: vorticity_blob(grid, (5, 9, 3), sigma=0.8)}
+
+
+#: coarse nodes in (h, 1] at n = 16 (h = 0.39); the fine grid takes c / 2
+NODES = (0.45, 0.6, 0.75, 0.9, 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(COARSE))
+def test_norms_under_the_scaling(name):
+    coarse = COARSE[name](Grid3(16))
+    fine = _tiled(coarse)
+    for p in (1.0, 2.0, 3.0):
+        for nu in (0.0, 0.3):
+            weight = WeightSpec(nu=nu)
+            a = gm_norm(coarse, MorreyParams(p, weight, NODES))
+            b = gm_norm(fine, MorreyParams(p, weight, tuple(c / 2.0 for c in NODES)))
+            expected = 2.0 ** (1.0 - 3.0 / p + nu) * a.value
+            assert abs(b.value - expected) <= RTOL * expected, (p, nu, a, b)
+            assert (b.center, 2.0 * b.scale) == (a.center, a.scale), (p, nu, a, b)
+        # r^-alpha int_B |f|^p with alpha = 3 - p is invariant
+        a = classical_morrey(coarse, p, 3.0 - p, NODES[0], 1.0, scales=NODES)
+        b = classical_morrey(fine, p, 3.0 - p, NODES[0] / 2.0, 0.5,
+                             scales=[c / 2.0 for c in NODES])
+        assert abs(b.value - a.value) <= RTOL * a.value, (p, a, b)
+        assert (b.center, 2.0 * b.scale) == (a.center, a.scale), (p, a, b)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("nu", [0.0, 0.3])
+def test_criterion_exponent_is_critical(p, nu):
+    # at alpha = beta = 1/2 the threshold on omega_sup (x4 under the scaling)
+    # grows as the theta = inf lhs does, by 2^(1 - 3/p + nu)
+    exponent = criterion_exponent(CriterionSpec(alpha=0.5, beta=0.5, nu_w=nu, p=p))
+    assert exponent == pytest.approx((1.0 - 3.0 / p + nu) / 2.0, rel=RTOL, abs=1e-15)
+    assert 4.0**exponent == pytest.approx(2.0 ** (1.0 - 3.0 / p + nu), rel=RTOL)
+
+
+def test_solver_under_the_scaling(monkeypatch):
+    # u_lambda(x, t) = lambda u(lambda x, lambda^2 t) at lambda = 2: the tiled
+    # start on the fine grid, stepped with dt / 4, retraces the coarse run
+    # (the 2/3 rule commutes with tiling: |2k| < 2n/3 exactly when |k| < n/3)
+    dt, steps = 2e-3, 50
+    config = SolverConfig(n=16, dt=dt, t_end=steps * dt, ic="random", ic_params={"kmax": 4},
+                          snapshot_every=10, seed=7)
+    coarse = simulate(config)
+    start = _tiled(nse_module.initial_condition("random", Grid3(16), {"kmax": 4}, 7))
+    monkeypatch.setattr(nse_module, "initial_condition", lambda *args: start)
+    fine = simulate(SolverConfig(n=32, dt=dt / 4.0, t_end=steps * dt / 4.0, ic="random",
+                                 ic_params={"kmax": 4}, snapshot_every=10, seed=7))
+    assert np.array_equal(fine.series["t"], coarse.series["t"] / 4.0)
+    for column, factor in (("u_sup", 2.0), ("omega_sup", 4.0), ("energy", 4.0),
+                           ("enstrophy", 16.0)):
+        expected = factor * coarse.series[column]
+        assert np.abs(fine.series[column] - expected).max() <= RTOL * expected.max(), column
+    assert fine.snapshot_times == [t / 4.0 for t in coarse.snapshot_times]
+    for (_, f), (_, g) in zip(fine.snapshots, coarse.snapshots, strict=True):
+        scaled = _tiled(g).data
+        assert np.abs(f.data - scaled).max() <= RTOL * np.abs(scaled).max()
