@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--adversarial", action="store_true")
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--thetas", default="inf")
+    p.add_argument("--thetas", type=_parse_floats, default=(math.inf,))
     p.add_argument("--alphas", type=_parse_floats, default=(0.5,))
     p.add_argument("--rho", type=float, default=0.05)
     p.add_argument("--modes", default="curl")
@@ -320,22 +320,17 @@ def cmd_sparseness(args, outdir: Path) -> tuple:
 
 def cmd_verify(args, outdir: Path) -> tuple:
     _require_finite(args, "p", "alphas", "rho")
-    try:  # a comma list kept as text in the manifest, so argparse does not convert it
-        thetas = tuple(float(s) for s in args.thetas.split(","))
-    except ValueError as exc:
-        raise ParameterError(f"--thetas {args.thetas}: {exc}") from exc
-    if any(math.isnan(theta) for theta in thetas):
+    if any(math.isnan(theta) for theta in args.thetas):  # inf is a theta
         raise ParameterError(f"--thetas must not be nan, got {args.thetas}")
     modes = tuple(str(args.modes).split(","))
     if not set(modes) <= {"curl", "identity"}:
         raise ParameterError(f"--modes names only curl and identity, got {args.modes}")
     if args.seeds < 0:
         raise ParameterError(f"--seeds must be >= 0, got {args.seeds}")
-    cfg = SweepConfig(lemma=args.lemma, n=args.n, deltas=tuple(args.deltas),
-                      scales=tuple(args.scales), seeds=tuple(range(args.seeds)),
-                      kmax=args.kmax, adversarial=args.adversarial, p=args.p,
-                      thetas=thetas, alphas=tuple(args.alphas), rho=args.rho,
-                      modes=modes, densities=True)
+    cfg = SweepConfig(lemma=args.lemma, n=args.n, deltas=args.deltas, scales=args.scales,
+                      seeds=tuple(range(args.seeds)), kmax=args.kmax,
+                      adversarial=args.adversarial, p=args.p, thetas=args.thetas,
+                      alphas=args.alphas, rho=args.rho, modes=modes, densities=True)
     reports = sweep(cfg, threads=args.threads)
     summary = summarize(reports)
     names = ("premise_lhs", "premise_rhs", "premise_holds", "conclusion_holds", "marginal",

@@ -22,8 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Field, ParameterError, magnitude_power, radial_shells, shell_table, sup_norm
-from .morrey import WeightSpec
+from .fields import localized_field, random_solenoidal_field
+from .grid import (Field, Grid3, ParameterError, magnitude_power, radial_shells, shell_table,
+                   sup_norm)
+from .morrey import MorreyParams, WeightSpec, gm_norm
 
 #: Frozen constant for the pairing inequality
 #:     integral |f||g| <= HOLDER_CONSTANT * predual_bound(f) * gm_norm(g).
@@ -169,12 +171,9 @@ def _conjugate(p: float) -> float:
 
 
 def _inverse_tail_drop(w: WeightSpec, thetaprime: float, t: float) -> float:
-    """g(t) = ||w||_{L^theta(t,inf)}^(-theta') for t < 1 (+inf at t >= 1)."""
-    if math.isinf(w.theta):
-        # theta' = 1; inverse sup-norm of the tail
-        return max(t, w.rho) ** (w.nu * thetaprime)
-    T = _power_integral(w, max(t, w.rho), 1.0)
-    return math.inf if T == 0.0 else T ** (-thetaprime / w.theta)  # inf ** -x == 0.0
+    """g(t) = ||w||_{L^theta(t,inf)}^(-theta'), +inf where that norm vanishes."""
+    tail = _tail_norm(w, max(t, w.rho))
+    return math.inf if tail == 0.0 else tail ** -thetaprime  # inf ** -x == 0.0
 
 
 def stieltjes_predual_integral(f: Field, p: float, w: WeightSpec,
@@ -287,10 +286,6 @@ def calibrate_holder_constant(n: int = 16, pairs: int = 50, seed: int = 20240801
     Localized f (support inside the unit ball), global band-limited g, over a
     small (p, theta, nu, rho) grid.
     """
-    from .grid import Grid3
-    from .fields import localized_field, random_solenoidal_field
-    from .morrey import MorreyParams, gm_norm
-
     grid = Grid3(n)
     configs = [
         (2.0, math.inf, 0.5, 0.25),

@@ -69,10 +69,10 @@ class PairLD:
     h: float
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.delta < 1.0:  # first: admissible_pair relies on it
+            raise ParameterError(f"delta must lie in (0,1), got {self.delta}")
         if not 0.0 < self.lam < 1.0:
             raise ParameterError(f"lambda must lie in (0,1), got {self.lam}")
-        if not 0.0 < self.delta < 1.0:
-            raise ParameterError(f"delta must lie in (0,1), got {self.delta}")
         if not self.delta_lambda > 1.0:
             raise InadmissiblePairError(f"delta={self.delta} gives lambda={self.lam:.6f} with "
                                         f"1/(1+lambda)={1 / (1 + self.lam):.6f} >= delta")
@@ -96,10 +96,8 @@ def admissible_pair(delta: float) -> PairLD:
     """The canonical admissible pair for a ratio delta.
 
     h = (2/pi) arcsin((1-delta^2)/(1+delta^2)) and lambda = (1-h)/(2-h); the
-    pair is rejected (by :class:`PairLD`) when 1/(1+lambda) >= delta.
+    pair is rejected (by :class:`PairLD`) unless 0 < delta < 1 and 1/(1+lambda) < delta.
     """
-    if not 0.0 < delta < 1.0:
-        raise ParameterError(f"delta must lie in (0,1), got {delta}")
     h = (2.0 / math.pi) * math.asin((1.0 - delta * delta) / (1.0 + delta * delta))
     return PairLD((1.0 - h) / (2.0 - h), delta, h)
 

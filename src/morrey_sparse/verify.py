@@ -54,9 +54,6 @@ from .sparseness import (
 #: flagged marginal (discretization error could flip it on the continuum)
 GUARD_BAND = 0.05
 
-#: scale nodes of the Morrey-type premise's global norm
-GM_SCALE_COUNT = 32
-
 #: counterexample blob width, in units of kappa r
 SIGMA_FACTOR = 1.5
 
@@ -87,42 +84,39 @@ class VerifyReport:
 
 class _FieldState:
     """What the implication checks need of one field, built once and shared
-    by consecutive calls on it: the thresholded field of each mode (curl f,
-    or f itself) and its sup norm, the spectrum of |f|^2 (on first use), the
-    premise value per L^2 scale or Morrey-type (p, theta, alpha, rho), and
-    per mode the super-level sets (with their mask spectra) of the last
-    threshold.  Fields are read-only values, so the field object alone
+    by consecutive calls on it: in one memo, curl f, each mode's sup norm,
+    the spectrum of |f|^2 and the premise value per L^2 scale or Morrey-type
+    (p, theta, alpha, rho); apart from it, per mode the super-level sets
+    (with their mask spectra) of the last threshold only, which bounds a
+    sweep's memory.  Fields are read-only values, so the field object alone
     identifies the state."""
 
     def __init__(self, f: VectorField):
         self.field = f
-        self.omega: VectorField | None = None
-        self.sups: dict[str, float] = {}
-        self.power_hat = None
-        self.lhs: dict[float | tuple, float] = {}
+        self.memo: dict = {}
         self.sets: dict[str, tuple[float, list[VoxelSet]]] = {}
 
+    def get(self, key, make):
+        """The value kept under ``key``, made by ``make()`` on first use."""
+        if key not in self.memo:
+            self.memo[key] = make()
+        return self.memo[key]
+
     def thresholded(self, mode: str) -> VectorField:
-        """curl f (mode "curl", computed once) or f ("identity")."""
+        """curl f (mode "curl") or f ("identity")."""
         if mode == "identity":
             return self.field
-        if self.omega is None:
-            self.omega = curl(self.field)
-        return self.omega
+        return self.get("curl", lambda: curl(self.field))
 
     def sup(self, mode: str) -> float:
-        if mode not in self.sups:
-            self.sups[mode] = sup_norm(self.thresholded(mode))
-        return self.sups[mode]
+        return self.get(("sup", mode), lambda: sup_norm(self.thresholded(mode)))
 
     def premise_lhs(self, r: float) -> float:
         """sup_x ||f||_{L^2(B_r(x))}, as ``sliding_ball_lp(f, 2, r)`` computes it."""
-        if r not in self.lhs:
-            if self.power_hat is None:
-                self.power_hat = power_spectrum(magnitude_power(self.field, 2.0))
-            # the root after the max: sqrt is monotone and correctly rounded
-            self.lhs[r] = math.sqrt(ball_power_from_spectrum(self.field.grid, self.power_hat, r).max())
-        return self.lhs[r]
+        hat = self.get("power_hat", lambda: power_spectrum(magnitude_power(self.field, 2.0)))
+        # the root after the max: sqrt is monotone and correctly rounded
+        return self.get(("l2", r), lambda: math.sqrt(
+            ball_power_from_spectrum(self.field.grid, hat, r).max()))
 
     def level_sets(self, mode: str, lam: float) -> list[VoxelSet]:
         kept = self.sets.get(mode)
@@ -207,12 +201,8 @@ def check_lemma_gm(f: VectorField, pair: PairLD, p: float, theta: float, alpha: 
                              "weight support)")
     eps = eps_const(pair, p, theta, alpha, rho=rho)  # rejects p <= 1 before any norm work
     state = _field_state(f)
-    key = (p, theta, alpha, rho)  # the premise does not depend on the mode
-    if key not in state.lhs:
-        params_obj = MorreyParams.default(f.grid, WeightSpec(nu=alpha, rho=rho, theta=theta),
-                                          p=p, count=GM_SCALE_COUNT)
-        state.lhs[key] = gm_norm(f, params_obj).value
-    lhs = state.lhs[key]
+    lhs = state.get(("gm", p, theta, alpha, rho), lambda: gm_norm(f, MorreyParams.default(
+        f.grid, WeightSpec(nu=alpha, rho=rho, theta=theta), p=p)).value)  # any mode's premise
     rhs = float(eps * max(r, rho) ** -decay_exponent(alpha, theta)
                 * r ** shell_exponent(p, mode) * state.sup(mode))
     params = {"lambda": pair.lam, "delta": pair.delta, "r": r, "p": p,

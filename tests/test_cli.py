@@ -14,7 +14,7 @@ import scipy
 from morrey_sparse import cli as cli_module
 from morrey_sparse import nse as nse_module
 from morrey_sparse import predual as predual_module
-from morrey_sparse.cli import dumps_17g, main
+from morrey_sparse.cli import _parse_floats, build_parser, dumps_17g, main
 from morrey_sparse.grid import (Grid3, ParameterError, ScalarField, VectorField, VoxelSet,
                                 load_field, save_field)
 from morrey_sparse.fields import random_solenoidal_field, vorticity_blob
@@ -624,7 +624,6 @@ OUT_OF_RANGE = [
     _verify("--deltas", "1.5"),
     _verify("--scales", "1.5"),
     _verify("--lemma", "gm", "--thetas", "2", "--alphas", "0.4"),
-    _verify("--lemma", "gm", "--thetas", "two"),
     _verify("--lemma", "gm", "--modes", "foo"),
     _verify("--lemma", "gm", "--p", "1"),
     _verify("--threads", "0"),
@@ -725,8 +724,11 @@ def test_empty_number_list_is_usage_error(traj_dir, tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv, expected", [
     (_verify("--alphas", "x"), "expected comma-separated numbers, got 'x'"),
     (_verify("--deltas", "0.7,y"), "expected comma-separated numbers, got '0.7,y'"),
+    (_verify("--lemma", "gm", "--thetas", "two"), "expected comma-separated numbers, got 'two'"),
+    (_verify("--thetas", ""), "no number in ''"),
     (["norm", "--kind", "lm", "--center", "x"], "expected three integers i,j,k, got 'x'"),
-], ids=["verify --alphas", "verify --deltas", "norm --center"])
+], ids=["verify --alphas", "verify --deltas", "verify --thetas", "verify --thetas empty",
+        "norm --center"])
 def test_malformed_list_names_what_the_flag_expects(field_file, tmp_path, capsys, argv,
                                                     expected):
     # argparse's message names the type function unless it raises
@@ -737,6 +739,24 @@ def test_malformed_list_names_what_the_flag_expects(field_file, tmp_path, capsys
     err = capsys.readouterr().err
     assert "_parse_" not in err and err.splitlines()[-1].endswith(expected), err
     assert not any(tmp_path.iterdir())
+
+
+def test_every_number_list_has_one_parser():
+    # each comma list of numbers goes through the one type function, so
+    # each takes the same text and says the same thing when it cannot
+    commands = build_parser()._subparsers._group_actions[0].choices
+    for command, flags in (("verify", ("--deltas", "--scales", "--alphas", "--thetas")),
+                           ("criterion", ("--at",))):
+        actions = commands[command]._option_string_actions
+        for flag in flags:
+            assert actions[flag].type is _parse_floats, (command, flag)
+
+
+@pytest.mark.parametrize("flags", [("--thetas", "inf,"), ("--alphas", "0.5,")],
+                         ids=" ".join)
+def test_number_list_trailing_comma_runs(tmp_path, flags):
+    # an empty entry is skipped, in --thetas as in every number list
+    assert main([*_verify("--lemma", "gm", *flags), "--out", str(tmp_path)]) == 0
 
 
 def test_sparseness_on_zero_field_is_computation_error(tmp_path, capsys):

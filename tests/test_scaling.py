@@ -4,7 +4,8 @@ tiled twice per axis onto grid 2n (spacing h/2) and multiplied by 2, has
 its lattice offsets preserved, so the fine grid's ball B_r is the coarse
 grid's B_{2r}.  Curl scales by lambda^2, super-level sets of the
 vorticity tile, and their semi-mixedness at r equals the coarse one at 2r.
-The weighted global norm at theta = inf scales by 2^(1 - 3/p + nu), the
+The weighted global norm at theta = inf scales by 2^(1 - 3/p + nu), and at
+finite theta (the local norm too) by 2^(1 - 3/p + nu - 1/theta), the
 classical quantity at alpha = 3 - p is invariant, the criterion exponent
 makes lhs / rhs scale-free, and the solver maps time t to t/4."""
 
@@ -15,8 +16,9 @@ import pytest
 
 from morrey_sparse import nse as nse_module
 from morrey_sparse.fields import random_solenoidal_field, vorticity_blob
-from morrey_sparse.grid import Grid3, VectorField, curl
-from morrey_sparse.morrey import MorreyParams, WeightSpec, classical_morrey, gm_norm
+from morrey_sparse.grid import Grid3, VectorField, ball_power_profile, curl
+from morrey_sparse.morrey import (MorreyParams, WeightSpec, classical_morrey, clm_norm,
+                                  decay_exponent, gm_norm, lm_norm)
 from morrey_sparse.nse import CriterionSpec, SolverConfig, criterion_exponent, simulate
 from morrey_sparse.sparseness import semi_mixed, superlevel_sets
 
@@ -78,6 +80,40 @@ def test_norms_under_the_scaling(name):
                              scales=[c / 2.0 for c in NODES])
         assert abs(b.value - a.value) <= RTOL * a.value, (p, a, b)
         assert (b.center, 2.0 * b.scale) == (a.center, a.scale), (p, a, b)
+
+
+#: (nu, theta, rho) at finite theta; theta = p (2 or 3) takes gm_norm's kernel
+FINITE = ((0.8, 2.0, 0.0), (0.8, 3.0, 0.2), (1.0, 1.5, 0.0), (0.5, 3.0, 0.45), (0.7, 2.0, 0.45))
+
+
+@pytest.mark.parametrize("name", sorted(COARSE))
+def test_finite_theta_norms_under_the_scaling(name):
+    # the L^theta(dr) average over the halved nodes adds 2^(-1/theta) to the
+    # theta = inf factor; the fine grid's center (i, j, k) is the coarse one's
+    coarse = COARSE[name](Grid3(16))
+    fine = _tiled(coarse)
+    for p in (1.0, 2.0, 3.0):
+        for nu, theta, rho in FINITE:
+            assert decay_exponent(nu, theta) == pytest.approx(nu - 1.0 / theta, rel=RTOL)
+            factor = 2.0 ** (1.0 - 3.0 / p + nu - 1.0 / theta)
+            params = MorreyParams(p, WeightSpec(nu=nu, rho=rho, theta=theta), NODES)
+            halved = MorreyParams(p, WeightSpec(nu=nu, rho=rho / 2.0, theta=theta),
+                                  tuple(c / 2.0 for c in NODES))
+            a, b = gm_norm(coarse, params), gm_norm(fine, halved)
+            assert abs(b.value - factor * a.value) <= RTOL * factor * a.value, (p, theta, a, b)
+            assert b.center == a.center, (p, theta, a, b)
+            for center in ((3, 4, 5), (8, 8, 8)):
+                expected = factor * lm_norm(coarse, params, center)
+                assert abs(lm_norm(fine, halved, center) - expected) <= RTOL * expected
+            # not so the complement: the fine torus holds 2^p times the total
+            # of |f|^p, but each ball 2^(p - 3) times its share
+            ball, total = ball_power_profile(coarse, p, (3, 4, 5), np.asarray(params.scales))
+            fine_ball, fine_total = ball_power_profile(fine, p, (3, 4, 5),
+                                                       np.asarray(halved.scales))
+            assert fine_total == pytest.approx(2.0**p * total, rel=RTOL)
+            assert fine_ball == pytest.approx(2.0 ** (p - 3.0) * ball, rel=RTOL)
+            expected = factor * clm_norm(coarse, params, (3, 4, 5))
+            assert abs(clm_norm(fine, halved, (3, 4, 5)) - expected) > 1e-4 * expected
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
