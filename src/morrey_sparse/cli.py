@@ -29,7 +29,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .grid import FieldFileError, ParameterError, VectorField, load_field
+from .grid import BLOCK_TRANSFORMS, FieldFileError, ParameterError, VectorField, load_field
 from .morrey import MorreyParams, WeightSpec, classical_morrey, clm_norm, gm_norm, lm_norm
 from .nse import (
     SERIES_COLUMNS,
@@ -90,6 +90,7 @@ def _sha256(path: Path) -> str:
 
 def _write_manifest(outdir: Path, args: argparse.Namespace, inputs: list,
                     outputs: list, t0: float) -> None:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": args.command,
         "params": {k: v for k, v in vars(args).items() if not k.startswith("_")},
@@ -98,8 +99,10 @@ def _write_manifest(outdir: Path, args: argparse.Namespace, inputs: list,
         "outputs": sorted(str(p) for p in outputs),
         "wall_time_s": time.time() - t0,
         # the process high-water mark: an in-process caller's earlier work counts too
-        "profile": {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0},
-        "numpy": np.__version__, "scipy": scipy.__version__, "fft": "scipy.fft",
+        "profile": {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+                    **getattr(args, "_profile", {})},
+        "numpy": np.__version__, "scipy": scipy.__version__,
+        "fft": {"full": "scipy.fft", "block": f"BLAS {blas['name']} {blas['version']}"},
     }
     _write_json(outdir / "manifest.json", manifest)
 
@@ -359,7 +362,10 @@ def cmd_simulate(args, outdir: Path) -> tuple:
     # the run overwrites the directory's snapshots as it goes: an earlier
     # run's manifest would describe files it no longer holds
     (outdir / "manifest.json").unlink(missing_ok=True)
+    before = sum(BLOCK_TRANSFORMS.values())
     traj = simulate(cfg, out=outdir)
+    args._profile = {"steps": len(traj.series["t"]) - 1,
+                     "block_transforms": sum(BLOCK_TRANSFORMS.values()) - before}
     print(f"simulated {args.ic} to t={args.t_end} ({len(traj.snapshots)} snapshots)")
     return [], traj.files
 
@@ -410,6 +416,7 @@ def main(argv=None) -> int:
         args = _parse(parser, argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code) if exc.code is not None else EXIT_USAGE
+    outdir, fresh = Path(args.out), False
     try:
         handler = {
             "norm": cmd_norm,
@@ -418,8 +425,7 @@ def main(argv=None) -> int:
             "simulate": cmd_simulate,
             "criterion": cmd_criterion,
         }[args.command]
-        t0 = time.time()
-        outdir = Path(args.out)
+        t0, fresh = time.time(), not outdir.exists()
         try:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -442,6 +448,9 @@ def main(argv=None) -> int:
     except (OverflowError, FloatingPointError) as exc:  # an in-range exponent's power
         print(f"error: float64 overflow: {exc.args[-1]}", file=sys.stderr)
         return EXIT_COMPUTE
+    finally:  # a failed run leaves no empty directory of its own behind
+        if fresh and outdir.is_dir() and not any(outdir.iterdir()):
+            outdir.rmdir()
 
 
 if __name__ == "__main__":

@@ -22,9 +22,10 @@ inverse transform of its spectrum times a cached ball spectrum
 (:func:`ball_convolution`); ascending scales are grouped into runs that share
 one ball (:func:`shell_runs`); the sums are checked against a transform-free
 brute force over the same ball.
-Every 3-D transform of the package runs on ``scipy.fft`` through
-:func:`_rfftn`/:func:`_irfftn`, or :func:`_rfftn_block`/:func:`_irfftn_block`
-on the solver's 2/3 block; the spectral-space operators (:func:`curl_hat`,
+Every 3-D transform of the full layout runs on ``scipy.fft`` through
+:func:`_rfftn`/:func:`_irfftn`; the solver's 2/3 block is transformed by
+:func:`_rfftn_block`/:func:`_irfftn_block` as BLAS products with cached pruned
+DFT matrices.  The spectral-space operators (:func:`curl_hat`,
 :func:`project_hat`) take the :class:`Wavenumbers` of either layout.
 
 Every voxel ball is symmetric under the min-image reflection y -> -y, so its
@@ -235,6 +236,10 @@ class Wavenumbers(NamedTuple):
     divisor: np.ndarray
 
 
+#: block transforms run in this process, per direction, one per component
+BLOCK_TRANSFORMS = {"forward": 0, "inverse": 0}
+
+
 def block_extent(n: int) -> int:
     """m = ceil(n/3): the 2/3 block keeps the frequencies |i| < n/3, indices
     0..m-1 and n-m+1..n-1 on the two full axes and 0..m-1 on the half axis,
@@ -267,36 +272,75 @@ def _irfftn(hat: np.ndarray, n: int) -> np.ndarray:
     return fft.irfftn(hat, s=(n, n, n), axes=(-3, -2, -1))
 
 
-def _block_axis(a: np.ndarray, axis: int, n: int) -> np.ndarray:
-    """``a`` with its block ``axis`` (-3 or -2) zero-padded from 2m-1 entries
-    to n (scatter), or with an n-entry axis cut to the block's 2m-1 (gather):
-    the first m entries and the last m-1, two slice copies either way."""
-    tail, m = (slice(None),) * (-1 - axis), block_extent(n)
-    lo, hi = (..., slice(m)) + tail, (..., slice(1 - m, None)) + tail
-    if a.shape[axis] == n:
-        return np.concatenate((a[lo], a[hi]), axis=axis)
-    out = np.zeros(a.shape[:axis] + (n,) + a.shape[axis:][1:], dtype=a.dtype)
-    out[lo], out[hi] = a[lo], a[hi]
-    return out
+@lru_cache(maxsize=8)
+def _block_matrices(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only matrices of the block transforms, from C, S = cos, sin of
+    2 pi f j / n (f < m, j < n): full axes [C; S] and [C^T (f = 0 halved),
+    S^T] / n; the real pass on the (Re, Im) view, columns C_f, -S_f, and its
+    inverse weighted 1 at f = 0 and 2 above it, over n (m <= n/2: no Nyquist)."""
+    m = block_extent(n)
+    angle = (TAU / n) * (np.outer(np.arange(m), np.arange(n)) % n)
+    full = np.concatenate((np.cos(angle), np.sin(angle)))
+    half = np.stack((full[:m], -full[m:]), axis=1).reshape(2 * m, n)
+    weight = np.repeat(np.where(np.arange(m) == 0, 1.0, 2.0), 2)[:, None] / n
+    out = [np.ascontiguousarray(a) for a in (full, full.T / n, half.T, half * weight)]
+    out[1][:, 0] /= 2.0
+    for arr in out:
+        arr.setflags(write=False)
+    return tuple(out)
+
+
+def _fold(t: np.ndarray, axis: int) -> np.ndarray:
+    """A full axis's products P = C a, Q = S a (``t``, overwritten) as its
+    2m-1 block entries: P - iQ at f = 0..m-1, then P + iQ at f = -(m-1)..-1."""
+    t = np.moveaxis(t, axis, 0)
+    p, iq = np.split(t, 2)
+    iq *= 1j
+    out = np.empty_like(t[1:])
+    np.subtract(p, iq, out=out[:len(p)])
+    np.add(p[1:], iq[1:], out=out[:len(p) - 1:-1])
+    return np.moveaxis(out, 0, axis)
+
+
+def _unfold(b: np.ndarray, axis: int) -> np.ndarray:
+    """The 2m-1 block entries b_f along a full axis as the 2m inputs of the
+    inverse product: b_f + b_-f, then i (b_f - b_-f), for f = 0..m-1."""
+    b = np.moveaxis(b, axis, 0)
+    out = np.empty_like(b, shape=(len(b) + 1,) + b.shape[1:])
+    pos, neg = np.split(out, 2)
+    neg[...] = b[-np.arange(len(neg))]
+    np.add(b[:len(pos)], neg, out=pos)
+    np.subtract(b[:len(pos)], neg, out=neg)
+    neg *= 1j
+    return np.moveaxis(out, 0, axis)
 
 
 def _rfftn_block(data: np.ndarray) -> np.ndarray:
-    """The 2/3 block of the transform of n^3 samples, in the passes of
-    :func:`_irfftn_block` reversed: the real pass along z kept to m entries,
-    then along y on the n m lines, then along x on the (2m-1) m lines."""
-    n = data.shape[-1]
-    a = fft.rfftn(data, axes=(-1,))[..., :block_extent(n)]
-    a = _block_axis(fft.fftn(a, axes=(-2,)), -2, n)
-    return _block_axis(fft.fftn(a, axes=(-3,)), -3, n)
+    """The 2/3 block of the transform of n^3 samples in three BLAS products:
+    the real pass along z (half a line per row), then [C; S] along y and x,
+    folded.  Up to n = 128 no product reaches OpenBLAS's threading threshold."""
+    n, lead = data.shape[-1], data.shape[:-3]
+    BLOCK_TRANSFORMS["forward"] += math.prod(lead)
+    full, _, half, _ = _block_matrices(n)
+    a = (data.reshape(lead + (2 * n, n // 2, n)) @ half).reshape(lead + (n, n, -1))
+    t = np.empty(lead + (len(full),) * 3)
+    np.matmul(full, (full @ a).swapaxes(-3, -2), out=t.swapaxes(-3, -2))
+    return _fold(_fold(t.view(np.complex128), -2), -3)
 
 
 def _irfftn_block(bh: np.ndarray, n: int) -> np.ndarray:
-    """n^3 samples of a 2/3-block spectrum, skipping the lines that are zero:
-    along x on the block's (2m-1) m lines, then zero-padded along y on n m
-    lines, then the real pass along z padded to n/2 + 1."""
-    a = fft.ifftn(_block_axis(bh, -3, n), axes=(-3,), overwrite_x=True)
-    a = fft.ifftn(_block_axis(a, -2, n), axes=(-2,), overwrite_x=True)
-    return fft.irfftn(a, s=(n,), axes=(-1,))
+    """n^3 samples of a 2/3-block spectrum: :func:`_rfftn_block` reversed, on
+    the unfolded block (the f = 0 entry's imaginary part is dropped)."""
+    lead = bh.shape[:-3]
+    BLOCK_TRANSFORMS["inverse"] += math.prod(lead)
+    _, full_inv, _, half_inv = _block_matrices(n)
+    a = _unfold(_unfold(bh, -3), -2).view(np.float64)
+    t = np.empty(lead + (n,) + a.shape[-2:])
+    np.matmul(full_inv, a.swapaxes(-3, -2), out=t.swapaxes(-3, -2))
+    out = np.empty(lead + (n, n, n))
+    np.matmul((full_inv @ t).reshape(lead + (2 * n, n // 2, -1)), half_inv,
+              out=out.reshape(lead + (2 * n, n // 2, n)))
+    return out
 
 
 def curl_hat(fh: np.ndarray, k: Wavenumbers) -> np.ndarray:

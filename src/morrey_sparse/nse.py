@@ -4,10 +4,11 @@ dynamic restricted-Morrey criterion evaluators.
 The stepper is integrating-factor RK4 (the viscous factor is exact, so pure
 Fourier-mode decay is reproduced to rounding), with a 2/3-rule dealiased
 convective term and Leray projection; viscosity is fixed at 1.  The state
-holds only the modes the 2/3 rule retains, and its transforms skip the lines
-that are zero there.  Decaying box flows have no escape times, so criterion
-evaluation also accepts user-selected reference times; the evaluated
-quantities are the point, not the blow-up dichotomy.
+holds only the modes the 2/3 rule retains, and its transforms are BLAS
+products with pruned DFT matrices that map those modes alone.  Decaying box
+flows have no escape times, so criterion evaluation also accepts
+user-selected reference times; the evaluated quantities are the point, not
+the blow-up dichotomy.
 """
 
 from __future__ import annotations
@@ -167,10 +168,11 @@ def simulate(config: SolverConfig, out=None) -> Trajectory:
     the dealiased convective term is zero, so a random start needs ``kmax``
     below n/3), convective term Leray-projected.  Snapshots are taken every
     ``snapshot_every`` steps (plus t = 0 and the final time); the norm series
-    is recorded at every step.  A step costs 36 block transforms, each with
-    one real pass: the physical u and omega that record a state also feed
-    the next step's first stage.  A non-finite initial condition raises
-    ``NonFiniteDataError`` (a ValueError) before the first step.
+    is recorded at every step.  A step costs 36 block transforms (counted in
+    ``grid.BLOCK_TRANSFORMS``), each with one real pass: the physical u and
+    omega that record a state also feed the next step's first stage.  A
+    non-finite initial condition raises ``NonFiniteDataError`` (a
+    ValueError) before the first step.
 
     Without ``out`` the snapshots are kept in memory.  With a directory
     ``out``, each snapshot file is written as soon as the snapshot is taken,

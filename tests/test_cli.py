@@ -363,9 +363,18 @@ def test_manifest_is_strict_json(field_file, tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text(), parse_constant=reject)
     assert manifest["params"]["theta"] == "inf"
     assert manifest["numpy"] == np.__version__ and manifest["scipy"] == scipy.__version__
-    assert manifest["fft"] == "scipy.fft" and manifest["wall_time_s"] >= 0.0
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["fft"] == {"full": "scipy.fft",
+                               "block": f"BLAS {blas['name']} {blas['version']}"}
+    assert manifest["wall_time_s"] >= 0.0
     peak = manifest["profile"]["peak_rss_mb"]
     assert math.isfinite(peak) and peak > 0.0
+    # a simulate run profiles its steps and block transforms, 36 a step and
+    # 18 to take and record the start
+    assert main(["simulate", "--n", "16", "--dt", "1e-3", "--t-end", "0.004",
+                 "--out", str(tmp_path / "sim")]) == 0
+    profile = json.loads((tmp_path / "sim" / "manifest.json").read_text())["profile"]
+    assert (profile["steps"], profile["block_transforms"]) == (4, 36 * 4 + 3 + 6)
 
 
 def test_simulate_nonfinite_amplitude_is_usage_error(tmp_path):
@@ -692,10 +701,10 @@ def test_out_of_range_argument_is_usage_error(field_file, traj_dir, tmp_path, ca
         argv = [argv[0], "--field", str(field_file), *argv[1:]]
     if argv[0] == "criterion":  # the later flag wins over CRITERION's
         argv = [*CRITERION, "--traj", str(traj_dir), *argv[1:]]
-    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
-    assert not (tmp_path / "manifest.json").exists()
+    assert not (tmp_path / "out").exists()  # nor the directory it made
 
 
 def test_unread_flags_in_range_run(field_file, tmp_path):

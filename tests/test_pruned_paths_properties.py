@@ -3,7 +3,8 @@ oracles (differential testing): the theta = inf shell search of ``gm_norm``
 and ``classical_morrey`` against the fold over every node at every voxel,
 the per-field memo of the implication checks against fresh copies of the
 field, and the float32 mask counts of ``semi_mixed`` and ``z_alpha_member``
-against the per-center ball count of ``sparse_3d``.  Fields are drawn at n
+against the per-center ball count of ``sparse_3d``, and the solver's 2/3-block
+transforms against ``scipy.fft`` on the full layout.  Fields are drawn at n
 in {8, 12, 16}: seeded, blobs, one-voxel spikes and zero, scaled (x0,
 x1e-300, x4, x1e150) and shifted periodically."""
 
@@ -12,12 +13,15 @@ from itertools import product
 from unittest import mock
 
 import numpy as np
+import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morrey_sparse import grid as grid_module
 from morrey_sparse.fields import random_solenoidal_field, vorticity_blob
-from morrey_sparse.grid import Grid3, ScalarField, VectorField, ball_kernel, curl, sup_norm
+from morrey_sparse.grid import (Grid3, ScalarField, VectorField, _irfftn_block, _rfftn_block,
+                                ball_kernel, block_extent, curl, sup_norm)
 from morrey_sparse.grid import sliding_ball_power_multi as full_power
 from morrey_sparse.morrey import (MorreyParams, WeightSpec, classical_morrey, gm_norm,
                                   log_scale_nodes)
@@ -176,3 +180,23 @@ def test_z_alpha_member_equals_brute_force(n, kind, seed, lam, base, c0, data):
     failing = [tuple(int(v) for v in row) for row in np.argwhere(least > delta)[:10]]
     assert z_alpha_member(f, 1.0, admissible_pair(delta), c0,
                           sets=dict(zip(SET_LABELS, sets))) == (not failing, failing)
+
+
+@pytest.mark.parametrize("n", [8, 10, 14, 16, 32])  # 1/n inexact at 10 and 14
+def test_block_transforms_equal_full_layout_transforms(n):
+    # the block products against scipy.fft on the full layout: the forward
+    # gathered to the block, the inverse of the block scattered into zeros,
+    # for 3-vectors and scalars, and the round trip, within 1e-14 of the max
+    m = block_extent(n)
+    block = np.ix_(np.r_[0:m, n - m + 1:n], np.r_[0:m, n - m + 1:n], range(m))
+    u = np.random.default_rng(n).standard_normal((3, n, n, n))
+    for data in (u, u[0]):
+        bh = _rfftn_block(data)
+        want = scipy.fft.rfftn(data, axes=(-3, -2, -1))[(...,) + block]
+        assert np.abs(bh - want).max() <= 1e-14 * np.abs(want).max()
+        full = np.zeros(data.shape[:-1] + (n // 2 + 1,), dtype=complex)
+        full[(...,) + block] = bh
+        back = _irfftn_block(bh, n)
+        want = scipy.fft.irfftn(full, s=(n, n, n), axes=(-3, -2, -1))
+        assert np.abs(back - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(_rfftn_block(back) - bh).max() <= 1e-14 * np.abs(bh).max()
