@@ -22,11 +22,11 @@ inverse transform of its spectrum times a cached ball spectrum
 (:func:`ball_convolution`); ascending scales are grouped into runs that share
 one ball (:func:`shell_runs`); the sums are checked against a transform-free
 brute force over the same ball.
-Every 3-D transform of the full layout runs on ``scipy.fft`` through
-:func:`_rfftn`/:func:`_irfftn`; the solver's 2/3 block is transformed by
-:func:`_rfftn_block`/:func:`_irfftn_block` as BLAS products with cached pruned
-DFT matrices.  The spectral-space operators (:func:`curl_hat`,
-:func:`project_hat`) take the :class:`Wavenumbers` of either layout.
+Every 3-D transform of the full layout runs on ``scipy.fft``
+(:func:`_rfftn`/:func:`_irfftn`); the solver's 2/3 block, real in the cos/sin
+basis, on one cached matrix pair (:func:`_rfftn_block`/:func:`_irfftn_block`).
+:func:`_derivative`, and so :func:`curl_hat` and :func:`project_hat`, take the
+:class:`Wavenumbers` of either layout.
 
 Every voxel ball is symmetric under the min-image reflection y -> -y, so its
 spectrum is real: the imaginary parts the transform leaves are rounding (at
@@ -225,10 +225,10 @@ def _frequencies(n: int):
 
 
 class Wavenumbers(NamedTuple):
-    """Broadcastable wavenumbers of one spectral layout (read-only), Nyquist
+    """Broadcastable wavenumbers of one spectral layout (read-only): Nyquist
     entries zeroed (the self-aliased Nyquist plane breaks the evenness of
-    quadratic multipliers), and the divisor inverting -Laplace: |k|^2 with
-    its zeros set to 1."""
+    quadratic multipliers), [k_f; -k_f] per axis on the 2/3 block; and the
+    divisor inverting -Laplace: |k|^2 with its zeros set to 1."""
 
     kx: np.ndarray
     ky: np.ndarray
@@ -241,9 +241,9 @@ BLOCK_TRANSFORMS = {"forward": 0, "inverse": 0}
 
 
 def block_extent(n: int) -> int:
-    """m = ceil(n/3): the 2/3 block keeps the frequencies |i| < n/3, indices
-    0..m-1 and n-m+1..n-1 on the two full axes and 0..m-1 on the half axis,
-    (2m-1)^2 m modes."""
+    """m = ceil(n/3): the 2/3 block keeps the frequencies |i| < n/3 in the
+    real cos/sin basis, rows [cos f; sin f] for f = 0..m-1 on every axis (the
+    sin 0 row is zero), (2m)^3 entries."""
     return -(-n // 3)
 
 
@@ -254,9 +254,9 @@ def wavenumbers(grid: Grid3, block: bool = False) -> Wavenumbers:
     kx, ky, kz = (i * k0 for i in _frequencies(n))
     kx[n // 2] = ky[:, n // 2] = kz[..., -1] = 0.0
     if block:
-        m = block_extent(n)
-        keep = np.r_[0:m, n - m + 1:n]
-        kx, ky, kz = kx[keep], ky[:, keep], kz[..., :m]
+        f = kz.ravel()[:block_extent(n)]
+        f = np.concatenate((f, -f))
+        kx, ky, kz = f.reshape(-1, 1, 1), f.reshape(1, -1, 1), f.reshape(1, 1, -1)
     k2 = kx**2 + ky**2 + kz**2
     out = Wavenumbers(kx, ky, kz, np.where(k2 == 0.0, 1.0, k2))
     for arr in out:
@@ -273,98 +273,79 @@ def _irfftn(hat: np.ndarray, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _block_matrices(n: int) -> tuple[np.ndarray, ...]:
-    """Read-only matrices of the block transforms, from C, S = cos, sin of
-    2 pi f j / n (f < m, j < n): full axes [C; S] and [C^T (f = 0 halved),
-    S^T] / n; the real pass on the (Re, Im) view, columns C_f, -S_f, and its
-    inverse weighted 1 at f = 0 and 2 above it, over n (m <= n/2: no Nyquist)."""
+def _block_matrices(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The block transform of every axis, F = [C; S], C, S = cos, sin of
+    2 pi f j / n (f < m, j < n), and its inverse, F weighted 1 at f = 0 and 2
+    above, over n (no Nyquist: m <= n/2), as read-only copies of the products'
+    orientations, (F, F^T) and (inverse^T, inverse): a transposed view threads."""
     m = block_extent(n)
     angle = (TAU / n) * (np.outer(np.arange(m), np.arange(n)) % n)
-    full = np.concatenate((np.cos(angle), np.sin(angle)))
-    half = np.stack((full[:m], -full[m:]), axis=1).reshape(2 * m, n)
-    weight = np.repeat(np.where(np.arange(m) == 0, 1.0, 2.0), 2)[:, None] / n
-    out = [np.ascontiguousarray(a) for a in (full, full.T / n, half.T, half * weight)]
-    out[1][:, 0] /= 2.0
-    for arr in out:
-        arr.setflags(write=False)
-    return tuple(out)
-
-
-def _fold(t: np.ndarray, axis: int) -> np.ndarray:
-    """A full axis's products P = C a, Q = S a (``t``, overwritten) as its
-    2m-1 block entries: P - iQ at f = 0..m-1, then P + iQ at f = -(m-1)..-1."""
-    t = np.moveaxis(t, axis, 0)
-    p, iq = np.split(t, 2)
-    iq *= 1j
-    out = np.empty_like(t[1:])
-    np.subtract(p, iq, out=out[:len(p)])
-    np.add(p[1:], iq[1:], out=out[:len(p) - 1:-1])
-    return np.moveaxis(out, 0, axis)
-
-
-def _unfold(b: np.ndarray, axis: int) -> np.ndarray:
-    """The 2m-1 block entries b_f along a full axis as the 2m inputs of the
-    inverse product: b_f + b_-f, then i (b_f - b_-f), for f = 0..m-1."""
-    b = np.moveaxis(b, axis, 0)
-    out = np.empty_like(b, shape=(len(b) + 1,) + b.shape[1:])
-    pos, neg = np.split(out, 2)
-    neg[...] = b[-np.arange(len(neg))]
-    np.add(b[:len(pos)], neg, out=pos)
-    np.subtract(b[:len(pos)], neg, out=neg)
-    neg *= 1j
-    return np.moveaxis(out, 0, axis)
+    fwd = np.concatenate((np.cos(angle), np.sin(angle)))
+    inv = fwd * np.where(np.arange(2 * m) % m == 0, 1.0, 2.0)[:, None] / n
+    out = [_read_only_copy(a, np.float64) for a in (fwd, fwd.T, inv.T, inv)]
+    return tuple(out[:2]), tuple(out[2:])
 
 
 def _rfftn_block(data: np.ndarray) -> np.ndarray:
-    """The 2/3 block of the transform of n^3 samples in three BLAS products:
-    the real pass along z (half a line per row), then [C; S] along y and x,
-    folded.  Up to n = 128 no product reaches OpenBLAS's threading threshold."""
+    """The 2/3 block of the transform of n^3 samples in the cos/sin basis, F
+    along z (half a line per row block), then y, then x: three BLAS products,
+    none at OpenBLAS's threading threshold up to n = 128."""
     n, lead = data.shape[-1], data.shape[:-3]
     BLOCK_TRANSFORMS["forward"] += math.prod(lead)
-    full, _, half, _ = _block_matrices(n)
-    a = (data.reshape(lead + (2 * n, n // 2, n)) @ half).reshape(lead + (n, n, -1))
-    t = np.empty(lead + (len(full),) * 3)
-    np.matmul(full, (full @ a).swapaxes(-3, -2), out=t.swapaxes(-3, -2))
-    return _fold(_fold(t.view(np.complex128), -2), -3)
+    (fwd, fwd_t), _ = _block_matrices(n)
+    a = (data.reshape(lead + (2 * n, n // 2, n)) @ fwd_t).reshape(lead + (n, n, -1))
+    out = np.empty(lead + (len(fwd),) * 3)
+    np.matmul(fwd, (fwd @ a).swapaxes(-3, -2), out=out.swapaxes(-3, -2))
+    return out
 
 
 def _irfftn_block(bh: np.ndarray, n: int) -> np.ndarray:
-    """n^3 samples of a 2/3-block spectrum: :func:`_rfftn_block` reversed, on
-    the unfolded block (the f = 0 entry's imaginary part is dropped)."""
+    """n^3 samples of a 2/3-block spectrum: the inverse along x, then y, then
+    z, the products of :func:`_rfftn_block` reversed."""
     lead = bh.shape[:-3]
     BLOCK_TRANSFORMS["inverse"] += math.prod(lead)
-    _, full_inv, _, half_inv = _block_matrices(n)
-    a = _unfold(_unfold(bh, -3), -2).view(np.float64)
-    t = np.empty(lead + (n,) + a.shape[-2:])
-    np.matmul(full_inv, a.swapaxes(-3, -2), out=t.swapaxes(-3, -2))
+    _, (inv_t, inv) = _block_matrices(n)
+    t = np.empty(lead + (n,) + bh.shape[-2:])
+    np.matmul(inv_t, bh.swapaxes(-3, -2), out=t.swapaxes(-3, -2))
     out = np.empty(lead + (n, n, n))
-    np.matmul((full_inv @ t).reshape(lead + (2 * n, n // 2, -1)), half_inv,
+    np.matmul((inv_t @ t).reshape(lead + (2 * n, n // 2, -1)), inv,
               out=out.reshape(lead + (2 * n, n // 2, n)))
     return out
 
 
+def _derivative(fh: np.ndarray, k: Wavenumbers, axis: int) -> np.ndarray:
+    """Spectrum of d/dx_axis on the layout of ``k`` (a new array): i k fh on
+    the full layout; on the block, whose rows along an axis are its cos and
+    sin halves (P, Q), the signed swap (P, Q) -> (k Q, -k P)."""
+    if np.iscomplexobj(fh):
+        return (1j * k[axis]) * fh
+    return k[axis] * np.roll(fh, fh.shape[axis - 3] // 2, axis - 3)
+
+
+def _divergence_hat(fh: np.ndarray, k: Wavenumbers) -> np.ndarray:
+    return _derivative(fh[0], k, 0) + _derivative(fh[1], k, 1) + _derivative(fh[2], k, 2)
+
+
 def curl_hat(fh: np.ndarray, k: Wavenumbers) -> np.ndarray:
-    """Spectrum of the curl, i k x fh, of a vector spectrum on the layout of
-    ``k`` (a new array)."""
+    """Spectrum of the curl of a vector spectrum on the layout of ``k`` (a
+    new array)."""
     ch = np.empty_like(fh)
-    ch[0] = 1j * (k.ky * fh[2] - k.kz * fh[1])
-    ch[1] = 1j * (k.kz * fh[0] - k.kx * fh[2])
-    ch[2] = 1j * (k.kx * fh[1] - k.ky * fh[0])
+    for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.subtract(_derivative(fh[b], k, a), _derivative(fh[a], k, b), out=ch[c])
     return ch
 
 
 def project_hat(fh: np.ndarray, k: Wavenumbers) -> np.ndarray:
-    """Leray projection of a vector spectrum on the layout of ``k`` (a new
-    array; k = 0 untouched); k . fh is divided part by part, as numpy's
-    complex-by-real division is a slower complex one."""
-    kdotf = k.kx * fh[0]
-    kdotf += k.ky * fh[1]
-    kdotf += k.kz * fh[2]
-    kdotf.real /= k.divisor
-    kdotf.imag /= k.divisor
+    """Leray projection f + grad(div f)/|k|^2 on the layout of ``k`` (a new
+    array; k = 0 untouched); a complex divergence is divided part by part, as
+    numpy's complex-by-real division is a slower complex one."""
+    div = _divergence_hat(fh, k)
+    div.real /= k.divisor
+    if np.iscomplexobj(div):
+        div.imag /= k.divisor
     out = np.empty_like(fh)
     for c in range(3):
-        out[c] = fh[c] - k[c] * kdotf
+        np.add(fh[c], _derivative(div, k, c), out=out[c])
     return out
 
 
@@ -375,16 +356,13 @@ def curl(f: VectorField) -> VectorField:
 
 
 def divergence(f: VectorField) -> ScalarField:
-    kx, ky, kz, _ = wavenumbers(f.grid)
-    fh = _rfftn(f.data)
-    dh = 1j * (kx * fh[0] + ky * fh[1] + kz * fh[2])
+    dh = _divergence_hat(_rfftn(f.data), wavenumbers(f.grid))
     return ScalarField._adopt(f.grid, _irfftn(dh, f.grid.n))
 
 
 def gradient(s: ScalarField) -> VectorField:
-    kx, ky, kz, _ = wavenumbers(s.grid)
-    sh = _rfftn(s.data)
-    gh = np.stack([1j * kx * sh, 1j * ky * sh, 1j * kz * sh])
+    k, sh = wavenumbers(s.grid), _rfftn(s.data)
+    gh = np.stack([_derivative(sh, k, c) for c in range(3)])
     return VectorField._adopt(s.grid, _irfftn(gh, s.grid.n))
 
 

@@ -4,8 +4,8 @@ dynamic restricted-Morrey criterion evaluators.
 The stepper is integrating-factor RK4 (the viscous factor is exact, so pure
 Fourier-mode decay is reproduced to rounding), with a 2/3-rule dealiased
 convective term and Leray projection; viscosity is fixed at 1.  The state
-holds only the modes the 2/3 rule retains, and its transforms are BLAS
-products with pruned DFT matrices that map those modes alone.  Decaying box
+holds only the modes the 2/3 rule retains, real in the cos/sin basis, and
+its transforms are BLAS products with one pruned DFT matrix pair.  Decaying box
 flows have no escape times, so criterion evaluation also accepts
 user-selected reference times; the evaluated quantities are the point, not
 the blow-up dichotomy.
@@ -168,11 +168,11 @@ def simulate(config: SolverConfig, out=None) -> Trajectory:
     the dealiased convective term is zero, so a random start needs ``kmax``
     below n/3), convective term Leray-projected.  Snapshots are taken every
     ``snapshot_every`` steps (plus t = 0 and the final time); the norm series
-    is recorded at every step.  A step costs 36 block transforms (counted in
-    ``grid.BLOCK_TRANSFORMS``), each with one real pass: the physical u and
-    omega that record a state also feed the next step's first stage.  A
-    non-finite initial condition raises ``NonFiniteDataError`` (a
-    ValueError) before the first step.
+    is recorded at every step.  The state is the block's real cos/sin
+    spectrum.  A step costs 36 block transforms (``grid.BLOCK_TRANSFORMS``):
+    the physical u and omega that record a state also feed the next step's
+    first stage.  A non-finite initial condition raises
+    ``NonFiniteDataError`` (a ValueError) before the first step.
 
     Without ``out`` the snapshots are kept in memory.  With a directory
     ``out``, each snapshot file is written as soon as the snapshot is taken,
@@ -235,7 +235,7 @@ def simulate(config: SolverConfig, out=None) -> Trajectory:
         n4 = stage(full * uh + config.dt * half * n3)
         uh = full * uh + (config.dt / 6.0) * (full * n1 + 2.0 * half * (n2 + n3) + n4)
         t = step * config.dt
-        if not np.isfinite(uh.view(np.float64)).all():
+        if not np.isfinite(uh).all():
             raise SolverInstabilityError(f"non-finite state at t={t:.6f} (last good time "
                                          f"t={t - config.dt:.6f})", t - config.dt)
         u_w = record(step, t, uh)

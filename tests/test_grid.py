@@ -1,6 +1,11 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +23,8 @@ from morrey_sparse.grid import (
     VectorField,
     VoxelSet,
     _irfftn,
-    _irfftn_block,
     _rfftn,
-    _rfftn_block,
     ball_kernel,
-    block_extent,
     ball_lp_bruteforce,
     biot_savart,
     count_dtype,
@@ -35,7 +37,6 @@ from morrey_sparse.grid import (
     sliding_ball_lp,
     sliding_ball_sum,
     sup_norm,
-    wavenumbers,
 )
 from morrey_sparse.fields import (
     bump_gradient,
@@ -267,28 +268,31 @@ def test_biot_savart_inverts_curl(grid16):
     assert np.abs(back.data - omega.data).max() < 1e-9 * max(1.0, sup_norm(omega))
 
 
-@pytest.mark.parametrize("n", [8, 16, 18, 32])
-def test_block_transforms_match_the_full_layout(n):
-    # the 2/3 block is the frequencies |i| < n/3; its pruned passes equal the
-    # full transform gathered to the block (forward) or of the block scattered
-    # into zeros (inverse), to rounding, and the block's wavenumbers are the
-    # full layout's there
-    m = block_extent(n)
-    keep = np.r_[0:m, n - m + 1:n]
-    freq = fft.fftfreq(n, d=1.0 / n)
-    assert sorted(np.abs(freq[keep])) == sorted(np.abs(freq[np.abs(freq) < n / 3.0]))
-    u = np.random.default_rng(n).standard_normal((3, n, n, n))
-    sub = np.ix_(keep, keep, range(m))
-    block = (slice(None),) + sub
-    bh = _rfftn_block(u)
-    assert np.abs(bh - _rfftn(u)[block]).max() <= 1e-13 * np.abs(bh).max()
-    padded = np.zeros((3, n, n, n // 2 + 1), dtype=complex)
-    padded[block] = bh
-    assert np.abs(_irfftn_block(bh, n) - _irfftn(padded, n)).max() <= 1e-13 * np.abs(u).max()
-    full, part = wavenumbers(Grid3(n)), wavenumbers(Grid3(n), block=True)
-    for a, b in zip(full, part):
-        assert np.array_equal(np.broadcast_to(a, (n, n, n // 2 + 1))[sub],
-                              np.broadcast_to(b, bh.shape[1:]))
+@pytest.mark.skipif(not os.path.exists("/proc/self/schedstat"), reason="no schedstat")
+def test_block_transforms_run_unthreaded_up_to_n128():
+    # every block product stays below OpenBLAS's threading threshold up to
+    # n = 128: in a fresh process, a 3-vector transform pair gives the
+    # process's other threads (the BLAS workers) no CPU time
+    code = textwrap.dedent("""
+        import os
+        import numpy as np
+        from morrey_sparse.grid import _irfftn_block, _rfftn_block
+
+        def others():
+            tasks = [t for t in os.listdir("/proc/self/task") if int(t) != os.getpid()]
+            return sum(int(open(f"/proc/self/task/{t}/schedstat").read().split()[0])
+                       for t in tasks)
+
+        u = np.random.default_rng(0).standard_normal((3, 128, 128, 128))
+        before = others()
+        _irfftn_block(_rfftn_block(u), 128)
+        print(others() - before)
+    """)
+    path = os.pathsep.join([str(Path(grid_module.__file__).parents[1]),
+                            os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) == 0
 
 
 def test_sup_norm(grid32):

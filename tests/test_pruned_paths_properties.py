@@ -4,9 +4,9 @@ and ``classical_morrey`` against the fold over every node at every voxel,
 the per-field memo of the implication checks against fresh copies of the
 field, and the float32 mask counts of ``semi_mixed`` and ``z_alpha_member``
 against the per-center ball count of ``sparse_3d``, and the solver's 2/3-block
-transforms against ``scipy.fft`` on the full layout.  Fields are drawn at n
-in {8, 12, 16}: seeded, blobs, one-voxel spikes and zero, scaled (x0,
-x1e-300, x4, x1e150) and shifted periodically."""
+transforms and operators against ``scipy.fft`` and the full layout's.  Fields
+are drawn at n in {8, 12, 16}: seeded, blobs, one-voxel spikes and zero,
+scaled (x0, x1e-300, x4, x1e150) and shifted periodically."""
 
 import math
 from itertools import product
@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 from morrey_sparse import grid as grid_module
 from morrey_sparse.fields import random_solenoidal_field, vorticity_blob
-from morrey_sparse.grid import (Grid3, ScalarField, VectorField, _irfftn_block, _rfftn_block,
-                                ball_kernel, block_extent, curl, sup_norm)
+from morrey_sparse.grid import (Grid3, ScalarField, VectorField, _derivative, _irfftn_block,
+                                _rfftn_block, ball_kernel, block_extent, curl, curl_hat,
+                                project_hat, sup_norm, wavenumbers)
 from morrey_sparse.grid import sliding_ball_power_multi as full_power
 from morrey_sparse.morrey import (MorreyParams, WeightSpec, classical_morrey, gm_norm,
                                   log_scale_nodes)
@@ -182,21 +183,55 @@ def test_z_alpha_member_equals_brute_force(n, kind, seed, lam, base, c0, data):
                           sets=dict(zip(SET_LABELS, sets))) == (not failing, failing)
 
 
-@pytest.mark.parametrize("n", [8, 10, 14, 16, 32])  # 1/n inexact at 10 and 14
-def test_block_transforms_equal_full_layout_transforms(n):
-    # the block products against scipy.fft on the full layout: the forward
-    # gathered to the block, the inverse of the block scattered into zeros,
-    # for 3-vectors and scalars, and the round trip, within 1e-14 of the max
+def _block_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The full layout's entries of a block spectrum's cos/sin rows (P, Q):
+    along a full axis b_f = P_f - iQ_f and b_-f = P_f + iQ_f, in rfft order
+    f = 0..m-1, then -(m-1)..-1; along z, the first m of them."""
     m = block_extent(n)
-    block = np.ix_(np.r_[0:m, n - m + 1:n], np.r_[0:m, n - m + 1:n], range(m))
+    f = np.r_[0:m, 1 - m:0]
+    rows = np.arange(2 * m - 1)
+    g = np.zeros((2 * m - 1, 2 * m), dtype=complex)
+    g[rows, np.abs(f)] = 1.0
+    g[rows, m + np.abs(f)] = np.where(f < 0, 1j, -1j)
+    return g, g[:m]
+
+
+# 1/n inexact at 10, 12, 14, 18 and 24; n = 3m at 12, 18 and 24, where the
+# block boundary |i| = n/3 is a frequency of the grid and is dropped
+@pytest.mark.parametrize("n", [8, 10, 12, 14, 16, 18, 24, 32])
+def test_block_transforms_equal_full_layout_transforms(n):
+    # the 2/3 block holds the frequencies |i| < n/3 in the cos/sin basis.
+    # Gathered into the full layout, its transforms and operators equal
+    # scipy.fft and the full layout's: the forward, the inverse of the block
+    # scattered into zeros, the round trip and each derivative, for 3-vectors
+    # and scalars, then curl_hat and project_hat, within 1e-14 of the max
+    m = block_extent(n)
+    keep = np.r_[0:m, n - m + 1:n]
+    freq = scipy.fft.fftfreq(n, d=1.0 / n)
+    assert sorted(np.abs(freq[keep])) == sorted(np.abs(freq[np.abs(freq) < n / 3.0]))
+    block = (...,) + np.ix_(keep, keep, range(m))
+    full_k, block_k = wavenumbers(Grid3(n)), wavenumbers(Grid3(n), block=True)
+    p = np.abs(freq[keep]).astype(int)  # the P row of each block frequency
+    assert np.array_equal(np.broadcast_to(full_k.divisor, (n, n, n // 2 + 1))[block],
+                          block_k.divisor[np.ix_(p, p, range(m))])
+    g, gz = _block_gather(n)
+
+    def gather(bh):
+        return np.einsum("ai,bj,ck,...ijk->...abc", g, g, gz, bh, optimize=True)
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     u = np.random.default_rng(n).standard_normal((3, n, n, n))
-    for data in (u, u[0]):
-        bh = _rfftn_block(data)
-        want = scipy.fft.rfftn(data, axes=(-3, -2, -1))[(...,) + block]
-        assert np.abs(bh - want).max() <= 1e-14 * np.abs(want).max()
-        full = np.zeros(data.shape[:-1] + (n // 2 + 1,), dtype=complex)
-        full[(...,) + block] = bh
+    for data in (u[0], u):  # the 3-vector last, for the operators below
+        bh, hat = _rfftn_block(data), scipy.fft.rfftn(data, axes=(-3, -2, -1))
+        close(gather(bh), hat[block])
+        full = np.zeros_like(hat)
+        full[block] = gather(bh)
         back = _irfftn_block(bh, n)
-        want = scipy.fft.irfftn(full, s=(n, n, n), axes=(-3, -2, -1))
-        assert np.abs(back - want).max() <= 1e-14 * np.abs(want).max()
-        assert np.abs(_rfftn_block(back) - bh).max() <= 1e-14 * np.abs(bh).max()
+        close(back, scipy.fft.irfftn(full, s=(n, n, n), axes=(-3, -2, -1)))
+        close(_rfftn_block(back), bh)
+        for axis in range(3):
+            close(gather(_derivative(bh, block_k, axis)), _derivative(hat, full_k, axis)[block])
+    for op in (curl_hat, project_hat):
+        close(gather(op(bh, block_k)), op(hat, full_k)[block])
